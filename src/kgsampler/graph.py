@@ -2,15 +2,20 @@
 
 A knowledge graph is a set of directed labeled edges (subject, relation,
 object) over dense integer ids. The train split carries the adjacency
-index used by the samplers; valid/test only participate in the membership
-index used for filtered ranking and filtered negative generation.
+index used by the samplers. All three splits feed one index of known
+triples, used for filtered ranking and filtered negative generation.
+
+A triple packs into the int64 key (s·R + r)·E + o, where E is the entity
+count and R the relation count. The largest key is E²·R − 1, so a graph
+with E²·R > 2⁶³ is rejected with :class:`DataError` before anything sized
+by E or R is built.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -32,12 +37,17 @@ class Triple(NamedTuple):
 
 @dataclass
 class KnowledgeGraph:
-    """Immutable triple store with a CSR incidence index over the train split.
+    """Immutable triple store with two indexes, both built at construction.
 
     ``adj_indptr``/``adj_indices`` map each entity to the sorted train-triple
     indices in which it appears as subject or object. A self-loop triple
     (s == o) appears once in its entity's list but contributes 2 to the
     entity's total degree.
+
+    ``spo_keys`` and ``ors_keys`` index the known triples of train + valid +
+    test: the sorted unique keys (s·R + r)·E + o and (o·R + r)·E + s. The
+    known objects of (s, r) are then one contiguous run of ``spo_keys``,
+    and the known subjects of (r, o) one run of ``ors_keys``.
     """
 
     entity_names: list[str]
@@ -48,10 +58,8 @@ class KnowledgeGraph:
     adj_indptr: np.ndarray     # (|E| + 1,) int64
     adj_indices: np.ndarray    # (sum of incidence list lengths,) int64
     degrees: np.ndarray        # (|E|,) int64, in-degree + out-degree on train
-    membership: frozenset      # {(s, r, o)} over train + valid + test
-    _sr_to_o: dict = field(default=None, repr=False, compare=False)
-    _or_to_s: dict = field(default=None, repr=False, compare=False)
-    _packed: np.ndarray = field(default=None, repr=False, compare=False)
+    spo_keys: np.ndarray       # sorted unique (s·R + r)·E + o over all splits
+    ors_keys: np.ndarray       # sorted unique (o·R + r)·E + s over all splits
 
     @property
     def n_entities(self) -> int:
@@ -76,48 +84,40 @@ class KnowledgeGraph:
         return self.adj_indices[self.adj_indptr[v]:self.adj_indptr[v + 1]]
 
     def filter_objects(self, s: int, r: int) -> np.ndarray:
-        """All known objects o with (s, r, o) in train+valid+test."""
-        if self._sr_to_o is None:
-            self._build_filter_maps()
-        return self._sr_to_o.get((s, r), _EMPTY_IDS)
+        """Sorted ids of all known objects o with (s, r, o) in train+valid+test."""
+        return self._key_run(self.spo_keys, s, r)
 
     def filter_subjects(self, r: int, o: int) -> np.ndarray:
-        """All known subjects s with (s, r, o) in train+valid+test."""
-        if self._or_to_s is None:
-            self._build_filter_maps()
-        return self._or_to_s.get((o, r), _EMPTY_IDS)
+        """Sorted ids of all known subjects s with (s, r, o) in train+valid+test."""
+        return self._key_run(self.ors_keys, o, r)
+
+    def _key_run(self, keys: np.ndarray, head: int, r: int) -> np.ndarray:
+        if not (0 <= head < self.n_entities and 0 <= r < self.n_relations):
+            return keys[:0]  # an out-of-range id would alias another pair's run
+        # The run ends at base + E - 1; base + E overflows int64 when E²·R == 2⁶³.
+        base = _pack(int(head), int(r), 0, self.n_entities, self.n_relations)
+        lo = keys.searchsorted(base)
+        hi = keys.searchsorted(base + self.n_entities - 1, side="right")
+        return keys[lo:hi] - base
 
     def pack_triples(self, spo: np.ndarray) -> np.ndarray:
-        """Encode (s, r, o) rows as single int64 keys."""
+        """Encode (s, r, o) rows as single int64 keys (s·R + r)·E + o."""
         spo = np.asarray(spo, dtype=np.int64)
-        return (spo[..., 0] * self.n_relations + spo[..., 1]) * self.n_entities \
-            + spo[..., 2]
+        return _pack(spo[..., 0], spo[..., 1], spo[..., 2],
+                     self.n_entities, self.n_relations)
 
     def contains_triples(self, spo: np.ndarray) -> np.ndarray:
-        """Vectorized membership test against train + valid + test."""
-        if self._packed is None:
-            all_rows = np.concatenate([self.train, self.valid, self.test])
-            self._packed = np.unique(self.pack_triples(all_rows)) \
-                if len(all_rows) else np.empty(0, dtype=np.int64)
+        """Vectorized test: is each (s, r, o) row a known triple of train + valid + test?"""
         keys = self.pack_triples(spo)
-        idx = np.searchsorted(self._packed, keys)
-        idx = np.minimum(idx, max(len(self._packed) - 1, 0))
-        if len(self._packed) == 0:
+        if len(self.spo_keys) == 0:
             return np.zeros(keys.shape, dtype=bool)
-        return self._packed[idx] == keys
-
-    def _build_filter_maps(self):
-        sr_to_o: dict = {}
-        or_to_s: dict = {}
-        for arr in (self.train, self.valid, self.test):
-            for s, r, o in arr:
-                sr_to_o.setdefault((int(s), int(r)), []).append(int(o))
-                or_to_s.setdefault((int(o), int(r)), []).append(int(s))
-        self._sr_to_o = {k: np.unique(v) for k, v in sr_to_o.items()}
-        self._or_to_s = {k: np.unique(v) for k, v in or_to_s.items()}
+        idx = np.minimum(np.searchsorted(self.spo_keys, keys), len(self.spo_keys) - 1)
+        return self.spo_keys[idx] == keys
 
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
+def _pack(head, r, tail, n_entities: int, n_relations: int):
+    """The key (head·R + r)·E + tail; distinct per triple while E²·R ≤ 2⁶³."""
+    return (head * n_relations + r) * n_entities + tail
 
 
 def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
@@ -125,7 +125,6 @@ def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
     if not os.path.isfile(path):
         raise DataError(f"missing split file: {path}")
     rows = []
-    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -140,9 +139,6 @@ def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
             s = entity_ids.setdefault(s_name, len(entity_ids))
             r = relation_ids.setdefault(r_name, len(relation_ids))
             o = entity_ids.setdefault(o_name, len(entity_ids))
-            if (s, r, o) in seen:
-                raise DataError(f"{path}:{lineno}: duplicate triple within split")
-            seen.add((s, r, o))
             rows.append((s, r, o))
     return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
 
@@ -163,54 +159,86 @@ def _build_adjacency(train: np.ndarray, n_entities: int):
     return indptr, tids
 
 
-def load_dataset(directory: str) -> KnowledgeGraph:
-    """Load train/valid/test triple files from a dataset directory.
+def _build_graph(splits: dict, n_entities: int, n_relations: int,
+                 names: tuple | None = None, source: str = "graph") -> KnowledgeGraph:
+    """Check train/valid/test id arrays and build both indexes of a graph.
 
-    Ids are dense integers assigned in first-seen order over train, then
-    valid, then test. Adjacency and degrees are built from the train split
-    only. Raises :class:`DataError` on missing files, malformed lines, or
-    duplicate triples within a split.
+    ``names`` is ``(entity_names, relation_names)``; None names ids e0.., r0...
+    Raises :class:`DataError` on key overflow, an id out of range, or a
+    triple repeated within a split.
     """
-    entity_ids: dict = {}
-    relation_ids: dict = {}
-    splits = {}
-    for name, fname in SPLIT_FILES.items():
-        splits[name] = _parse_split(os.path.join(directory, fname), entity_ids, relation_ids)
+    if int(n_entities) ** 2 * int(n_relations) > 2 ** 63:
+        raise DataError(
+            f"{source}: {n_entities} entities and {n_relations} relations give triple "
+            f"keys beyond int64 (entities² · relations > 2⁶³)"
+        )
+    entity_names, relation_names = names or (
+        [f"e{i}" for i in range(n_entities)], [f"r{i}" for i in range(n_relations)])
 
-    n_entities = len(entity_ids)
+    split_keys = []
+    for name, arr in splits.items():
+        if len(arr) and (arr.min() < 0 or arr[:, [0, 2]].max() >= n_entities
+                         or arr[:, 1].max() >= n_relations):
+            raise DataError(f"{source}: {name} triple references an id out of range")
+        packed = _pack(arr[:, 0], arr[:, 1], arr[:, 2], n_entities, n_relations)
+        keys = np.sort(packed)
+        same = keys[1:] == keys[:-1]
+        if same.any():
+            row = int(np.flatnonzero(packed == keys[np.argmax(same)])[1])
+            s, r, o = arr[row]
+            raise DataError(
+                f"{source}: duplicate triple within {name} split at row {row + 1}: "
+                f"{entity_names[s]} {relation_names[r]} {entity_names[o]}"
+            )
+        split_keys.append(keys)
+    spo_keys = np.unique(np.concatenate(split_keys))
+    rows = np.concatenate(list(splits.values()))
+    ors_keys = np.unique(_pack(rows[:, 2], rows[:, 1], rows[:, 0], n_entities, n_relations))
+
     train = splits["train"]
+    n_loops = int(np.sum(train[:, 0] == train[:, 2]))
+    n_cross_dupes = len(rows) - len(spo_keys)
+    if n_loops or n_cross_dupes:
+        log.info(
+            "dataset %s: %d self-loop train triples, %d duplicate triples across splits",
+            source, n_loops, n_cross_dupes,
+        )
+
     indptr, indices = _build_adjacency(train, n_entities)
     degrees = (
         np.bincount(train[:, 0], minlength=n_entities)
         + np.bincount(train[:, 2], minlength=n_entities)
     ).astype(np.int64)
-
-    membership = frozenset(
-        (int(s), int(r), int(o))
-        for arr in splits.values()
-        for s, r, o in arr
-    )
-
-    n_loops = int(np.sum(train[:, 0] == train[:, 2]))
-    n_all = sum(len(a) for a in splits.values())
-    n_cross_dupes = n_all - len(membership)
-    if n_loops or n_cross_dupes:
-        log.info(
-            "dataset %s: %d self-loop train triples, %d duplicate triples across splits",
-            directory, n_loops, n_cross_dupes,
-        )
-
     return KnowledgeGraph(
-        entity_names=list(entity_ids),
-        relation_names=list(relation_ids),
+        entity_names=entity_names,
+        relation_names=relation_names,
         train=train,
         valid=splits["valid"],
         test=splits["test"],
         adj_indptr=indptr,
         adj_indices=indices,
         degrees=degrees,
-        membership=membership,
+        spo_keys=spo_keys,
+        ors_keys=ors_keys,
     )
+
+
+def load_dataset(directory: str) -> KnowledgeGraph:
+    """Load train/valid/test triple files from a dataset directory.
+
+    Ids are dense integers assigned in first-seen order over train, then
+    valid, then test. Adjacency and degrees are built from the train split
+    only. Raises :class:`DataError` on missing files, malformed lines,
+    duplicate triples within a split, or a graph too large for int64 keys.
+    """
+    entity_ids: dict = {}
+    relation_ids: dict = {}
+    splits = {
+        name: _parse_split(os.path.join(directory, fname), entity_ids, relation_ids)
+        for name, fname in SPLIT_FILES.items()
+    }
+    return _build_graph(splits, len(entity_ids), len(relation_ids),
+                        names=(list(entity_ids), list(relation_ids)), source=directory)
 
 
 def from_id_triples(
@@ -221,35 +249,9 @@ def from_id_triples(
     test: Iterable[tuple] = (),
 ) -> KnowledgeGraph:
     """Build a graph directly from integer triples (synthetic graphs, tests)."""
-    def to_arr(rows):
-        return np.asarray(list(rows), dtype=np.int64).reshape(-1, 3)
-
-    train = to_arr(train)
-    valid, test = to_arr(valid), to_arr(test)
-    for arr in (train, valid, test):
-        if len(arr) and (arr[:, [0, 2]].max() >= n_entities or arr[:, 1].max() >= n_relations):
-            raise DataError("triple references an id out of range")
-        if len(np.unique(arr, axis=0)) != len(arr):
-            raise DataError("duplicate triple within split")
-    indptr, indices = _build_adjacency(train, n_entities)
-    degrees = (
-        np.bincount(train[:, 0], minlength=n_entities)
-        + np.bincount(train[:, 2], minlength=n_entities)
-    ).astype(np.int64)
-    membership = frozenset(
-        (int(s), int(r), int(o)) for arr in (train, valid, test) for s, r, o in arr
-    )
-    return KnowledgeGraph(
-        entity_names=[f"e{i}" for i in range(n_entities)],
-        relation_names=[f"r{i}" for i in range(n_relations)],
-        train=train,
-        valid=valid,
-        test=test,
-        adj_indptr=indptr,
-        adj_indices=indices,
-        degrees=degrees,
-        membership=membership,
-    )
+    splits = {"train": train, "valid": valid, "test": test}
+    return _build_graph({name: np.asarray(list(rows), dtype=np.int64).reshape(-1, 3)
+                         for name, rows in splits.items()}, n_entities, n_relations)
 
 
 def degree(g: KnowledgeGraph, v: int) -> int:

@@ -36,7 +36,6 @@ class LossConfig:
     filtered_negatives: bool = True
     neighbors_loss_enabled: bool = False
     neighbor_cap: int = 32                 # None = unlimited
-    neighbor_normalizer_precap: bool = False
 
     def __post_init__(self):
         if self.negatives_per_positive < 1:
@@ -102,9 +101,10 @@ def corrupt_batch(g: KnowledgeGraph, positives: np.ndarray, n: int,
     """Corrupt each positive n times by replacing head or tail (fair coin).
 
     Replacement entities are uniform over all entities except the original.
-    With ``filtered`` on, candidates found in the train/valid/test
-    membership index are re-drawn; entries still colliding after
-    ``max_retries`` rounds are marked invalid and a warning is logged.
+    With ``filtered`` on, candidates found among the known triples (the
+    graph's ``spo_keys`` over train/valid/test) are re-drawn; entries still
+    colliding after ``max_retries`` rounds are marked invalid and a warning
+    is logged.
     """
     if g.n_entities < 2:
         raise ValueError("corruption needs at least two entities")
@@ -264,10 +264,9 @@ def _capped_neighbors(g, t, cap, rng):
     ids = neighbor_triple_ids(g, t)
     if cap is not None and len(ids) > cap:
         if cap == 0:
-            return ids[:0], len(ids)
-        ids_kept = rng.choice(ids, size=cap, replace=False)
-        return np.sort(ids_kept), len(ids)
-    return ids, len(ids)
+            return ids[:0]
+        return np.sort(rng.choice(ids, size=cap, replace=False))
+    return ids
 
 
 def neighbors_loss_and_grads(g: KnowledgeGraph, store: EmbeddingStore,
@@ -275,15 +274,14 @@ def neighbors_loss_and_grads(g: KnowledgeGraph, store: EmbeddingStore,
     """Neighbor-aware loss of a minibatch, with sparse gradients.
 
     For each positive t the scaled group contains t itself and its (capped)
-    neighbor triples, every member paired with its own fresh negatives. By
-    default the 1/(1+count) normalizer uses the post-cap neighbor count.
+    neighbor triples, every member paired with its own fresh negatives. The
+    1/(1+count) normalizer uses the post-cap neighbor count.
     """
     entries = []
     weights = []
     for row in m.positives:
-        nbr_ids, pre_cap = _capped_neighbors(g, row, config.neighbor_cap, rng)
-        count = pre_cap if config.neighbor_normalizer_precap else len(nbr_ids)
-        w = 1.0 / (1.0 + count)
+        nbr_ids = _capped_neighbors(g, row, config.neighbor_cap, rng)
+        w = 1.0 / (1.0 + len(nbr_ids))
         entries.append(row)
         weights.append(w)
         for i in nbr_ids:

@@ -60,8 +60,7 @@ def within_batch_degrees(m: Minibatch) -> np.ndarray:
     Returns degrees aligned with ``m.vertex_set``.
     """
     endpoints = m.positives[:, [0, 2]].ravel()
-    verts, counts = np.unique(endpoints, return_counts=True)
-    return counts
+    return np.unique(endpoints, return_counts=True)[1]
 
 
 def minibatch_degree_distribution(m: Minibatch) -> DegreeHistogram:

@@ -44,7 +44,6 @@ class TrainConfig:
     loss_config: LossConfig = field(default_factory=LossConfig)
     eval_every: int = 10
     seed: int = 0
-    variance_probe_enabled: bool = False
     normalize_entities: bool = False       # project entity rows to the unit ball
 
     def __post_init__(self):

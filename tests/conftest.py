@@ -28,6 +28,11 @@ def star6():
     return from_id_triples([(0, 0, i) for i in range(1, 7)], n_entities=7, n_relations=1)
 
 
+def known_triples(g):
+    """Brute-force set of every (s, r, o) in train, valid and test."""
+    return {tuple(int(x) for x in row) for split in (g.train, g.valid, g.test) for row in split}
+
+
 def random_id_triples(rng, n_entities, n_relations, n_triples):
     rows = set()
     while len(rows) < n_triples:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from kgsampler.graph import (
     write_dictionaries,
 )
 
-from conftest import random_id_triples
+from conftest import known_triples, random_id_triples
 
 
 _MONOTONE_GRAPH = from_id_triples(
@@ -66,12 +68,13 @@ class TestLoader:
             valid=[("b", "r", "c")],
             test=[("c", "r", "a")],
         ))
-        assert len(g.membership) == 3
+        assert len(g.spo_keys) == 3 and len(g.ors_keys) == 3
 
     def test_empty_train(self, tmp_path):
         g = load_dataset(make_dataset(tmp_path, train=[], valid=[], test=[]))
         assert g.n_train == 0
         assert g.n_entities == 0
+        assert len(g.spo_keys) == 0 and len(g.ors_keys) == 0
 
     def test_missing_file(self, tmp_path):
         write_split(tmp_path / "train.txt", [("a", "r", "b")])
@@ -93,7 +96,7 @@ class TestLoader:
     def test_duplicate_across_splits_allowed(self, tmp_path):
         g = load_dataset(make_dataset(
             tmp_path, train=[("a", "r", "b")], valid=[("a", "r", "b")]))
-        assert len(g.membership) == 1
+        assert len(g.spo_keys) == 1 and len(g.ors_keys) == 1
 
     def test_directionality(self, tmp_path):
         g = load_dataset(make_dataset(
@@ -202,6 +205,54 @@ class TestInducedSubgraph:
 def test_from_id_triples_rejects_out_of_range():
     with pytest.raises(DataError):
         from_id_triples([(0, 0, 5)], n_entities=2, n_relations=1)
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([(0, 1, 1)], "out of range"),
+    ([(-1, 0, 1)], "out of range"),
+    ([(0, 0, 1), (1, 0, 0), (0, 0, 1)], "duplicate triple within train split at row 3"),
+])
+def test_from_id_triples_rejects_bad_rows(rows, match):
+    with pytest.raises(DataError, match=match):
+        from_id_triples(rows, n_entities=2, n_relations=1)
+
+
+def test_key_overflow_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="4294967296 entities and 1 relations"):
+            from_id_triples([], n_entities=2**32, n_relations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@st.composite
+def id_graphs(draw):
+    """Small graphs whose splits share triples and hold self-loops."""
+    n_e = draw(st.integers(1, 5))
+    n_r = draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_r - 1), st.integers(0, n_e - 1))
+    splits = [sorted(draw(st.sets(triple, max_size=12))) for _ in range(3)]
+    return from_id_triples(splits[0], n_e, n_r, valid=splits[1], test=splits[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=id_graphs())
+def test_known_triple_index_matches_brute_force(g):
+    known = known_triples(g)
+    ids = range(g.n_entities)
+    everything = [(s, r, o) for s in ids for r in range(g.n_relations) for o in ids]
+    assert g.contains_triples(everything).tolist() == [t in known for t in everything]
+    for a in ids:
+        for r in range(g.n_relations):
+            objs, subjs = g.filter_objects(a, r), g.filter_subjects(r, a)
+            assert objs.dtype == subjs.dtype == np.int64
+            assert objs.tolist() == sorted(o for s, q, o in known if (s, q) == (a, r))
+            assert subjs.tolist() == sorted(s for s, q, o in known if (q, o) == (r, a))
+        assert len(g.filter_objects(a, g.n_relations)) == len(g.filter_subjects(-1, a)) == 0
+    assert len(g.filter_objects(g.n_entities, 0)) == len(g.filter_subjects(0, g.n_entities)) == 0
 
 
 def test_loader_benchmark_shape(tmp_path):
