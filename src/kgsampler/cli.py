@@ -25,7 +25,7 @@ from .evaluation import evaluate_split
 from .graph import DataError, load_dataset, write_dictionaries
 from .losses import LossConfig
 from .samplers import SAMPLER_KINDS, SamplerPolicy, sample_minibatch, to_dot
-from .scorers import MODEL_KINDS, initialize, load_checkpoint, save_checkpoint
+from .scorers import MODEL_KINDS, atomic_open, initialize, load_checkpoint, save_checkpoint
 from .stats import (
     averaged_distribution,
     distribution_rows,
@@ -209,9 +209,13 @@ def write_manifest(run_dir, config, dataset_dir, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _save_manifest(run_dir, manifest)
     return manifest
+
+
+def _save_manifest(run_dir, manifest) -> None:
+    with atomic_open(os.path.join(run_dir, "manifest.json")) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
 def cmd_train(args) -> int:
@@ -250,14 +254,15 @@ def cmd_train(args) -> int:
     log_fh = open(log_path, "w", encoding="utf-8")
 
     def on_epoch(epoch, current_store, record):
-        log_fh.write(json.dumps(record) + "\n")
-        log_fh.flush()
         if epoch % tconf.eval_every == 0 and len(g.valid):
             metrics = evaluate_split(g, current_store, "valid", "filtered")
             log.info("epoch %d valid: %s", epoch, metrics.as_json_line())
+            record = {**record, "valid": metrics.as_record()}
             if metrics.mrr > best["mrr"]:
                 best.update(mrr=metrics.mrr, epoch=epoch)
                 save_checkpoint(current_store, os.path.join(run_dir, "best.ckpt"))
+        log_fh.write(json.dumps(record) + "\n")
+        log_fh.flush()
 
     try:
         store, _records = train(g, store, tconf, epoch_callback=on_epoch)
@@ -272,8 +277,7 @@ def cmd_train(args) -> int:
     save_checkpoint(store, os.path.join(run_dir, "last.ckpt"))
     manifest["finished_at"] = _utcnow()
     manifest["best_valid"] = best
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _save_manifest(run_dir, manifest)
     print(f"run directory: {run_dir}")
     return 0
 

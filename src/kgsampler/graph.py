@@ -16,9 +16,10 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 log = logging.getLogger(__name__)
 
@@ -100,19 +101,21 @@ class KnowledgeGraph:
         hi = keys.searchsorted(base + self.n_entities - 1, side="right")
         return keys[lo:hi] - base
 
-    def pack_triples(self, spo: np.ndarray) -> np.ndarray:
-        """Encode (s, r, o) rows as single int64 keys (s·R + r)·E + o."""
-        spo = np.asarray(spo, dtype=np.int64)
-        return _pack(spo[..., 0], spo[..., 1], spo[..., 2],
-                     self.n_entities, self.n_relations)
-
     def contains_triples(self, spo: np.ndarray) -> np.ndarray:
-        """Vectorized test: is each (s, r, o) row a known triple of train + valid + test?"""
-        keys = self.pack_triples(spo)
+        """Vectorized test: is each (s, r, o) row a known triple of train + valid + test?
+
+        A row with an id outside [0, E) or [0, R) is unknown; its key could
+        alias another triple's, so it is masked out after the lookup.
+        """
+        spo = np.asarray(spo, dtype=np.int64)
+        s, r, o = spo[..., 0], spo[..., 1], spo[..., 2]
+        in_range = ((spo >= 0).all(axis=-1) & (s < self.n_entities)
+                    & (r < self.n_relations) & (o < self.n_entities))
         if len(self.spo_keys) == 0:
-            return np.zeros(keys.shape, dtype=bool)
+            return np.zeros(in_range.shape, dtype=bool)
+        keys = _pack(s, r, o, self.n_entities, self.n_relations)
         idx = np.minimum(np.searchsorted(self.spo_keys, keys), len(self.spo_keys) - 1)
-        return self.spo_keys[idx] == keys
+        return (self.spo_keys[idx] == keys) & in_range
 
 
 def _pack(head, r, tail, n_entities: int, n_relations: int):
@@ -242,15 +245,19 @@ def load_dataset(directory: str) -> KnowledgeGraph:
 
 
 def from_id_triples(
-    train: Iterable[tuple],
+    train: ArrayLike,
     n_entities: int,
     n_relations: int,
-    valid: Iterable[tuple] = (),
-    test: Iterable[tuple] = (),
+    valid: ArrayLike = (),
+    test: ArrayLike = (),
 ) -> KnowledgeGraph:
-    """Build a graph directly from integer triples (synthetic graphs, tests)."""
+    """Build a graph from integer triples (synthetic graphs, tests).
+
+    Each split is array-like: an (n, 3) integer array or a sequence of
+    (s, r, o) rows.
+    """
     splits = {"train": train, "valid": valid, "test": test}
-    return _build_graph({name: np.asarray(list(rows), dtype=np.int64).reshape(-1, 3)
+    return _build_graph({name: np.asarray(rows, dtype=np.int64).reshape(-1, 3)
                          for name, rows in splits.items()}, n_entities, n_relations)
 
 

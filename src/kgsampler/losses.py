@@ -59,32 +59,38 @@ class NegativeBatch:
     valid: np.ndarray           # (m, n) bool
 
 
+@dataclass(frozen=True)
+class RowGrads:
+    """Summed gradient rows of one embedding table.
+
+    ``ids`` are the sorted unique rows that received gradient and ``rows``
+    their (len(ids), width) sums; ``len`` is the touched-row count.
+    """
+
+    ids: np.ndarray   # (n,) int64
+    rows: np.ndarray  # (n, width) float64
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+@dataclass(frozen=True)
 class SparseGrads:
-    """Gradient contributions as row-id -> vector maps."""
+    """Gradients of a batch loss: one :class:`RowGrads` per embedding table."""
 
-    def __init__(self):
-        self.entities: dict = {}
-        self.relations: dict = {}
+    entities: RowGrads
+    relations: RowGrads
 
-    @staticmethod
-    def _accumulate(dok: dict, ids: np.ndarray, vecs: np.ndarray):
-        if len(ids) == 0:
-            return
-        uniq, inv = np.unique(ids, return_inverse=True)
-        acc = np.zeros((len(uniq), vecs.shape[1]))
-        np.add.at(acc, inv, vecs)
-        for i, row_id in enumerate(uniq):
-            row_id = int(row_id)
-            if row_id in dok:
-                dok[row_id] = dok[row_id] + acc[i]
-            else:
-                dok[row_id] = acc[i]
 
-    def add_entities(self, ids, vecs):
-        self._accumulate(self.entities, ids, vecs)
-
-    def add_relations(self, ids, vecs):
-        self._accumulate(self.relations, ids, vecs)
+def _segment_sum(ids: np.ndarray, pieces) -> RowGrads:
+    """Sum the rows of ``pieces`` (stacked in order, one row per id) by id."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    acc = np.zeros((len(uniq), pieces[0].shape[1]))
+    start = 0
+    for piece in pieces:
+        np.add.at(acc, inv[start:start + len(piece)], piece)
+        start += len(piece)
+    return RowGrads(uniq, acc)
 
 
 def log_sigmoid(x):
@@ -221,20 +227,26 @@ def softmargin_batch_loss_and_grads(
     dpos = entry_weights * (-0.5) * sigmoid(gamma - pos_scores)
     dneg = (entry_weights[:, None] * 0.5 * weights * sigmoid(neg_scores - gamma)).reshape(-1)
 
-    grads = SparseGrads()
-    ds, dr, do = score_gradients(store, positives)
-    grads.add_entities(positives[:, 0], dpos[:, None] * ds)
-    grads.add_relations(positives[:, 1], dpos[:, None] * dr)
-    grads.add_entities(positives[:, 2], dpos[:, None] * do)
-
+    # Positives keep their rows even at coefficient 0; negatives only when
+    # their weighted coefficient is nonzero. Two gradient passes, not one over
+    # both row sets: the temporaries of the negatives' pass set the peak
+    # memory, and adding the positives' rows to that pass would raise it.
     touched = dneg != 0.0
-    if touched.any():
-        negs = flat_negs[touched]
-        coef = dneg[touched][:, None]
-        ds, dr, do = score_gradients(store, negs)
-        grads.add_entities(negs[:, 0], coef * ds)
-        grads.add_relations(negs[:, 1], coef * dr)
-        grads.add_entities(negs[:, 2], coef * do)
+    ent_ids, ent_rows, rel_ids, rel_rows = [], [], [], []
+    for spo, coef in ((positives, dpos), (flat_negs[touched], dneg[touched])):
+        ds, dr, do = score_gradients(store, spo)
+        coef = coef[:, None]
+        ds *= coef
+        dr *= coef
+        do *= coef
+        ent_ids += [spo[:, 0], spo[:, 2]]
+        ent_rows += [ds, do]
+        rel_ids.append(spo[:, 1])
+        rel_rows.append(dr)
+    grads = SparseGrads(
+        entities=_segment_sum(np.concatenate(ent_ids), ent_rows),
+        relations=_segment_sum(np.concatenate(rel_ids), rel_rows),
+    )
     return loss, grads
 
 

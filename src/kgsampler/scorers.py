@@ -13,7 +13,9 @@ phase angles, so the effective rotation coefficient always has modulus 1.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,13 +251,38 @@ def relation_coefficient_modulus(store: EmbeddingStore, r: int) -> np.ndarray:
     return np.sqrt(np.cos(wr) ** 2 + np.sin(wr) ** 2)
 
 
+@contextmanager
+def atomic_open(path: str):
+    """Binary file handle whose contents replace ``path`` only once complete.
+
+    Writes go to ``path + ".tmp"`` in the same directory, which is synced
+    and then renamed over ``path``; if the block raises, ``path`` keeps its
+    previous contents and the temp file is removed.
+    """
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(store: EmbeddingStore, path: str) -> None:
-    """Binary checkpoint: header plus row-major little-endian float64 matrices."""
+    """Binary checkpoint: header plus row-major little-endian float64 matrices.
+
+    The file is replaced atomically, so a crash mid-write leaves the
+    previous checkpoint intact.
+    """
     kind_bytes = store.model_kind.encode("ascii").ljust(16, b"\0")
     header = _CKPT_MAGIC + kind_bytes + struct.pack(
         "<QQQ", store.n_entities, store.n_relations, store.dimension
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(store.entities, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(store.relations, dtype="<f8").tobytes())

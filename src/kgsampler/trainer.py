@@ -60,13 +60,8 @@ class SparseSgd:
         self.lr = learning_rate
 
     def step(self, store: EmbeddingStore, grads: SparseGrads):
-        for params, rowgrads in ((store.entities, grads.entities),
-                                 (store.relations, grads.relations)):
-            if not rowgrads:
-                continue
-            ids = np.fromiter(rowgrads.keys(), dtype=np.int64, count=len(rowgrads))
-            G = np.stack([rowgrads[int(i)] for i in ids])
-            params[ids] -= self.lr * G
+        store.entities[grads.entities.ids] -= self.lr * grads.entities.rows
+        store.relations[grads.relations.ids] -= self.lr * grads.relations.rows
 
 
 class SparseAdam:
@@ -87,11 +82,8 @@ class SparseAdam:
     def step(self, store: EmbeddingStore, grads: SparseGrads):
         for name, params, rowgrads in (("entities", store.entities, grads.entities),
                                        ("relations", store.relations, grads.relations)):
-            if not rowgrads:
-                continue
             st = self.state[name]
-            ids = np.fromiter(rowgrads.keys(), dtype=np.int64, count=len(rowgrads))
-            G = np.stack([rowgrads[int(i)] for i in ids])
+            ids, G = rowgrads.ids, rowgrads.rows
             t = st["t"][ids] + 1
             st["t"][ids] = t
             m = self.b1 * st["m"][ids] + (1 - self.b1) * G
@@ -112,10 +104,7 @@ def make_optimizer(store: EmbeddingStore, config: TrainConfig):
     return SparseSgd(store, config.learning_rate)
 
 
-def _project_to_unit_ball(store: EmbeddingStore, entity_ids):
-    ids = np.fromiter(entity_ids, dtype=np.int64, count=len(entity_ids))
-    if len(ids) == 0:
-        return
+def _project_to_unit_ball(store: EmbeddingStore, ids: np.ndarray):
     rows = store.entities[ids]
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     scale = np.where(norms > 1.0, norms, 1.0)
@@ -154,7 +143,7 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
                 )
             optimizer.step(store, grads)
             if config.normalize_entities:
-                _project_to_unit_ball(store, list(grads.entities.keys()))
+                _project_to_unit_ball(store, grads.entities.ids)
             total_loss += loss
             total_pos += len(m)
             n_batches += 1
@@ -239,7 +228,9 @@ def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,
     # Welford accumulators per entity: (count, running mean, sum of squared
     # deviations). Welford keeps the variance exactly zero for identical
     # per-batch gradients.
-    state: dict = {}
+    count = np.zeros(g.n_entities, dtype=np.int64)
+    mean = np.zeros_like(store.entities)
+    m2 = np.zeros_like(store.entities)
 
     for _ in range(num_batches):
         if sample_batch is not None:
@@ -249,28 +240,17 @@ def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,
         corrupt_rng = _batch_corruption_rng(config.seed, m)
         _, grads = minibatch_loss_and_grads(g, store, m, config.loss_config, corrupt_rng)
         incident = np.bincount(m.positives[:, [0, 2]].ravel(), minlength=g.n_entities)
-        for v, vec in grads.entities.items():
-            if not np.any(vec):
-                continue
-            vec = vec / max(int(incident[v]), 1)
-            if v in state:
-                c, mean, m2 = state[v]
-                c += 1
-                delta = vec - mean
-                mean = mean + delta / c
-                m2 = m2 + delta * (vec - mean)
-                state[v] = (c, mean, m2)
-            else:
-                state[v] = (1, vec.copy(), np.zeros_like(vec))
+        nonzero = np.any(grads.entities.rows != 0, axis=1)
+        ids = grads.entities.ids[nonzero]
+        vec = grads.entities.rows[nonzero] / np.maximum(incident[ids], 1)[:, None]
+        count[ids] += 1
+        delta = vec - mean[ids]
+        mean[ids] += delta / count[ids][:, None]
+        m2[ids] += delta * (vec - mean[ids])
 
-    ids = sorted(v for v, (c, _, _) in state.items() if c >= 2)
-    variances = np.empty(len(ids))
-    seen = np.empty(len(ids), dtype=np.int64)
-    for i, v in enumerate(ids):
-        c, _, m2 = state[v]
-        variances[i] = float(np.mean(m2 / (c - 1)))
-        seen[i] = c
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.flatnonzero(count >= 2)
+    seen = count[ids]
+    variances = np.mean(m2[ids] / (seen - 1)[:, None], axis=1)
     return GradientVarianceReport(
         entity_ids=ids,
         graph_degrees=g.degrees[ids],

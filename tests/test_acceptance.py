@@ -214,7 +214,7 @@ def test_criterion_05_gradient_correctness():
         for table_name, rows in (("entities", grads.entities),
                                  ("relations", grads.relations)):
             table = getattr(store, table_name)
-            for row_id, analytic in rows.items():
+            for row_id, analytic in zip(rows.ids, rows.rows):
                 numeric = np.empty_like(analytic)
                 for i in range(len(analytic)):
                     saved = table[row_id, i]

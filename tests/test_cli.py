@@ -83,6 +83,13 @@ class TestTrainCommand:
         assert "started_at" in manifest and "finished_at" in manifest
         log_lines = open(os.path.join(run_dir, "train_log.jsonl")).read().splitlines()
         assert len(log_lines) == 2
+        records = [json.loads(line) for line in log_lines]
+        assert "valid" not in records[0]  # eval_every=2: only epoch 2 is evaluated
+        assert set(records[1]["valid"]) == {"mrr", "mr", "hits1", "hits3", "hits10",
+                                            "count", "protocol"}
+        assert records[1]["valid"]["protocol"] == "filtered"
+        assert manifest["best_valid"]["mrr"] == records[1]["valid"]["mrr"]
+        assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
         store = load_checkpoint(os.path.join(run_dir, "last.ckpt"))
         assert store.model_kind == "distmult"
 

@@ -245,6 +245,11 @@ def test_known_triple_index_matches_brute_force(g):
     ids = range(g.n_entities)
     everything = [(s, r, o) for s in ids for r in range(g.n_relations) for o in ids]
     assert g.contains_triples(everything).tolist() == [t in known for t in everything]
+    # rows with an id outside [0, E) or [0, R), some packing to a known triple's key
+    E, R = g.n_entities, g.n_relations
+    aliases = [row for s, r, o in known for row in ((s, r - 1, o + E), (s - 1, r + R, o))]
+    outside = aliases + [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (E, 0, 0), (0, R, 0), (0, 0, E)]
+    assert not g.contains_triples(outside).any()
     for a in ids:
         for r in range(g.n_relations):
             objs, subjs = g.filter_objects(a, r), g.filter_subjects(r, a)

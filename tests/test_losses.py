@@ -14,11 +14,12 @@ from kgsampler.losses import (
     log_sigmoid,
     minibatch_loss_and_grads,
     neighbors_loss_and_grads,
+    softmargin_batch_loss_and_grads,
     softmargin_loss_and_grads,
     vanilla_loss_and_grads,
 )
 from kgsampler.samplers import Minibatch, SamplerPolicy, sample_sr
-from kgsampler.scorers import EmbeddingStore, initialize, score
+from kgsampler.scorers import EmbeddingStore, initialize, score, score_gradient
 from kgsampler.synth import random_graph
 
 from conftest import known_triples
@@ -134,7 +135,7 @@ class TestSoftmarginLoss:
         config = LossConfig(margin=1.0, negatives_per_positive=1)
         loss, grads = softmargin_loss_and_grads(store, (0, 0, 2), [(0, 0, 1)], config)
         assert np.isfinite(loss)
-        for vec in grads.entities.values():
+        for vec in grads.entities.rows:
             assert np.all(np.isfinite(vec))
 
     def test_nonnegative(self, small_random_graph):
@@ -156,7 +157,7 @@ class TestSoftmarginLoss:
 def fd_loss_check(store, loss_fn, grads, tol=1e-6, h=1e-6):
     """Compare sparse gradients against central differences of loss_fn."""
     for table, rows in (("entities", grads.entities), ("relations", grads.relations)):
-        for row_id, analytic in rows.items():
+        for row_id, analytic in zip(rows.ids, rows.rows):
             base = getattr(store, table)
             numeric = np.empty_like(analytic)
             for i in range(len(analytic)):
@@ -201,6 +202,50 @@ class TestLossGradients:
             lambda st: softmargin_loss_and_grads(st, t, negatives, config,
                                                  frozen_weights=frozen)[0],
             grads)
+
+    def test_batch_rows_equal_per_triple_loop(self, small_random_graph):
+        """Row sums match a loop over triples; zero-weight positives keep their rows."""
+        g = small_random_graph
+        store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=34)
+        gamma, n = 1.0, 6
+        config = LossConfig(margin=gamma, negatives_per_positive=n,
+                            adversarial_temperature=0.0)
+        positives = g.train[:16]
+        negs = corrupt_batch(g, positives, n, True, np.random.default_rng(8))
+        weights = np.linspace(0.0, 1.0, len(positives))
+        _, grads = softmargin_batch_loss_and_grads(store, positives, negs, config,
+                                                   entry_weights=weights)
+
+        ref = {"entities": {}, "relations": {}}
+
+        def add(t, coef):
+            d = score_gradient(store, t)
+            for table, row, vec in (("entities", t[0], d.d_subject),
+                                    ("relations", t[1], d.d_relation),
+                                    ("entities", t[2], d.d_object)):
+                ref[table][int(row)] = ref[table].get(int(row), 0.0) + coef * vec
+
+        for i, t in enumerate(positives):
+            add(t, -0.5 * weights[i] / (1.0 + math.exp(score(store, t) - gamma)))
+            n_valid = int(negs.valid[i].sum())
+            for neg, ok in zip(negs.triples[i], negs.valid[i]):
+                coef = 0.5 * weights[i] / n_valid / (1.0 + math.exp(gamma - score(store, neg)))
+                if ok and coef != 0.0:
+                    add(neg, coef)
+
+        for table in ("entities", "relations"):
+            got = getattr(grads, table)
+            assert got.ids.tolist() == sorted(ref[table])
+            want = np.stack([ref[table][i] for i in sorted(ref[table])])
+            np.testing.assert_allclose(got.rows, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+        # all coefficients 0: exactly the positives' rows, all zero
+        _, zero = softmargin_batch_loss_and_grads(store, positives, negs, config,
+                                                  entry_weights=np.zeros(len(positives)))
+        assert zero.entities.ids.tolist() == np.unique(positives[:, [0, 2]]).tolist()
+        assert zero.relations.ids.tolist() == np.unique(positives[:, 1]).tolist()
+        assert not zero.entities.rows.any() and not zero.relations.rows.any()
 
 
 class TestNeighborsLoss:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,29 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(str(path))
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        store = random_store("transe", 3, seed=23)
+        save_checkpoint(store, path)
+
+        class FailsMidway:
+            """Relation table that fails after the header and entities are written."""
+
+            def __len__(self):
+                return len(store.relations)
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        broken = random_store("transe", 3, seed=24)
+        broken.relations = FailsMidway()
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(broken, path)
+        loaded = load_checkpoint(path)
+        assert np.array_equal(loaded.entities, store.entities)
+        assert np.array_equal(loaded.relations, store.relations)
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_truncated(self, tmp_path):
         store = random_store("transe", 3, seed=22)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kgsampler.losses import LossConfig, SparseGrads, minibatch_loss_and_grads
+from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
 from kgsampler.samplers import SamplerPolicy, sample_sr
 from kgsampler.scorers import EmbeddingStore, initialize
 from kgsampler.synth import planted_toy_graph, random_graph
@@ -42,37 +42,34 @@ class TestSparseAdam:
                               entities=np.array([[0.0], [0.0]]),
                               relations=np.array([[0.0]]))
 
+    def entity0_grads(self, value):
+        """Gradient ``value`` on entity row 0 only."""
+        return SparseGrads(entities=RowGrads(np.array([0]), np.array([[value]])),
+                           relations=RowGrads(np.zeros(0, dtype=np.int64), np.zeros((0, 1))))
+
     def test_first_step_displacement_is_learning_rate(self):
         store = self.scalar_store()
         opt = SparseAdam(store, learning_rate=0.05)
-        grads = SparseGrads()
-        grads.add_entities(np.array([0]), np.array([[1.0]]))
-        opt.step(store, grads)
+        opt.step(store, self.entity0_grads(1.0))
         assert store.entities[0, 0] == pytest.approx(-0.05, rel=1e-6)
 
     def test_constant_gradient_keeps_unit_steps(self):
         store = self.scalar_store()
         opt = SparseAdam(store, learning_rate=0.05)
         for _ in range(10):
-            grads = SparseGrads()
-            grads.add_entities(np.array([0]), np.array([[1.0]]))
-            opt.step(store, grads)
+            opt.step(store, self.entity0_grads(1.0))
         assert store.entities[0, 0] == pytest.approx(-0.5, rel=1e-5)
 
     def test_zero_gradient_row_unchanged(self):
         store = self.scalar_store()
         opt = SparseAdam(store, learning_rate=0.05)
-        grads = SparseGrads()
-        grads.add_entities(np.array([0]), np.array([[0.0]]))
-        opt.step(store, grads)
+        opt.step(store, self.entity0_grads(0.0))
         assert store.entities[0, 0] == 0.0
 
     def test_untouched_rows_and_moments_stay(self):
         store = self.scalar_store()
         opt = SparseAdam(store, learning_rate=0.05)
-        grads = SparseGrads()
-        grads.add_entities(np.array([0]), np.array([[1.0]]))
-        opt.step(store, grads)
+        opt.step(store, self.entity0_grads(1.0))
         assert store.entities[1, 0] == 0.0
         assert opt.state["entities"]["t"][1] == 0
         assert np.all(opt.state["relations"]["t"] == 0)
@@ -117,8 +114,8 @@ class TestTrain:
         SparseAdam(store, 0.01).step(store, grads)
         changed_e = np.flatnonzero(np.any(store.entities != before_e, axis=1))
         changed_r = np.flatnonzero(np.any(store.relations != before_r, axis=1))
-        assert set(changed_e) <= set(grads.entities.keys())
-        assert set(changed_r) <= set(grads.relations.keys())
+        assert set(changed_e) <= set(grads.entities.ids)
+        assert set(changed_r) <= set(grads.relations.ids)
 
     def test_epoch_log_fields(self, small_random_graph):
         g = small_random_graph
