@@ -82,15 +82,59 @@ class SparseGrads:
     relations: RowGrads
 
 
-def _segment_sum(ids: np.ndarray, pieces) -> RowGrads:
-    """Sum the rows of ``pieces`` (stacked in order, one row per id) by id."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    acc = np.zeros((len(uniq), pieces[0].shape[1]))
-    start = 0
-    for piece in pieces:
-        np.add.at(acc, inv[start:start + len(piece)], piece)
-        start += len(piece)
-    return RowGrads(uniq, acc)
+# Rows per block of the loss's score and gradient passes: each block's
+# per-row temporaries stay cache-sized instead of spanning the whole batch.
+# 1024 read fastest of 512-4096 on a b=1024, 64-negative, K=64 RotatE batch.
+BLOCK_ROWS = 1024
+
+
+def _blocked_scores(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
+    """score_triples over ``spo``, one block of rows at a time."""
+    out = np.empty(len(spo))
+    for i in range(0, len(spo), BLOCK_ROWS):
+        out[i:i + BLOCK_ROWS] = score_triples(store, spo[i:i + BLOCK_ROWS])
+    return out
+
+
+def _scatter_add(acc: np.ndarray, inv: np.ndarray, rows: np.ndarray) -> None:
+    """acc.reshape(-1, width)[inv] += rows, repeated indices summed in order.
+
+    A 1-D ``np.add.at`` over flat offsets; it adds the same values in the
+    same order as the 2-D form, and faster.
+    """
+    width = rows.shape[1]
+    np.add.at(acc, (inv[:, None] * width + np.arange(width)).ravel(), rows.ravel())
+
+
+def _blocked_gradients(store: EmbeddingStore, spo: np.ndarray,
+                       coefs: np.ndarray) -> SparseGrads:
+    """Sum ``coefs[i]`` times the score gradient of each row of ``spo``, per table.
+
+    Rows are walked in blocks of ``BLOCK_ROWS``: each block's partials are
+    scaled and scattered into flat per-table accumulators, so no partial of
+    the whole row set is ever held at once. Every row keeps its ids, even at
+    coefficient 0.
+    """
+    n = len(spo)
+    ew, rw = store.entities.shape[1], store.relations.shape[1]
+    # subjects occupy ent_inv[:n], objects ent_inv[n:]
+    ent_ids, ent_inv = np.unique(np.concatenate([spo[:, 0], spo[:, 2]]),
+                                 return_inverse=True)
+    rel_ids, rel_inv = np.unique(spo[:, 1], return_inverse=True)
+    ent_acc = np.zeros(len(ent_ids) * ew)
+    rel_acc = np.zeros(len(rel_ids) * rw)
+    for i in range(0, n, BLOCK_ROWS):
+        j = min(i + BLOCK_ROWS, n)
+        ds, dr, do = score_gradients(store, spo[i:j])
+        coef = coefs[i:j, None]
+        ds *= coef
+        dr *= coef
+        do *= coef
+        _scatter_add(ent_acc, ent_inv[i:j], ds)
+        _scatter_add(rel_acc, rel_inv[i:j], dr)
+        _scatter_add(ent_acc, ent_inv[n + i:n + j], do)
+    return SparseGrads(entities=RowGrads(ent_ids, ent_acc.reshape(-1, ew)),
+                       relations=RowGrads(rel_ids, rel_acc.reshape(-1, rw)))
 
 
 def log_sigmoid(x):
@@ -203,6 +247,12 @@ def softmargin_batch_loss_and_grads(
     ``entry_weights`` scales each positive's whole term (used by the
     neighbor-aware loss); ``frozen_weights`` overrides the adversarial
     weights (they are treated as constants either way).
+
+    Two passes, each over blocks of ``BLOCK_ROWS`` rows. The score pass
+    scores every positive and negative: the adversarial weights, and so
+    every gradient coefficient, need all of a positive's negative scores.
+    The gradient pass then runs once over the positives and the negatives
+    with a nonzero coefficient.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     m, n = negatives.valid.shape
@@ -210,9 +260,9 @@ def softmargin_batch_loss_and_grads(
         entry_weights = np.ones(m)
     gamma = config.margin
 
-    pos_scores = score_triples(store, positives)
+    pos_scores = _blocked_scores(store, positives)
     flat_negs = negatives.triples.reshape(-1, 3)
-    neg_scores = score_triples(store, flat_negs).reshape(m, n)
+    neg_scores = _blocked_scores(store, flat_negs).reshape(m, n)
 
     if frozen_weights is None:
         weights = _masked_weights(neg_scores, negatives.valid, config.adversarial_temperature)
@@ -228,25 +278,11 @@ def softmargin_batch_loss_and_grads(
     dneg = (entry_weights[:, None] * 0.5 * weights * sigmoid(neg_scores - gamma)).reshape(-1)
 
     # Positives keep their rows even at coefficient 0; negatives only when
-    # their weighted coefficient is nonzero. Two gradient passes, not one over
-    # both row sets: the temporaries of the negatives' pass set the peak
-    # memory, and adding the positives' rows to that pass would raise it.
+    # their weighted coefficient is nonzero.
     touched = dneg != 0.0
-    ent_ids, ent_rows, rel_ids, rel_rows = [], [], [], []
-    for spo, coef in ((positives, dpos), (flat_negs[touched], dneg[touched])):
-        ds, dr, do = score_gradients(store, spo)
-        coef = coef[:, None]
-        ds *= coef
-        dr *= coef
-        do *= coef
-        ent_ids += [spo[:, 0], spo[:, 2]]
-        ent_rows += [ds, do]
-        rel_ids.append(spo[:, 1])
-        rel_rows.append(dr)
-    grads = SparseGrads(
-        entities=_segment_sum(np.concatenate(ent_ids), ent_rows),
-        relations=_segment_sum(np.concatenate(rel_ids), rel_rows),
-    )
+    grads = _blocked_gradients(store,
+                               np.concatenate([positives, flat_negs[touched]]),
+                               np.concatenate([dpos, dneg[touched]]))
     return loss, grads
 
 

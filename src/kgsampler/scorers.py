@@ -100,15 +100,39 @@ def _halves(x: np.ndarray):
     return x[..., :k], x[..., k:]
 
 
+def _rotations(store: EmbeddingStore, r: np.ndarray):
+    """(cos, sin) of the rotate phase rows of relations ``r``, one row per id.
+
+    The trig functions run once per distinct relation, on a small table that
+    is then gathered per row; being elementwise, they give the same bits as
+    evaluating every row.
+    """
+    uniq, inv = np.unique(r, return_inverse=True)
+    phases = store.relations[uniq]
+    return np.cos(phases)[inv], np.sin(phases)[inv]
+
+
 def score_triples(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
-    """Scores for an (m, 3) array of triples."""
+    """Scores for an (m, 3) array of triples.
+
+    ``rotate`` evaluates cos/sin once per distinct relation in ``spo``
+    (see :func:`_rotations`); every row's score keeps the arithmetic order
+    of the per-row formula, so scores do not depend on the other rows.
+    """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     _check_ids(store, spo)
     es = store.entities[spo[:, 0]]
-    wr = store.relations[spo[:, 1]]
     eo = store.entities[spo[:, 2]]
     kind = store.model_kind
 
+    if kind == "rotate":
+        a, b = _halves(es)
+        c, d = _halves(eo)
+        cos, sin = _rotations(store, spo[:, 1])
+        re = a * cos - b * sin - c
+        im = a * sin + b * cos - d
+        return -np.sqrt(np.einsum("ij->i", re * re + im * im))
+    wr = store.relations[spo[:, 1]]
     if kind == "transe":
         return -np.linalg.norm(es + wr - eo, axis=1)
     if kind == "distmult":
@@ -118,13 +142,6 @@ def score_triples(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
         p, q = _halves(wr)
         c, d = _halves(eo)
         return np.einsum("ij->i", p * a * c + p * b * d + q * a * d - q * b * c)
-    if kind == "rotate":
-        a, b = _halves(es)
-        c, d = _halves(eo)
-        cos, sin = np.cos(wr), np.sin(wr)
-        re = a * cos - b * sin - c
-        im = a * sin + b * cos - d
-        return -np.sqrt(np.einsum("ij->i", re * re + im * im))
     raise ValueError(kind)
 
 
@@ -138,15 +155,30 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
 
     Returns (d_subject, d_relation, d_object) arrays of shape
     (m, entity width) / (m, relation width). The norm-based models use the
-    zero subgradient at an exact match.
+    zero subgradient at an exact match. ``rotate`` takes cos/sin from a
+    per-relation table, as :func:`score_triples` does.
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     _check_ids(store, spo)
     es = store.entities[spo[:, 0]]
-    wr = store.relations[spo[:, 1]]
     eo = store.entities[spo[:, 2]]
     kind = store.model_kind
 
+    if kind == "rotate":
+        a, b = _halves(es)
+        c, d = _halves(eo)
+        cos, sin = _rotations(store, spo[:, 1])
+        re = a * cos - b * sin - c
+        im = a * sin + b * cos - d
+        n = np.sqrt(np.einsum("ij->i", re * re + im * im))[:, None]
+        inv = np.divide(-1.0, n, out=np.zeros_like(n), where=n > 0)
+        da = inv * (re * cos + im * sin)
+        db = inv * (-re * sin + im * cos)
+        dth = inv * (re * (-a * sin - b * cos) + im * (a * cos - b * sin))
+        dc = -inv * re
+        dd = -inv * im
+        return np.concatenate([da, db], axis=1), dth, np.concatenate([dc, dd], axis=1)
+    wr = store.relations[spo[:, 1]]
     if kind == "transe":
         diff = es + wr - eo
         n = np.linalg.norm(diff, axis=1, keepdims=True)
@@ -162,20 +194,6 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
         dr = np.concatenate([a * c + b * d, a * d - b * c], axis=1)
         do = np.concatenate([p * a - q * b, p * b + q * a], axis=1)
         return ds, dr, do
-    if kind == "rotate":
-        a, b = _halves(es)
-        c, d = _halves(eo)
-        cos, sin = np.cos(wr), np.sin(wr)
-        re = a * cos - b * sin - c
-        im = a * sin + b * cos - d
-        n = np.sqrt(np.einsum("ij->i", re * re + im * im))[:, None]
-        inv = np.divide(-1.0, n, out=np.zeros_like(n), where=n > 0)
-        da = inv * (re * cos + im * sin)
-        db = inv * (-re * sin + im * cos)
-        dth = inv * (re * (-a * sin - b * cos) + im * (a * cos - b * sin))
-        dc = -inv * re
-        dd = -inv * im
-        return np.concatenate([da, db], axis=1), dth, np.concatenate([dc, dd], axis=1)
     raise ValueError(kind)
 
 

@@ -118,8 +118,10 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
     Each epoch draws its batches from the configured sampling policy,
     corrupts them, and applies one optimizer step per batch touching only
     the rows that received gradient. The logged ``mean_loss`` is the epoch
-    loss per positive triple. A non-finite loss aborts with the offending
-    batch attached to the raised :class:`NumericalError`.
+    loss per positive triple. Each record also counts the epoch's positives,
+    its smallest and largest batch, and the entity and relation rows that
+    received gradient, summed over batches. A non-finite loss aborts with
+    the offending batch attached to the raised :class:`NumericalError`.
     """
     optimizer = make_optimizer(store, config)
     ss = np.random.SeedSequence(config.seed)
@@ -130,14 +132,14 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
         corrupt_rng = np.random.default_rng(corrupt_seed)
         t0 = time.perf_counter()
         total_loss = 0.0
-        total_pos = 0
-        n_batches = 0
+        batch_sizes = []
+        entity_rows = relation_rows = 0
         for m in epoch_iterator(g, config.sampler_policy, rng=sample_rng):
             loss, grads = minibatch_loss_and_grads(g, store, m, config.loss_config,
                                                    corrupt_rng)
             if not np.isfinite(loss):
                 raise NumericalError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, batch {n_batches}",
+                    f"non-finite loss {loss!r} at epoch {epoch}, batch {len(batch_sizes)}",
                     batch=[tuple(map(int, row)) for row in m.positives],
                     epoch=epoch,
                 )
@@ -145,17 +147,24 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
             if config.normalize_entities:
                 _project_to_unit_ball(store, grads.entities.ids)
             total_loss += loss
-            total_pos += len(m)
-            n_batches += 1
+            batch_sizes.append(len(m))
+            entity_rows += len(grads.entities)
+            relation_rows += len(grads.relations)
+        positives = sum(batch_sizes)
         record = {
             "epoch": epoch,
-            "mean_loss": total_loss / max(total_pos, 1),
+            "mean_loss": total_loss / max(positives, 1),
             "wall_time_s": time.perf_counter() - t0,
-            "batches": n_batches,
+            "batches": len(batch_sizes),
+            "positives": positives,
+            "batch_size_min": min(batch_sizes, default=0),
+            "batch_size_max": max(batch_sizes, default=0),
+            "entity_rows": entity_rows,
+            "relation_rows": relation_rows,
         }
         records.append(record)
         log.info("epoch %d: mean loss %.6f (%d batches, %.2fs)",
-                 epoch, record["mean_loss"], n_batches, record["wall_time_s"])
+                 epoch, record["mean_loss"], record["batches"], record["wall_time_s"])
         if epoch_callback is not None:
             epoch_callback(epoch, store, record)
     return store, records

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgsampler import losses
 from kgsampler.graph import from_id_triples
 from kgsampler.losses import (
     LossConfig,
+    NegativeBatch,
     adversarial_weights,
     corrupt,
     corrupt_batch,
@@ -19,7 +22,7 @@ from kgsampler.losses import (
     vanilla_loss_and_grads,
 )
 from kgsampler.samplers import Minibatch, SamplerPolicy, sample_sr
-from kgsampler.scorers import EmbeddingStore, initialize, score, score_gradient
+from kgsampler.scorers import MODEL_KINDS, EmbeddingStore, initialize, score, score_gradient
 from kgsampler.synth import random_graph
 
 from conftest import known_triples
@@ -203,18 +206,30 @@ class TestLossGradients:
                                                  frozen_weights=frozen)[0],
             grads)
 
-    def test_batch_rows_equal_per_triple_loop(self, small_random_graph):
-        """Row sums match a loop over triples; zero-weight positives keep their rows."""
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 5],
+                             ids=["default_blocks", "blocks_of_5"])
+    def test_batch_rows_equal_per_triple_loop(self, small_random_graph, block_rows, kind,
+                                              monkeypatch):
+        """Row sums match a loop over triples; zero-weight positives keep their rows.
+
+        With 5-row blocks the 16 positives and 96 negatives span many blocks
+        and end mid-block in both the score and the gradient pass.
+        """
         g = small_random_graph
-        store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=34)
+        store = initialize(g.n_entities, g.n_relations, kind, 4, seed=34)
         gamma, n = 1.0, 6
         config = LossConfig(margin=gamma, negatives_per_positive=n,
                             adversarial_temperature=0.0)
         positives = g.train[:16]
         negs = corrupt_batch(g, positives, n, True, np.random.default_rng(8))
         weights = np.linspace(0.0, 1.0, len(positives))
-        _, grads = softmargin_batch_loss_and_grads(store, positives, negs, config,
-                                                   entry_weights=weights)
+        default_blocks_loss, _ = softmargin_batch_loss_and_grads(
+            store, positives, negs, config, entry_weights=weights)
+        monkeypatch.setattr(losses, "BLOCK_ROWS", block_rows)
+        loss, grads = softmargin_batch_loss_and_grads(store, positives, negs, config,
+                                                      entry_weights=weights)
+        assert loss == default_blocks_loss
 
         ref = {"entities": {}, "relations": {}}
 
@@ -246,6 +261,35 @@ class TestLossGradients:
         assert zero.entities.ids.tolist() == np.unique(positives[:, [0, 2]]).tolist()
         assert zero.relations.ids.tolist() == np.unique(positives[:, 1]).tolist()
         assert not zero.entities.rows.any() and not zero.relations.rows.any()
+
+    def test_rotate_batch_peak_memory(self):
+        """One b=1024, 64-negative, K=64 RotatE batch stays under 128 MB of temporaries.
+
+        Unblocked, the per-row partials of all 66k rows and their temporaries
+        peaked near 600 MB.
+        """
+        n_entities, n_relations, m, n = 14500, 237, 1024, 64
+        store = initialize(n_entities, n_relations, "rotate", 64, seed=35)
+        rng = np.random.default_rng(9)
+
+        def triples(*shape):
+            return np.stack([rng.integers(n_entities, size=shape),
+                             rng.integers(n_relations, size=shape),
+                             rng.integers(n_entities, size=shape)], axis=-1)
+
+        positives = triples(m)
+        negs = NegativeBatch(triples=triples(m, n),
+                             head_corrupted=np.zeros((m, n), dtype=bool),
+                             valid=np.ones((m, n), dtype=bool))
+        config = LossConfig(negatives_per_positive=n, adversarial_temperature=1.0)
+        tracemalloc.start()
+        try:
+            _, grads = softmargin_batch_loss_and_grads(store, positives, negs, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grads.entities) > 10000
+        assert peak < 128 << 20
 
 
 class TestNeighborsLoss:

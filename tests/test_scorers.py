@@ -154,6 +154,27 @@ class TestVectorizedAgreement:
         for row, expected in zip(spo, batch):
             assert score(store, row) == pytest.approx(expected, abs=1e-12)
 
+    def test_rotate_trig_table_bitwise(self):
+        """Per-relation cos/sin tables give exactly the per-row formula's scores."""
+        store = random_store("rotate", 6, n_entities=20, n_relations=5, seed=12)
+        rng = np.random.default_rng(2)
+        spo = np.stack([rng.integers(20, size=40),
+                        np.array([3, 1, 3, 0, 4, 1, 1, 2] * 5),
+                        rng.integers(20, size=40)], axis=1)
+
+        def per_row(spo):
+            a, b = np.split(store.entities[spo[:, 0]], 2, axis=1)
+            c, d = np.split(store.entities[spo[:, 2]], 2, axis=1)
+            wr = store.relations[spo[:, 1]]
+            cos, sin = np.cos(wr), np.sin(wr)
+            re = a * cos - b * sin - c
+            im = a * sin + b * cos - d
+            return -np.sqrt(np.einsum("ij->i", re * re + im * im))
+
+        for rows in (spo, spo[::-1], spo[:1], spo[:0]):
+            assert np.array_equal(score_triples(store, rows), per_row(rows))
+        assert score_triples(store, spo[:0]).shape == (0,)
+
 
 class TestModelProperties:
     def test_distmult_symmetric_in_entities(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
-from kgsampler.samplers import SamplerPolicy, sample_sr
+from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_sr
 from kgsampler.scorers import EmbeddingStore, initialize
 from kgsampler.synth import planted_toy_graph, random_graph
 from kgsampler.trainer import (
@@ -120,9 +120,18 @@ class TestTrain:
     def test_epoch_log_fields(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
-        _, records = train(g, store, small_config(g, epochs=3))
+        config = small_config(g, epochs=3)
+        _, records = train(g, store, config)
         assert len(records) == 3
         assert all({"epoch", "mean_loss", "wall_time_s", "batches"} <= set(r) for r in records)
+        # sr batch lengths do not depend on the permutation
+        sizes = [len(m) for m in epoch_iterator(g, config.sampler_policy)]
+        for r in records:
+            assert r["batches"] == len(sizes)
+            assert r["positives"] == sum(sizes) == g.n_train
+            assert (r["batch_size_min"], r["batch_size_max"]) == (min(sizes), max(sizes))
+            assert r["batches"] <= r["relation_rows"] <= r["batches"] * g.n_relations
+            assert r["entity_rows"] >= r["batches"]
 
     def test_loss_decreases_on_planted_graph(self):
         g = planted_toy_graph(seed=0)
