@@ -255,9 +255,11 @@ def cmd_train(args) -> int:
 
     def on_epoch(epoch, current_store, record):
         if epoch % tconf.eval_every == 0 and len(g.valid):
+            t0 = time.perf_counter()
             metrics = evaluate_split(g, current_store, "valid", "filtered")
-            log.info("epoch %d valid: %s", epoch, metrics.as_json_line())
-            record = {**record, "valid": metrics.as_record()}
+            valid_s = time.perf_counter() - t0
+            log.info("epoch %d valid (%.2f s): %s", epoch, valid_s, metrics.as_json_line())
+            record = {**record, "valid": metrics.as_record(), "valid_s": valid_s}
             if metrics.mrr > best["mrr"]:
                 best.update(mrr=metrics.mrr, epoch=epoch)
                 save_checkpoint(current_store, os.path.join(run_dir, "best.ckpt"))

@@ -86,20 +86,39 @@ class KnowledgeGraph:
 
     def filter_objects(self, s: int, r: int) -> np.ndarray:
         """Sorted ids of all known objects o with (s, r, o) in train+valid+test."""
-        return self._key_run(self.spo_keys, s, r)
+        return self.filter_objects_batch([s], [r])[1]
 
     def filter_subjects(self, r: int, o: int) -> np.ndarray:
         """Sorted ids of all known subjects s with (s, r, o) in train+valid+test."""
-        return self._key_run(self.ors_keys, o, r)
+        return self.filter_subjects_batch([r], [o])[1]
 
-    def _key_run(self, keys: np.ndarray, head: int, r: int) -> np.ndarray:
-        if not (0 <= head < self.n_entities and 0 <= r < self.n_relations):
-            return keys[:0]  # an out-of-range id would alias another pair's run
+    def filter_objects_batch(self, s: ArrayLike, r: ArrayLike) -> tuple:
+        """Known objects of every pair (s[i], r[i]), as ``(indptr, ids)``.
+
+        The objects of pair i are ``ids[indptr[i]:indptr[i + 1]]``, sorted.
+        """
+        return self._key_runs(self.spo_keys, s, r)
+
+    def filter_subjects_batch(self, r: ArrayLike, o: ArrayLike) -> tuple:
+        """Known subjects of every pair (r[i], o[i]), as ``(indptr, ids)``."""
+        return self._key_runs(self.ors_keys, o, r)
+
+    def _key_runs(self, keys: np.ndarray, head: ArrayLike, r: ArrayLike) -> tuple:
+        """The runs of ``keys`` under every (head, r) pair: two searchsorted calls in all."""
+        head = np.asarray(head, dtype=np.int64).reshape(-1)
+        r = np.asarray(r, dtype=np.int64).reshape(-1)
+        # An out-of-range id would alias another pair's run: give it an empty one.
+        in_range = (head >= 0) & (head < self.n_entities) & (r >= 0) & (r < self.n_relations)
+        base = _pack(np.where(in_range, head, 0), np.where(in_range, r, 0), 0,
+                     self.n_entities, self.n_relations)
         # The run ends at base + E - 1; base + E overflows int64 when E²·R == 2⁶³.
-        base = _pack(int(head), int(r), 0, self.n_entities, self.n_relations)
         lo = keys.searchsorted(base)
-        hi = keys.searchsorted(base + self.n_entities - 1, side="right")
-        return keys[lo:hi] - base
+        hi = np.where(in_range, keys.searchsorted(base + (self.n_entities - 1), side="right"), lo)
+        counts = hi - lo
+        indptr = np.zeros(len(head) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.arange(indptr[-1], dtype=np.int64) + np.repeat(lo - indptr[:-1], counts)
+        return indptr, keys[at] - np.repeat(base, counts)
 
     def contains_triples(self, spo: np.ndarray) -> np.ndarray:
         """Vectorized test: is each (s, r, o) row a known triple of train + valid + test?

@@ -85,6 +85,9 @@ class TestTrainCommand:
         assert len(log_lines) == 2
         records = [json.loads(line) for line in log_lines]
         assert "valid" not in records[0]  # eval_every=2: only epoch 2 is evaluated
+        assert "valid_s" not in records[0]
+        assert isinstance(records[1]["valid_s"], float)
+        assert 0.0 < records[1]["valid_s"] < 60.0
         assert set(records[1]["valid"]) == {"mrr", "mr", "hits1", "hits3", "hits10",
                                             "count", "protocol"}
         assert records[1]["valid"]["protocol"] == "filtered"

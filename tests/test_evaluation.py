@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kgsampler import evaluation
 from kgsampler.evaluation import (
     Metrics,
-    _rank_from_scores,
     evaluate_split,
     metrics_from_ranks,
     rank_triple,
@@ -15,11 +17,14 @@ from kgsampler.synth import random_graph
 from conftest import known_triples
 
 
-def oracle_rank_triple(g, store, t, protocol):
-    """Rank via one independent score() call per candidate."""
+def oracle_rank_triple(g, store, t, protocol, known=None):
+    """Rank via one independent score() call per candidate.
+
+    ``known`` is ``known_triples(g)``, computed here when not given.
+    """
     s, r, o = (int(x) for x in t)
     filt = protocol == "filtered"
-    known = known_triples(g)
+    known = known_triples(g) if known is None else known
 
     target = score(store, (s, r, o))
     tail = 1
@@ -43,30 +48,45 @@ def oracle_rank_triple(g, store, t, protocol):
     return head, tail
 
 
+def scores_store(scores, shift=0.0):
+    """A DistMult store whose triple (t, 0, t) scores E[t]·E[c] + shift against candidate c.
+
+    Entity c's row is (scores[c], 1) and the relation is (1, shift), so with
+    a positive target value both sides rank the target as ``scores`` does.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    entities = np.stack([scores, np.ones_like(scores)], axis=1)
+    return EmbeddingStore("distmult", 2, entities=entities, relations=np.array([[1.0, shift]]))
+
+
+def self_loop_ranks(scores, target, protocol="raw", known=(), shift=0.0):
+    g = from_id_triples(list(known) + [(target, 0, target)], n_entities=len(scores),
+                        n_relations=1)
+    res = rank_triple(g, scores_store(scores, shift), (target, 0, target), protocol)
+    return res.head_rank, res.tail_rank
+
+
 class TestRankFromScores:
     def test_strict_top_is_rank_one(self):
-        scores = np.array([0.1, 0.2, 5.0, 0.3])
-        assert _rank_from_scores(scores, target=2, filtered_ids=None) == 1
+        assert self_loop_ranks([0.1, 0.2, 5.0, 0.3], target=2) == (1, 1)
 
     def test_hand_counted_exceeders(self):
         # target scores 3.0; one candidate above it
-        scores = np.array([3.0, 4.0, 2.0, 1.0, 0.5])
-        assert _rank_from_scores(scores, target=0, filtered_ids=None) == 2
+        assert self_loop_ranks([3.0, 4.0, 2.0, 1.0, 0.5], target=0) == (2, 2)
 
     def test_filtering_removes_exceeder(self):
-        scores = np.array([3.0, 4.0, 2.0, 1.0, 0.5])
-        assert _rank_from_scores(scores, target=0, filtered_ids=np.array([1])) == 1
+        # (0, 0, 1) and (1, 0, 0) are known: candidate 1 is filtered on both sides
+        assert self_loop_ranks([3.0, 4.0, 2.0, 1.0, 0.5], target=0, protocol="filtered",
+                               known=[(0, 0, 1), (1, 0, 0)]) == (1, 1)
 
     def test_ties_count_against_target(self):
-        scores = np.array([1.0, 1.0, 1.0])
-        assert _rank_from_scores(scores, target=0, filtered_ids=None) == 3
+        assert self_loop_ranks([1.0, 1.0, 1.0], target=0) == (3, 3)
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(size=50)
-        r1 = _rank_from_scores(scores, target=7, filtered_ids=None)
-        r2 = _rank_from_scores(scores + 123.456, target=7, filtered_ids=None)
-        assert r1 == r2
+        assert self_loop_ranks(scores, target=7) == self_loop_ranks(scores, target=7,
+                                                                    shift=123.456)
 
 
 class TestRankTriple:
@@ -104,6 +124,72 @@ class TestRankTriple:
         store = initialize(2, 1, "transe", 2, seed=0)
         with pytest.raises(ValueError):
             rank_triple(g, store, (0, 0, 1), "bogus")
+
+
+def planted_ties(kind, n_triples, scale=1.0, nonfinite=False):
+    """A graph whose test triples' endpoints have exact and one-ulp copies.
+
+    Every endpoint of the first ``n_triples`` test triples is copied onto two
+    other entities exactly and onto 14 more with one entry moved one ulp up
+    or down, so each ranking meets ties and near-ties that the screen cannot
+    separate. ``scale`` multiplies every entity row; ``nonfinite`` puts inf
+    and nan into two candidate rows and inf into one target's object.
+    """
+    g = random_graph(2000, 20, 20000, seed=2, holdout_fraction=0.01)
+    store = initialize(g.n_entities, g.n_relations, kind, 32, seed=5)
+    ent = store.entities * scale
+    test = g.test[:n_triples]
+    rng = np.random.default_rng(9)
+    spare = iter(rng.permutation(np.setdiff1d(np.arange(g.n_entities), test[:, [0, 2]])))
+    for s, _, o in test:
+        for src in (s, o):
+            for step in (0.0, 0.0) + (np.inf, -np.inf) * 7:
+                dst = next(spare)
+                ent[dst] = ent[src]
+                if step:
+                    j = rng.integers(ent.shape[1])
+                    ent[dst, j] = np.nextafter(ent[dst, j], step)
+    if nonfinite:
+        ent[next(spare), 3] = np.inf
+        ent[next(spare), 1] = np.nan
+        ent[test[-1, 2], 0] = np.inf
+    return g, EmbeddingStore(kind, 32, ent, store.relations), test
+
+
+class TestExactRanks:
+    """Ranks equal the per-candidate oracle where screen values tie or nearly tie."""
+
+    @pytest.mark.parametrize("variant, n_triples", [("plain", 16), ("scaled", 6),
+                                                    ("nonfinite", 6)])
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_planted_ties_match_oracle(self, kind, variant, n_triples):
+        g, store, test = planted_ties(kind, n_triples, scale=1e6 if variant == "scaled" else 1.0,
+                                      nonfinite=variant == "nonfinite")
+        known = known_triples(g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for protocol in ("raw", "filtered"):
+                got = [(res.head_rank, res.tail_rank) for res in
+                       (rank_triple(g, store, t, protocol) for t in test)]
+                want = [oracle_rank_triple(g, store, t, protocol, known) for t in test]
+                assert got == want, protocol
+                flat = [rank for pair in want for rank in pair]
+                assert evaluate_split(g, store, test, protocol) == metrics_from_ranks(flat, protocol)
+
+    def test_block_peak_memory(self):
+        """Blocks free their screens: a few QUERY_BLOCK x E arrays at most."""
+        g = random_graph(4000, 20, 20000, seed=3, holdout_fraction=0.02)
+        store = initialize(g.n_entities, g.n_relations, "rotate", 32, seed=6)
+        test = g.test[:2 * evaluation.QUERY_BLOCK + 1]   # three blocks
+        assert len(test) == 2 * evaluation.QUERY_BLOCK + 1
+        evaluate_split(g, store, test, "filtered")
+        tracemalloc.start()
+        try:
+            evaluate_split(g, store, test, "filtered")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_array = evaluation.QUERY_BLOCK * g.n_entities * 8
+        assert peak < 5 * block_array
 
 
 class TestEvaluateSplit:

@@ -258,6 +258,23 @@ def test_known_triple_index_matches_brute_force(g):
             assert subjs.tolist() == sorted(s for s, q, o in known if (q, o) == (r, a))
         assert len(g.filter_objects(a, g.n_relations)) == len(g.filter_subjects(-1, a)) == 0
     assert len(g.filter_objects(g.n_entities, 0)) == len(g.filter_subjects(0, g.n_entities)) == 0
+    # the batched form: every pair in one call, plus out-of-range pairs (some
+    # packing to a known pair's base key), whose runs are empty
+    pairs = [(a, r) for a in ids for r in range(R)]
+    pairs += [(s - 1, r + R) for s, r, o in known] + [(s + 1, r - R) for s, r, o in known]
+    pairs += [(-1, 0), (0, -1), (E, 0), (0, R), (E, R)]
+    heads, rels = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    obj_ptr, objs = g.filter_objects_batch(heads, rels)
+    subj_ptr, subjs = g.filter_subjects_batch(rels, heads)
+    assert objs.dtype == subjs.dtype == np.int64
+    assert len(obj_ptr) == len(subj_ptr) == len(pairs) + 1
+    for i, (a, r) in enumerate(pairs):
+        assert objs[obj_ptr[i]:obj_ptr[i + 1]].tolist() == sorted(
+            o for s, q, o in known if (s, q) == (a, r))
+        assert subjs[subj_ptr[i]:subj_ptr[i + 1]].tolist() == sorted(
+            s for s, q, o in known if (q, o) == (r, a))
+    for ptr, found in (g.filter_objects_batch([], []), g.filter_subjects_batch([], [])):
+        assert ptr.tolist() == [0] and len(found) == 0
 
 
 def test_loader_benchmark_shape(tmp_path):

@@ -175,6 +175,30 @@ class TestVectorizedAgreement:
             assert np.array_equal(score_triples(store, rows), per_row(rows))
         assert score_triples(store, spo[:0]).shape == (0,)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_score_triples_rows_are_independent(self, kind):
+        """A row's score has the same bits alone, in a shuffled batch, or repeated.
+
+        Exact ranking re-scores only a few candidates of a query and compares
+        them against scores of other calls, so the batch must not matter.
+        """
+        store = random_store(kind, 64, n_entities=300, n_relations=7, seed=13)
+        rng = np.random.default_rng(4)
+        n = 500
+        spo = np.stack([rng.integers(300, size=n), rng.integers(7, size=n),
+                        rng.integers(300, size=n)], axis=1)
+        # a ranking-shaped batch too: every object of one (s, r) pair
+        spo = np.concatenate([spo, np.stack([np.full(300, 5), np.full(300, 2),
+                                             np.arange(300)], axis=1)])
+        batch = score_triples(store, spo)
+        alone = np.array([score_triples(store, row[None])[0] for row in spo])
+        assert batch.tobytes() == alone.tobytes()
+        perm = rng.permutation(len(spo))
+        assert score_triples(store, spo[perm]).tobytes() == batch[perm].tobytes()
+        repeated = score_triples(store, np.repeat(spo[:50], 3, axis=0)).reshape(50, 3)
+        for j in range(3):
+            assert repeated[:, j].tobytes() == batch[:50].tobytes()
+
 
 class TestModelProperties:
     def test_distmult_symmetric_in_entities(self):
