@@ -117,8 +117,7 @@ class KnowledgeGraph:
         counts = hi - lo
         indptr = np.zeros(len(head) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        at = np.arange(indptr[-1], dtype=np.int64) + np.repeat(lo - indptr[:-1], counts)
-        return indptr, keys[at] - np.repeat(base, counts)
+        return indptr, keys[concat_ranges(lo, counts)] - np.repeat(base, counts)
 
     def contains_triples(self, spo: np.ndarray) -> np.ndarray:
         """Vectorized test: is each (s, r, o) row a known triple of train + valid + test?
@@ -140,6 +139,12 @@ class KnowledgeGraph:
 def _pack(head, r, tail, n_entities: int, n_relations: int):
     """The key (head·R + r)·E + tail; distinct per triple while E²·R ≤ 2⁶³."""
     return (head * n_relations + r) * n_entities + tail
+
+
+def concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """lo[i], lo[i] + 1, ..., lo[i] + counts[i] - 1 for every i, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(counts.sum(), dtype=np.int64) + np.repeat(lo - starts, counts)
 
 
 def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
@@ -287,12 +292,6 @@ def degree(g: KnowledgeGraph, v: int) -> int:
     return int(g.degrees[v])
 
 
-def neighbor_triples(g: KnowledgeGraph, t: Triple) -> set:
-    """Train triples sharing an endpoint with t, excluding t itself."""
-    ids = neighbor_triple_ids(g, t)
-    return {Triple(*map(int, g.train[i])) for i in ids}
-
-
 def neighbor_triple_ids(g: KnowledgeGraph, t) -> np.ndarray:
     """Indices of train triples incident to t's subject or object, minus t."""
     s, r, o = int(t[0]), int(t[1]), int(t[2])
@@ -307,15 +306,17 @@ def neighbor_triple_ids(g: KnowledgeGraph, t) -> np.ndarray:
 def induced_subgraph(g: KnowledgeGraph, vertices) -> np.ndarray:
     """All train triples with both endpoints inside the vertex set.
 
-    Returns the (k, 3) array of matching train triples, in train order.
+    Returns the (k, 3) array of matching train triples, in train order. A
+    triple is read once, from its subject's adjacency run.
     """
-    mask = np.zeros(g.n_entities, dtype=bool)
-    verts = np.asarray(sorted(vertices) if isinstance(vertices, set) else vertices,
-                       dtype=np.int64)
-    if len(verts):
-        mask[verts] = True
-    keep = mask[g.train[:, 0]] & mask[g.train[:, 2]]
-    return g.train[keep]
+    inside = np.zeros(g.n_entities, dtype=bool)
+    inside[list(vertices) if isinstance(vertices, set) else vertices] = True
+    verts = np.flatnonzero(inside)
+    lo = g.adj_indptr[verts]
+    counts = g.adj_indptr[verts + 1] - lo
+    ids = g.adj_indices[concat_ranges(lo, counts)]
+    keep = (g.train[ids, 0] == np.repeat(verts, counts)) & inside[g.train[ids, 2]]
+    return g.train[np.sort(ids[keep])]
 
 
 def write_dictionaries(g: KnowledgeGraph, directory: str) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple, neighbor_triple_ids
+from .graph import KnowledgeGraph, neighbor_triple_ids
 from .samplers import Minibatch
 from .scorers import EmbeddingStore, score_gradients, score_triples
 
@@ -200,13 +200,6 @@ def corrupt_batch(g: KnowledgeGraph, positives: np.ndarray, n: int,
     triples = np.stack([neg_s, np.broadcast_to(r, (m, n)), neg_o], axis=2)
     return NegativeBatch(triples=triples.astype(np.int64),
                          head_corrupted=head_mask, valid=valid)
-
-
-def corrupt(g: KnowledgeGraph, t, n: int, filtered: bool, rng) -> list:
-    """Negatives for a single positive, invalid entries dropped."""
-    batch = corrupt_batch(g, np.asarray(t).reshape(1, 3), n, filtered, rng)
-    keep = batch.valid[0]
-    return [Triple(*map(int, row)) for row in batch.triples[0][keep]]
 
 
 def adversarial_weights(scores_of_negatives: np.ndarray, alpha: float) -> np.ndarray:

@@ -16,17 +16,20 @@ direction. All samplers are deterministic given a seed.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, induced_subgraph
+from .graph import KnowledgeGraph, _pack, concat_ranges, induced_subgraph
 
 log = logging.getLogger(__name__)
 
 SAMPLER_KINDS = ("sr", "rw", "rwr", "rwisg", "rwisg_n")
 RESTART_TARGETS = ("start_node", "uniform_previous")
+_WALK_TRIES = 8          # rejected slot draws before a walk step picks exactly
+_UNIFORM_CHUNK = 1024    # uniforms a walk takes from its generator at a time
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,6 @@ class Minibatch:
         return np.unique(self.positives[:, [0, 2]])
 
 
-def _entities_with_edges(g: KnowledgeGraph) -> np.ndarray:
-    return np.flatnonzero(g.degrees > 0)
-
-
 def _clamp_batch_size(g: KnowledgeGraph, b: int) -> int:
     if b > g.n_train:
         log.warning("batch_size %d exceeds train size %d; clamping", b, g.n_train)
@@ -96,74 +95,68 @@ def sample_sr(g: KnowledgeGraph, policy: SamplerPolicy, rng=None) -> Minibatch:
     return Minibatch(positives=g.train[ids], provenance=policy)
 
 
-def _fresh_start(g, rng, n_collected_incident, adj_len, pool):
-    """Uniform random entity that still has an uncollected incident triple."""
-    for _ in range(200):
-        v = int(pool[rng.integers(len(pool))])
-        if n_collected_incident[v] < adj_len[v]:
-            return v
-    candidates = np.flatnonzero((n_collected_incident < adj_len) & (adj_len > 0))
-    return int(candidates[rng.integers(len(candidates))])
-
-
 def _random_walk(g: KnowledgeGraph, b: int, rng,
                  restart_probability: float = 0.0,
                  restart_target: str = "start_node",
                  start_entity=None):
     """Collect b distinct triples by walking the undirected training graph.
 
-    Each step picks uniformly among the not-yet-collected triples incident
-    to the current vertex, records it, and moves to its other endpoint.
-    A vertex with no uncollected incident triple stalls the walk, which
-    then restarts from a fresh uniform random entity (rebasing the restart
-    anchor). Returns (triple ids in collection order, visited vertex ids in
-    first-visit order, number of fresh restarts).
+    Each step picks uniformly among the open (not yet collected) triples
+    incident to the current vertex, by rejection over its adjacency slots
+    with an exact pick after ``_WALK_TRIES`` misses, and moves to the
+    triple's other endpoint. A vertex with no open triple stalls the walk,
+    which restarts from a uniform random entity that has one (rebasing the
+    restart anchor). Returns (triple ids in collection order, visited vertex
+    ids in first-visit order, number of fresh restarts).
     """
     if g.n_train == 0:
         raise ValueError("cannot walk an empty train split")
-    adj_len = np.diff(g.adj_indptr)
-    collected = np.zeros(g.n_train, dtype=bool)
-    n_collected_incident = np.zeros(g.n_entities, dtype=np.int64)
-    pool = _entities_with_edges(g)
-
-    if start_entity is None:
-        current = int(pool[rng.integers(len(pool))])
-    else:
-        current = int(start_entity)
-    anchor = current
-    visited = [current]
-    visited_mask = np.zeros(g.n_entities, dtype=bool)
-    visited_mask[current] = True
-    order = []
+    draw = itertools.chain.from_iterable(    # uniforms on [0, 1), a chunk at a time
+        rng.random(_UNIFORM_CHUNK).tolist() for _ in itertools.count()).__next__
+    indptr, adj = g.adj_indptr, g.adj_indices
+    heads, tails = g.train[:, 0], g.train[:, 2]
+    remaining = np.diff(indptr)            # open incident triples per vertex
+    collected = bytearray(g.n_train)
+    seen = bytearray(g.n_entities)
+    visited, order = [], []
     restarts = 0
-
-    def visit(v):
-        if not visited_mask[v]:
-            visited_mask[v] = True
-            visited.append(v)
+    # -1: no start yet, so the first step takes a fresh start that is not counted
+    current = anchor = -1 if start_entity is None else int(start_entity)
 
     while len(order) < b:
-        if restart_probability > 0.0 and rng.random() < restart_probability:
-            if restart_target == "start_node":
-                current = anchor
+        if current < 0 or not remaining[current]:
+            restarts += current >= 0
+            for _ in range(200):
+                current = int(draw() * g.n_entities)
+                if remaining[current]:
+                    break
             else:
-                current = visited[rng.integers(len(visited))]
-        if n_collected_incident[current] == adj_len[current]:
-            current = _fresh_start(g, rng, n_collected_incident, adj_len, pool)
+                open_vertices = np.flatnonzero(remaining)
+                current = int(open_vertices[int(draw() * len(open_vertices))])
             anchor = current
-            visit(current)
-            restarts += 1
-        incident = g.incident_triple_ids(current)
-        open_ids = incident[~collected[incident]]
-        ti = int(open_ids[rng.integers(len(open_ids))])
-        collected[ti] = True
+        lo = int(indptr[current])
+        n = int(indptr[current + 1]) - lo
+        for _ in range(_WALK_TRIES):
+            ti = int(adj[lo + int(draw() * n)])
+            if not collected[ti]:
+                break
+        else:
+            incident = adj[lo:lo + n]
+            open_ids = incident[~np.frombuffer(collected, dtype=bool)[incident]]
+            ti = int(open_ids[int(draw() * len(open_ids))])
+        collected[ti] = 1
         order.append(ti)
-        s, _, o = g.train[ti]
-        n_collected_incident[s] += 1
-        if o != s:
-            n_collected_incident[o] += 1
-        current = int(o) if current == s else int(s)
-        visit(current)
+        s, o = int(heads[ti]), int(tails[ti])
+        remaining[s] -= 1
+        remaining[o] -= o != s                 # a self-loop holds one slot
+        for v in (current, o if current == s else s):
+            if not seen[v]:
+                seen[v] = 1
+                visited.append(v)
+        current = v                            # the triple's other endpoint
+        if restart_probability > 0.0 and draw() < restart_probability:
+            current = (anchor if restart_target == "start_node"
+                       else visited[int(draw() * len(visited))])
 
     return np.asarray(order, dtype=np.int64), np.asarray(visited, dtype=np.int64), restarts
 
@@ -180,12 +173,8 @@ def sample_rwr(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, start_entity=
     """Random walk that jumps back to the restart target between steps."""
     rng = np.random.default_rng(policy.seed) if rng is None else rng
     b = _clamp_batch_size(g, policy.batch_size)
-    order, _, restarts = _random_walk(
-        g, b, rng,
-        restart_probability=policy.restart_probability,
-        restart_target=policy.restart_target,
-        start_entity=start_entity,
-    )
+    order, _, restarts = _random_walk(g, b, rng, policy.restart_probability,
+                                      policy.restart_target, start_entity)
     return Minibatch(positives=g.train[order], provenance=policy, restarts=restarts)
 
 
@@ -202,31 +191,42 @@ def sample_rwisg_n(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, start_ent
     """Induced subgraph plus random extra incident triples of visited vertices.
 
     For each visited vertex v, ceil(fraction * degree(v)) incident triples
-    are drawn without replacement, limited by the per-vertex cap.
+    are drawn without replacement, limited by the per-vertex cap. Positives
+    with extras come sorted by (s, r, o).
     """
     rng = np.random.default_rng(policy.seed) if rng is None else rng
     b = _clamp_batch_size(g, policy.batch_size)
     _, visited, restarts = _random_walk(g, b, rng, start_entity=start_entity)
-    induced = induced_subgraph(g, visited)
+    positives = induced_subgraph(g, visited)
+    extra = g.adj_indices[_extra_slots(g, visited, policy.extra_neighbor_fraction,
+                                       policy.extra_neighbor_cap, rng)]
+    if len(extra):
+        rows = np.concatenate([positives, g.train[extra]])
+        keys = _pack(rows[:, 0], rows[:, 1], rows[:, 2], g.n_entities, g.n_relations)
+        order = np.argsort(keys)
+        positives = rows[order[np.diff(keys[order], prepend=-1) > 0]]   # keys are >= 0
+    return Minibatch(positives=positives, provenance=policy, restarts=restarts)
 
-    extra = []
-    frac = policy.extra_neighbor_fraction
-    if frac > 0.0:
-        for v in visited:
-            incident = g.incident_triple_ids(int(v))
-            if len(incident) == 0:
-                continue
-            k = int(np.ceil(frac * g.degrees[v]))
-            k = min(k, policy.extra_neighbor_cap, len(incident))
-            if k > 0:
-                extra.append(rng.choice(incident, size=k, replace=False))
 
-    if extra:
-        ids = np.unique(np.concatenate(extra))
-        merged = np.unique(np.concatenate([induced, g.train[ids]]), axis=0)
-    else:
-        merged = induced
-    return Minibatch(positives=merged, provenance=policy, restarts=restarts)
+def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: int,
+                 rng) -> np.ndarray:
+    """Adjacency slots of ``rwisg_n``'s extra triples: a uniform k-subset per run.
+
+    Visited vertex v gets the k = min(ceil(fraction * degree(v)), cap, run
+    length) slots of its run with the smallest random keys. One argsort ranks
+    every run at once, on int64 keys that pack (run index, random bits).
+    """
+    if fraction == 0.0:
+        return np.empty(0, dtype=np.int64)
+    lo = g.adj_indptr[visited]
+    counts = g.adj_indptr[visited + 1] - lo
+    k = np.minimum(np.ceil(fraction * g.degrees[visited]), np.minimum(counts, cap))
+    slots = concat_ranges(lo, counts)
+    bits = 63 - max(len(visited) - 1, 1).bit_length()
+    run = np.repeat(np.arange(len(visited), dtype=np.int64), counts)
+    by_key = np.argsort((run << bits) | rng.integers(0, 1 << bits, size=len(slots)))
+    rank = concat_ranges(np.zeros_like(counts), counts)     # each slot's place in its run
+    return slots[by_key[rank < np.repeat(k, counts)]]
 
 
 _SAMPLERS = {

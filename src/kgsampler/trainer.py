@@ -19,6 +19,7 @@ from .graph import KnowledgeGraph
 from .losses import LossConfig, minibatch_loss_and_grads, SparseGrads
 from .samplers import Minibatch, SamplerPolicy, epoch_iterator, sample_minibatch
 from .scorers import EmbeddingStore
+from .stats import expected_degree_of_batch
 
 log = logging.getLogger(__name__)
 
@@ -120,8 +121,9 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
     the rows that received gradient. The logged ``mean_loss`` is the epoch
     loss per positive triple. Each record also counts the epoch's positives,
     its smallest and largest batch, and the entity and relation rows that
-    received gradient, summed over batches. A non-finite loss aborts with
-    the offending batch attached to the raised :class:`NumericalError`.
+    received gradient and walk restarts, summed over batches, and the mean
+    E[D] of the batches. A non-finite loss aborts with the offending batch
+    attached to the raised :class:`NumericalError`.
     """
     optimizer = make_optimizer(store, config)
     ss = np.random.SeedSequence(config.seed)
@@ -133,7 +135,7 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
         t0 = time.perf_counter()
         total_loss = 0.0
         batch_sizes = []
-        entity_rows = relation_rows = 0
+        entity_rows = relation_rows = restarts = degree_sum = 0
         for m in epoch_iterator(g, config.sampler_policy, rng=sample_rng):
             loss, grads = minibatch_loss_and_grads(g, store, m, config.loss_config,
                                                    corrupt_rng)
@@ -150,6 +152,8 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
             batch_sizes.append(len(m))
             entity_rows += len(grads.entities)
             relation_rows += len(grads.relations)
+            restarts += m.restarts
+            degree_sum += expected_degree_of_batch(m)
         positives = sum(batch_sizes)
         record = {
             "epoch": epoch,
@@ -161,6 +165,8 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
             "batch_size_max": max(batch_sizes, default=0),
             "entity_rows": entity_rows,
             "relation_rows": relation_rows,
+            "restarts": restarts,
+            "expected_degree": degree_sum / max(len(batch_sizes), 1),
         }
         records.append(record)
         log.info("epoch %d: mean loss %.6f (%d batches, %.2fs)",

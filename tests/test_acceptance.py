@@ -22,7 +22,7 @@ from kgsampler.losses import (
     vanilla_loss_and_grads,
 )
 from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_minibatch
-from kgsampler.scorers import initialize, score, score_gradient
+from kgsampler.scorers import initialize, score, score_gradient, score_triples
 from kgsampler.stats import (
     averaged_distribution,
     expected_degree_of_batch,
@@ -242,7 +242,6 @@ def test_criterion_05_gradient_correctness():
 
         adv = LossConfig(margin=1.0, negatives_per_positive=5,
                          adversarial_temperature=1.3)
-        from kgsampler.scorers import score_triples
         frozen = adversarial_weights(
             score_triples(store, np.asarray(negatives)), adv.adversarial_temperature)
         _, grads = softmargin_loss_and_grads(store, t, negatives, adv,
@@ -277,19 +276,20 @@ def test_criterion_06_ranking_oracle_equivalence():
     known = known_triples(g)
 
     def oracle(t, protocol):
+        # one score_triples call per side; rows score independently of their batch
         s, r, o = (int(x) for x in t)
         filt = protocol == "filtered"
         ranks = []
         for target, cands in ((o, [(s, r, c) for c in range(g.n_entities)]),
                               (s, [(c, r, o) for c in range(g.n_entities)])):
-            tgt_score = score(store, cands[target])
+            scores = score_triples(store, np.asarray(cands, dtype=np.int64)).tolist()
             rank = 1
             for c, cand in enumerate(cands):
                 if c == target:
                     continue
                 if filt and tuple(cand) in known:
                     continue
-                if score(store, cand) >= tgt_score:
+                if scores[c] >= scores[target]:
                     rank += 1
             ranks.append(rank)
         return ranks[1], ranks[0]  # head, tail

@@ -11,41 +11,30 @@ from kgsampler.evaluation import (
     rank_triple,
 )
 from kgsampler.graph import from_id_triples
-from kgsampler.scorers import EmbeddingStore, initialize, score
+from kgsampler.scorers import EmbeddingStore, initialize, score_triples
 from kgsampler.synth import random_graph
 
 from conftest import known_triples
 
 
 def oracle_rank_triple(g, store, t, protocol, known=None):
-    """Rank via one independent score() call per candidate.
+    """Rank by comparing the target's score with every candidate's, one by one.
 
-    ``known`` is ``known_triples(g)``, computed here when not given.
+    Each side's candidates are scored in one ``score_triples`` call; rows
+    are scored independently (``test_score_triples_rows_are_independent``),
+    so each score has the bytes of its own one-row call. ``known`` is
+    ``known_triples(g)``, computed here when not given.
     """
     s, r, o = (int(x) for x in t)
     filt = protocol == "filtered"
     known = known_triples(g) if known is None else known
-
-    target = score(store, (s, r, o))
-    tail = 1
-    for cand in range(g.n_entities):
-        if cand == o:
-            continue
-        if filt and (s, r, cand) in known:
-            continue
-        if score(store, (s, r, cand)) >= target:
-            tail += 1
-
-    target = score(store, (s, r, o))
-    head = 1
-    for cand in range(g.n_entities):
-        if cand == s:
-            continue
-        if filt and (cand, r, o) in known:
-            continue
-        if score(store, (cand, r, o)) >= target:
-            head += 1
-    return head, tail
+    ranks = []
+    for target, cands in ((s, [(c, r, o) for c in range(g.n_entities)]),
+                          (o, [(s, r, c) for c in range(g.n_entities)])):
+        scores = score_triples(store, np.asarray(cands, dtype=np.int64)).tolist()
+        ranks.append(1 + sum(scores[c] >= scores[target] for c in range(g.n_entities)
+                             if c != target and not (filt and cands[c] in known)))
+    return ranks[0], ranks[1]  # head, tail
 
 
 def scores_store(scores, shift=0.0):

@@ -12,7 +12,7 @@ from kgsampler.graph import (
     from_id_triples,
     induced_subgraph,
     load_dataset,
-    neighbor_triples,
+    neighbor_triple_ids,
     write_dictionaries,
 )
 
@@ -153,6 +153,11 @@ class TestAdjacency:
         g = small_random_graph
         n_loops = int(np.sum(g.train[:, 0] == g.train[:, 2]))
         assert len(g.adj_indices) == 2 * g.n_train - n_loops
+
+
+def neighbor_triples(g, t: Triple) -> set:
+    """Train triples sharing an endpoint with t, excluding t itself."""
+    return {Triple(*map(int, g.train[i])) for i in neighbor_triple_ids(g, t)}
 
 
 class TestNeighborTriples:

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsampler import losses
-from kgsampler.graph import from_id_triples
+from kgsampler.graph import Triple, from_id_triples
 from kgsampler.losses import (
     LossConfig,
     NegativeBatch,
     adversarial_weights,
-    corrupt,
     corrupt_batch,
     log_sigmoid,
     minibatch_loss_and_grads,
@@ -32,6 +31,12 @@ POLICY = SamplerPolicy(kind="sr", batch_size=4, seed=0)
 
 def make_batch(rows):
     return Minibatch(positives=np.asarray(rows, dtype=np.int64), provenance=POLICY)
+
+
+def corrupt(g, t, n: int, filtered: bool, rng) -> list:
+    """Negatives for a single positive, invalid entries dropped."""
+    batch = corrupt_batch(g, np.asarray(t).reshape(1, 3), n, filtered, rng)
+    return [Triple(*map(int, row)) for row in batch.triples[0][batch.valid[0]]]
 
 
 class TestCorrupt:

@@ -1,6 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgsampler import samplers
 from kgsampler.graph import from_id_triples, induced_subgraph
 from kgsampler.samplers import (
     SamplerPolicy,
@@ -19,6 +25,17 @@ from kgsampler.synth import random_graph
 
 def as_set(positives):
     return {tuple(map(int, row)) for row in positives}
+
+
+def chi_square(counts) -> float:
+    """Pearson's statistic of observed counts against equal expected counts."""
+    counts = np.asarray(counts, dtype=np.float64)
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+# Upper 0.1% points of the chi-square distribution with 19 and 29 degrees of freedom.
+CHI2_CRIT = {19: 43.82, 29: 58.30}
 
 
 class TestSimplyRandom:
@@ -88,6 +105,52 @@ class TestRandomWalk:
         assert len(as_set(m.positives)) == len(m)
 
 
+class TestWalkStep:
+    @pytest.mark.parametrize("tries", [None, 0], ids=["rejection", "fallback"])
+    def test_pick_is_uniform_over_open_triples(self, star6, monkeypatch, tries):
+        # With p = 1 every step starts at the hub, so the walk's picks are
+        # draws without replacement among the hub's spokes: picks 4 and 5 of
+        # a 5-step walk must be uniform over the 30 ordered spoke pairs.
+        # Pick 5 has 2 open slots of 6, so the rejection branch misses often.
+        if tries is not None:
+            monkeypatch.setattr(samplers, "_WALK_TRIES", tries)
+        pairs = list(itertools.permutations(range(1, 7), 2))
+        counts = dict.fromkeys(pairs, 0)
+        for seed in range(3000):
+            policy = SamplerPolicy(kind="rwr", batch_size=5, restart_probability=1.0,
+                                   restart_target="start_node", seed=seed)
+            m = sample_rwr(star6, policy, start_entity=0)
+            assert m.restarts == 0
+            assert len(as_set(m.positives)) == 5
+            counts[int(m.positives[3, 2]), int(m.positives[4, 2])] += 1
+        assert chi_square(list(counts.values())) < CHI2_CRIT[29]
+
+    def test_fallback_walk_equals_itself_and_stays_valid(self, small_random_graph, monkeypatch):
+        monkeypatch.setattr(samplers, "_WALK_TRIES", 0)
+        g = small_random_graph
+        policy = SamplerPolicy(kind="rw", batch_size=60, seed=12)
+        m = sample_rw(g, policy)
+        assert np.array_equal(m.positives, sample_rw(g, policy).positives)
+        assert len(as_set(m.positives)) == 60
+        assert as_set(m.positives) <= as_set(g.train)
+
+    @pytest.mark.parametrize("kind", ["rw", "rwr", "rwisg", "rwisg_n"])
+    def test_deterministic_beyond_one_uniform_chunk(self, kind, monkeypatch):
+        g = random_graph(n_entities=200, n_relations=3, n_triples=3000, seed=8)
+        b = samplers._UNIFORM_CHUNK + 500
+        policy = SamplerPolicy(kind=kind, batch_size=b, seed=4)
+        first = [m.positives for m in itertools.islice(epoch_iterator(g, policy), 2)]
+        again = [m.positives for m in itertools.islice(epoch_iterator(g, policy), 2)]
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        assert len(first[0]) >= b
+        # uniforms are consumed one by one, so a walk's triples do not depend
+        # on the chunk they arrive in
+        monkeypatch.setattr(samplers, "_UNIFORM_CHUNK", 7)
+        order, _, _ = samplers._random_walk(g, b, np.random.default_rng(3))
+        monkeypatch.undo()
+        assert np.array_equal(order, samplers._random_walk(g, b, np.random.default_rng(3))[0])
+
+
 class TestRandomWalkRestart:
     def test_zero_probability_equals_plain_walk(self, small_random_graph):
         g = small_random_graph
@@ -139,6 +202,22 @@ class TestInducedSubgraphSamplers:
         again = induced_subgraph(g, set(m.vertex_set.tolist()))
         assert as_set(m.positives) == as_set(again)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_induced_subgraph_equals_full_scan(self, data):
+        n = data.draw(st.integers(1, 9))
+        rows = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, 1),
+                                           st.integers(0, n - 1)), max_size=30))
+        rows = data.draw(st.permutations(sorted(rows)))
+        g = from_id_triples(rows, n_entities=n + 2, n_relations=2)  # two isolated
+        verts = data.draw(st.one_of(
+            st.sets(st.integers(0, n + 1)),
+            st.lists(st.integers(0, n + 1)).map(lambda v: np.asarray(v, dtype=np.int64))))
+        mask = np.zeros(g.n_entities, dtype=bool)
+        mask[list(verts)] = True
+        full_scan = g.train[mask[g.train[:, 0]] & mask[g.train[:, 2]]]
+        assert np.array_equal(induced_subgraph(g, verts), full_scan)
+
     def test_rwisg_n_zero_fraction_equals_rwisg(self, small_random_graph):
         g = small_random_graph
         isg = sample_rwisg(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=5))
@@ -161,6 +240,49 @@ class TestInducedSubgraphSamplers:
         isg_n = sample_rwisg_n(g, SamplerPolicy(kind="rwisg_n", batch_size=20, seed=seed))
         assert as_set(rw.positives) <= as_set(isg.positives)
         assert as_set(isg.positives) <= as_set(isg_n.positives)
+
+
+class TestExtraNeighbors:
+    @pytest.mark.parametrize("fraction, cap", [(0.3, 32), (1.0, 32), (1.0, 2), (0.5, 0), (0.5, 1)])
+    def test_per_vertex_counts(self, fraction, cap):
+        # self-loops count 2 toward the degree but hold one adjacency slot
+        triples = [(0, 0, i) for i in range(1, 9)] + [(0, 1, 0), (3, 1, 3), (2, 0, 5), (5, 1, 2)]
+        g = from_id_triples(triples, n_entities=11, n_relations=2)
+        visited = np.array([0, 3, 2, 10, 5, 1], dtype=np.int64)   # 10 is isolated
+        slots = samplers._extra_slots(g, visited, fraction, cap, np.random.default_rng(0))
+        assert len(np.unique(slots)) == len(slots)
+        total = 0
+        for v in visited:
+            lo, hi = g.adj_indptr[v], g.adj_indptr[v + 1]
+            want = min(math.ceil(fraction * g.degrees[v]), cap, hi - lo)
+            assert np.count_nonzero((slots >= lo) & (slots < hi)) == want
+            total += want
+        assert len(slots) == total
+
+    def test_subsets_are_uniform(self, star6):
+        # the hub has degree 6, so fraction 0.5 draws 3 of its 6 spokes
+        hub = np.array([0], dtype=np.int64)
+        counts = dict.fromkeys(itertools.combinations(range(6), 3), 0)
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            slots = samplers._extra_slots(star6, hub, 0.5, 32, rng)
+            counts[tuple(sorted(slots.tolist()))] += 1
+        assert chi_square(list(counts.values())) < CHI2_CRIT[19]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_positives_are_sorted_union_of_induced_and_drawn(self, seed):
+        g = random_graph(n_entities=30, n_relations=3, n_triples=100, seed=seed)
+        g = from_id_triples(g.train[np.random.default_rng(seed).permutation(g.n_train)],
+                            n_entities=30, n_relations=3)
+        policy = SamplerPolicy(kind="rwisg_n", batch_size=15, extra_neighbor_fraction=0.3,
+                               extra_neighbor_cap=3, seed=seed)
+        m = sample_rwisg_n(g, policy)
+        rng = np.random.default_rng(seed)
+        _, visited, _ = samplers._random_walk(g, 15, rng)
+        drawn = g.train[g.adj_indices[samplers._extra_slots(g, visited, 0.3, 3, rng)]]
+        inside = set(visited.tolist())
+        induced = {t for t in as_set(g.train) if t[0] in inside and t[2] in inside}
+        assert m.positives.tolist() == [list(t) for t in sorted(induced | as_set(drawn))]
 
 
 class TestEpochIterator:

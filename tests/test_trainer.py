@@ -6,6 +6,7 @@ import pytest
 from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
 from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_sr
 from kgsampler.scorers import EmbeddingStore, initialize
+from kgsampler.stats import expected_degree_of_batch
 from kgsampler.synth import planted_toy_graph, random_graph
 from kgsampler.trainer import (
     NumericalError,
@@ -132,6 +133,13 @@ class TestTrain:
             assert (r["batch_size_min"], r["batch_size_max"]) == (min(sizes), max(sizes))
             assert r["batches"] <= r["relation_rows"] <= r["batches"] * g.n_relations
             assert r["entity_rows"] >= r["batches"]
+            assert r["restarts"] == 0
+            assert r["expected_degree"] >= 1.0
+        # the first epoch's batches, drawn as train draws them
+        sample_seed, _ = np.random.SeedSequence(config.seed).spawn(2)
+        batches = epoch_iterator(g, config.sampler_policy, rng=np.random.default_rng(sample_seed))
+        eds = [expected_degree_of_batch(m) for m in batches]
+        assert records[0]["expected_degree"] == pytest.approx(np.mean(eds), rel=1e-12)
 
     def test_loss_decreases_on_planted_graph(self):
         g = planted_toy_graph(seed=0)
