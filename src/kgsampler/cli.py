@@ -29,8 +29,8 @@ from .scorers import MODEL_KINDS, atomic_open, initialize, load_checkpoint, save
 from .stats import (
     averaged_distribution,
     distribution_rows,
-    expected_degree,
-    minibatch_degree_distribution,
+    sweep_points,
+    sweep_row,
     write_distribution_csv,
     write_sweep_csv,
 )
@@ -269,8 +269,8 @@ def cmd_train(args) -> int:
     try:
         store, _records = train(g, store, tconf, epoch_callback=on_epoch)
     except NumericalError as exc:
-        with open(os.path.join(run_dir, "failed_batch.json"), "w", encoding="utf-8") as fh:
-            json.dump({"epoch": exc.epoch, "batch": exc.batch}, fh)
+        with atomic_open(os.path.join(run_dir, "failed_batch.json")) as fh:
+            fh.write(json.dumps({"epoch": exc.epoch, "batch": exc.batch}).encode("utf-8"))
         log.error("training aborted: %s", exc)
         return NUMERICAL_ERROR
     finally:
@@ -284,12 +284,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_graph(args):
+    """The dataset named by ``--dataset`` and ``--data-root``."""
+    return load_dataset(resolve_dataset_dir(
+        {"dataset": {"name": args.dataset, "root": args.data_root or ""}}))
+
+
 def cmd_stats(args) -> int:
-    config = resolve_config(None, [])
-    config["dataset"]["name"] = args.dataset
-    if args.data_root:
-        config["dataset"]["root"] = args.data_root
-    g = load_dataset(resolve_dataset_dir(config))
+    g = _load_graph(args)
 
     if args.summary:
         degs = g.degrees
@@ -302,31 +304,23 @@ def cmd_stats(args) -> int:
         print(f"median degree: {np.median(degs):.0f}")
         return 0
 
-    samplers = args.samplers.split(",")
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-    os.makedirs(args.out, exist_ok=True)
-
     sweep_rows, dist_rows = [], []
     print(f"{'policy':<10}{'batch_size':>12}{'E[D]':>10}{'std_err':>10}")
-    for kind in samplers:
-        for b in batch_sizes:
-            policy = SamplerPolicy(kind=kind, batch_size=b, seed=args.seed)
-            rng = np.random.default_rng(
-                np.random.SeedSequence([args.seed, SAMPLER_KINDS.index(kind), b]))
-            hists = []
-            for _ in range(args.num_batches):
-                m = sample_minibatch(g, policy, rng=rng)
-                hists.append(minibatch_degree_distribution(m))
-            eds = np.array([expected_degree(h) for h in hists])
-            se = float(eds.std(ddof=1) / np.sqrt(len(eds))) if len(eds) > 1 else 0.0
-            sweep_rows.append({
-                "policy": kind, "batch_size": b,
-                "expected_degree": float(eds.mean()),
-                "std_error": se, "num_batches": len(eds),
-            })
-            dist_rows.extend(distribution_rows(policy, b, averaged_distribution(hists)))
-            print(f"{kind:<10}{b:>12}{eds.mean():>10.3f}{se:>10.4f}")
+    try:  # every ValueError here comes from an argument: a kind, a size or the batch count
+        policies = [SamplerPolicy(kind=k, seed=args.seed) for k in args.samplers.split(",")]
+        batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
+        for policy, hists in sweep_points(g, policies, batch_sizes, args.num_batches,
+                                          args.seed):
+            row = sweep_row(policy, hists)
+            sweep_rows.append(row)
+            dist_rows.extend(distribution_rows(policy, policy.batch_size,
+                                               averaged_distribution(hists)))
+            print(f"{row['policy']:<10}{row['batch_size']:>12}"
+                  f"{row['expected_degree']:>10.3f}{row['std_error']:>10.4f}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
+    os.makedirs(args.out, exist_ok=True)
     write_sweep_csv(sweep_rows, os.path.join(args.out, "expected_degree.csv"))
     write_distribution_csv(dist_rows, os.path.join(args.out, "degree_distributions.csv"))
     print(f"wrote CSVs to {args.out}")
@@ -334,11 +328,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = resolve_config(None, [])
-    config["dataset"]["name"] = args.dataset
-    if args.data_root:
-        config["dataset"]["root"] = args.data_root
-    g = load_dataset(resolve_dataset_dir(config))
+    g = _load_graph(args)
     try:
         store = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
@@ -356,11 +346,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    config = resolve_config(None, [])
-    config["dataset"]["name"] = args.dataset
-    if args.data_root:
-        config["dataset"]["root"] = args.data_root
-    g = load_dataset(resolve_dataset_dir(config))
+    g = _load_graph(args)
     policy = SamplerPolicy(kind=args.sampler, batch_size=args.batch_size, seed=args.seed)
     m = sample_minibatch(g, policy)
     try:

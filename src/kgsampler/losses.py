@@ -202,29 +202,24 @@ def corrupt_batch(g: KnowledgeGraph, positives: np.ndarray, n: int,
                          head_corrupted=head_mask, valid=valid)
 
 
-def adversarial_weights(scores_of_negatives: np.ndarray, alpha: float) -> np.ndarray:
-    """softmax(alpha * scores) along the last axis; uniform when alpha is 0."""
+def adversarial_weights(scores_of_negatives: np.ndarray, alpha: float,
+                        valid: np.ndarray = None) -> np.ndarray:
+    """softmax(alpha * scores) along the last axis; uniform when alpha is 0.
+
+    With a ``valid`` mask the softmax runs over the valid entries only: the
+    others get weight 0, and so does every entry of a row with none valid.
+    """
     scores = np.asarray(scores_of_negatives, dtype=np.float64)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    z = alpha * scores
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _masked_weights(neg_scores, valid, alpha):
-    """Adversarial (or uniform) weights restricted to valid negatives."""
-    if alpha > 0:
-        z = np.where(valid, alpha * neg_scores, -np.inf)
-        zmax = z.max(axis=-1, keepdims=True)
-        zmax = np.where(np.isfinite(zmax), zmax, 0.0)
-        e = np.where(valid, np.exp(z - zmax), 0.0)
-        total = e.sum(axis=-1, keepdims=True)
-        return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
-    counts = valid.sum(axis=-1, keepdims=True)
-    return np.divide(valid.astype(np.float64), counts,
-                     out=np.zeros((valid.shape), dtype=np.float64), where=counts > 0)
+    if valid is None:
+        valid = np.ones(scores.shape, dtype=bool)
+    z = np.where(valid, alpha * scores, -np.inf)
+    zmax = z.max(axis=-1, keepdims=True)
+    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
+    e = np.where(valid, np.exp(z - zmax), 0.0)
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
 
 def softmargin_batch_loss_and_grads(
@@ -258,7 +253,8 @@ def softmargin_batch_loss_and_grads(
     neg_scores = _blocked_scores(store, flat_negs).reshape(m, n)
 
     if frozen_weights is None:
-        weights = _masked_weights(neg_scores, negatives.valid, config.adversarial_temperature)
+        weights = adversarial_weights(neg_scores, config.adversarial_temperature,
+                                      negatives.valid)
     else:
         weights = np.where(negatives.valid, frozen_weights, 0.0)
 

@@ -85,16 +85,6 @@ def _clamp_batch_size(g: KnowledgeGraph, b: int) -> int:
     return b
 
 
-def sample_sr(g: KnowledgeGraph, policy: SamplerPolicy, rng=None) -> Minibatch:
-    """b distinct train triples, uniformly without replacement."""
-    if g.n_train == 0:
-        raise ValueError("cannot sample from an empty train split")
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = _clamp_batch_size(g, policy.batch_size)
-    ids = rng.choice(g.n_train, size=b, replace=False)
-    return Minibatch(positives=g.train[ids], provenance=policy)
-
-
 def _random_walk(g: KnowledgeGraph, b: int, rng,
                  restart_probability: float = 0.0,
                  restart_target: str = "start_node",
@@ -109,8 +99,6 @@ def _random_walk(g: KnowledgeGraph, b: int, rng,
     restart anchor). Returns (triple ids in collection order, visited vertex
     ids in first-visit order, number of fresh restarts).
     """
-    if g.n_train == 0:
-        raise ValueError("cannot walk an empty train split")
     draw = itertools.chain.from_iterable(    # uniforms on [0, 1), a chunk at a time
         rng.random(_UNIFORM_CHUNK).tolist() for _ in itertools.count()).__next__
     indptr, adj = g.adj_indptr, g.adj_indices
@@ -161,53 +149,6 @@ def _random_walk(g: KnowledgeGraph, b: int, rng,
     return np.asarray(order, dtype=np.int64), np.asarray(visited, dtype=np.int64), restarts
 
 
-def sample_rw(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, start_entity=None) -> Minibatch:
-    """Plain random walk; positives are the walk's triples in collection order."""
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = _clamp_batch_size(g, policy.batch_size)
-    order, _, restarts = _random_walk(g, b, rng, start_entity=start_entity)
-    return Minibatch(positives=g.train[order], provenance=policy, restarts=restarts)
-
-
-def sample_rwr(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, start_entity=None) -> Minibatch:
-    """Random walk that jumps back to the restart target between steps."""
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = _clamp_batch_size(g, policy.batch_size)
-    order, _, restarts = _random_walk(g, b, rng, policy.restart_probability,
-                                      policy.restart_target, start_entity)
-    return Minibatch(positives=g.train[order], provenance=policy, restarts=restarts)
-
-
-def sample_rwisg(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, start_entity=None) -> Minibatch:
-    """Random walk, then the train subgraph induced by the visited vertices."""
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = _clamp_batch_size(g, policy.batch_size)
-    _, visited, restarts = _random_walk(g, b, rng, start_entity=start_entity)
-    return Minibatch(positives=induced_subgraph(g, visited), provenance=policy,
-                     restarts=restarts)
-
-
-def sample_rwisg_n(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, start_entity=None) -> Minibatch:
-    """Induced subgraph plus random extra incident triples of visited vertices.
-
-    For each visited vertex v, ceil(fraction * degree(v)) incident triples
-    are drawn without replacement, limited by the per-vertex cap. Positives
-    with extras come sorted by (s, r, o).
-    """
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = _clamp_batch_size(g, policy.batch_size)
-    _, visited, restarts = _random_walk(g, b, rng, start_entity=start_entity)
-    positives = induced_subgraph(g, visited)
-    extra = g.adj_indices[_extra_slots(g, visited, policy.extra_neighbor_fraction,
-                                       policy.extra_neighbor_cap, rng)]
-    if len(extra):
-        rows = np.concatenate([positives, g.train[extra]])
-        keys = _pack(rows[:, 0], rows[:, 1], rows[:, 2], g.n_entities, g.n_relations)
-        order = np.argsort(keys)
-        positives = rows[order[np.diff(keys[order], prepend=-1) > 0]]   # keys are >= 0
-    return Minibatch(positives=positives, provenance=policy, restarts=restarts)
-
-
 def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: int,
                  rng) -> np.ndarray:
     """Adjacency slots of ``rwisg_n``'s extra triples: a uniform k-subset per run.
@@ -229,21 +170,39 @@ def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: i
     return slots[by_key[rank < np.repeat(k, counts)]]
 
 
-_SAMPLERS = {
-    "sr": sample_sr,
-    "rw": sample_rw,
-    "rwr": sample_rwr,
-    "rwisg": sample_rwisg,
-    "rwisg_n": sample_rwisg_n,
-}
+def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
+                     start_entity=None) -> Minibatch:
+    """Draw one minibatch with the sampler named by ``policy.kind``.
 
-
-def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None, **kwargs) -> Minibatch:
-    """Dispatch to the sampler named by ``policy.kind``."""
-    fn = _SAMPLERS[policy.kind]
+    ``sr`` takes b distinct train triples uniformly without replacement and
+    ignores ``start_entity``. Every walk kind makes one ``_random_walk``
+    (restarting only under ``rwr``): ``rw``/``rwr`` keep the walk's triples in
+    collection order, ``rwisg`` the train subgraph induced by the visited
+    vertices, and ``rwisg_n`` adds to that, for each visited vertex v,
+    ceil(fraction * degree(v)) incident triples drawn without replacement up
+    to the per-vertex cap. Positives with extras come sorted by (s, r, o).
+    """
+    if g.n_train == 0:
+        raise ValueError("cannot sample from an empty train split")
+    rng = np.random.default_rng(policy.seed) if rng is None else rng
+    b = _clamp_batch_size(g, policy.batch_size)
     if policy.kind == "sr":
-        kwargs.pop("start_entity", None)
-    return fn(g, policy, rng=rng, **kwargs)
+        return Minibatch(positives=g.train[rng.choice(g.n_train, size=b, replace=False)],
+                         provenance=policy)
+    p = policy.restart_probability if policy.kind == "rwr" else 0.0
+    walk, visited, restarts = _random_walk(g, b, rng, p, policy.restart_target, start_entity)
+    if policy.kind in ("rw", "rwr"):
+        return Minibatch(positives=g.train[walk], provenance=policy, restarts=restarts)
+    positives = induced_subgraph(g, visited)
+    if policy.kind == "rwisg_n":
+        extra = g.adj_indices[_extra_slots(g, visited, policy.extra_neighbor_fraction,
+                                           policy.extra_neighbor_cap, rng)]
+        if len(extra):
+            rows = np.concatenate([positives, g.train[extra]])
+            keys = _pack(rows[:, 0], rows[:, 1], rows[:, 2], g.n_entities, g.n_relations)
+            order = np.argsort(keys)
+            positives = rows[order[np.diff(keys[order], prepend=-1) > 0]]   # keys are >= 0
+    return Minibatch(positives=positives, provenance=policy, restarts=restarts)
 
 
 def batches_per_epoch(g: KnowledgeGraph, policy: SamplerPolicy) -> int:

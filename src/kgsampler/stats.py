@@ -95,6 +95,37 @@ def expected_degree_of_batch(m: Minibatch) -> float:
     return expected_degree(minibatch_degree_distribution(m))
 
 
+def sweep_points(g: KnowledgeGraph, policies, batch_sizes, batches_per_point: int,
+                 seed: int = 0):
+    """Yield ``(policy at batch size b, per-batch histograms)`` per grid point.
+
+    Points run policy-major. Each draws ``batches_per_point`` independent
+    batches from its own generator, the next child spawned from
+    ``SeedSequence(seed)``.
+    """
+    if batches_per_point < 30:
+        raise ValueError("batches_per_point must be >= 30 for a usable standard error")
+    ss = np.random.SeedSequence(seed)
+    for policy in policies:
+        for b in batch_sizes:
+            rng = np.random.default_rng(ss.spawn(1)[0])
+            pol = dataclasses.replace(policy, batch_size=b)
+            yield pol, [minibatch_degree_distribution(sample_minibatch(g, pol, rng=rng))
+                        for _ in range(batches_per_point)]
+
+
+def sweep_row(policy: SamplerPolicy, histograms) -> dict:
+    """Mean E[D] of one grid point's batches and its standard error, as a sweep CSV row."""
+    eds = np.array([expected_degree(h) for h in histograms])
+    return {
+        "policy": policy.kind,
+        "batch_size": policy.batch_size,
+        "expected_degree": float(eds.mean()),
+        "std_error": float(eds.std(ddof=1) / np.sqrt(len(eds))),
+        "num_batches": len(eds),
+    }
+
+
 def ed_vs_batchsize_sweep(
     g: KnowledgeGraph,
     policies,
@@ -107,26 +138,8 @@ def ed_vs_batchsize_sweep(
     Each point averages ``batches_per_point`` independent batches. Returns
     rows shaped for the sweep CSV schema.
     """
-    if batches_per_point < 30:
-        raise ValueError("batches_per_point must be >= 30 for a usable standard error")
-    rows = []
-    ss = np.random.SeedSequence(seed)
-    for policy in policies:
-        for b in batch_sizes:
-            rng = np.random.default_rng(ss.spawn(1)[0])
-            pol = dataclasses.replace(policy, batch_size=b)
-            eds = np.array([
-                expected_degree_of_batch(sample_minibatch(g, pol, rng=rng))
-                for _ in range(batches_per_point)
-            ])
-            rows.append({
-                "policy": pol.kind,
-                "batch_size": b,
-                "expected_degree": float(eds.mean()),
-                "std_error": float(eds.std(ddof=1) / np.sqrt(len(eds))),
-                "num_batches": batches_per_point,
-            })
-    return rows
+    return [sweep_row(pol, hists)
+            for pol, hists in sweep_points(g, policies, batch_sizes, batches_per_point, seed)]
 
 
 SWEEP_FIELDS = ["policy", "batch_size", "expected_degree", "std_error", "num_batches"]

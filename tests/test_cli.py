@@ -1,11 +1,21 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from kgsampler import trainer
 from kgsampler.cli import main, resolve_config, ConfigError
+from kgsampler.graph import load_dataset
+from kgsampler.samplers import SamplerPolicy
 from kgsampler.scorers import load_checkpoint
+from kgsampler.stats import (
+    averaged_distribution,
+    distribution_rows,
+    ed_vs_batchsize_sweep,
+    sweep_points,
+)
 
 
 @pytest.fixture
@@ -108,6 +118,19 @@ class TestTrainCommand:
         assert code == 1
         assert "loss.negs" in capsys.readouterr().err
 
+    def test_nonfinite_loss_writes_failed_batch(self, tmp_path, toy_dataset, monkeypatch):
+        def nan_loss(g, store, m, config, rng):
+            return float("nan"), None
+        monkeypatch.setattr(trainer, "minibatch_loss_and_grads", nan_loss)
+        code, run_dir = run_training(tmp_path, toy_dataset)
+        assert code == 3
+        with open(os.path.join(run_dir, "failed_batch.json")) as fh:
+            failed = json.load(fh)
+        assert set(failed) == {"epoch", "batch"}
+        assert failed["epoch"] == 1
+        assert len(failed["batch"]) == 128 and all(len(t) == 3 for t in failed["batch"])
+        assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
+
     def test_missing_dataset_exits_data_error(self, tmp_path):
         code = main(["train", "--dataset", "no-such-dataset",
                      "--data-root", str(tmp_path)])
@@ -171,7 +194,7 @@ class TestStatsCommand:
     def test_csv_outputs(self, tmp_path, toy_dataset):
         out = str(tmp_path / "stats")
         code = main(["stats", "--dataset", toy_dataset, "--samplers", "sr,rw",
-                     "--batch-sizes", "32", "--num-batches", "5", "--out", out])
+                     "--batch-sizes", "32", "--num-batches", "30", "--out", out])
         assert code == 0
         sweep = open(os.path.join(out, "expected_degree.csv")).read().splitlines()
         assert sweep[0] == "policy,batch_size,expected_degree,std_error,num_batches"
@@ -179,13 +202,32 @@ class TestStatsCommand:
         dist = open(os.path.join(out, "degree_distributions.csv")).read().splitlines()
         assert dist[0] == "policy,batch_size,degree,probability"
 
-    def test_single_batch(self, tmp_path, toy_dataset):
+    def test_single_batch(self, tmp_path, toy_dataset, capsys):
+        # a one-batch sweep has no standard error; the sweep needs 30 batches
         out = str(tmp_path / "stats1")
         code = main(["stats", "--dataset", toy_dataset, "--samplers", "sr",
                      "--batch-sizes", "16", "--num-batches", "1", "--out", out])
-        assert code == 0
-        rows = open(os.path.join(out, "expected_degree.csv")).read().splitlines()
-        assert rows[1].endswith(",1")
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_csvs_equal_the_library_sweep(self, tmp_path, toy_dataset):
+        out = str(tmp_path / "stats")
+        kinds, sizes, n, seed = ["sr", "rwr", "rwisg_n"], [16, 64], 30, 5
+        assert main(["stats", "--dataset", toy_dataset, "--samplers", ",".join(kinds),
+                     "--batch-sizes", "16,64", "--num-batches", str(n), "--seed", str(seed),
+                     "--out", out]) == 0
+        g = load_dataset(toy_dataset)
+        policies = [SamplerPolicy(kind=k, seed=seed) for k in kinds]
+        rows = ed_vs_batchsize_sweep(g, policies, sizes, n, seed=seed)
+        dists = [row for pol, hists in sweep_points(g, policies, sizes, n, seed=seed)
+                 for row in distribution_rows(pol, pol.batch_size, averaged_distribution(hists))]
+        with open(os.path.join(out, "expected_degree.csv")) as fh:
+            got = list(csv.DictReader(fh))
+        assert got == [{k: str(v) for k, v in row.items()} for row in rows]
+        with open(os.path.join(out, "degree_distributions.csv")) as fh:
+            got = list(csv.DictReader(fh))
+        assert got == [{k: str(v) for k, v in row.items()} for row in dists]
 
 
 class TestVizCommand:

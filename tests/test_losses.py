@@ -20,7 +20,7 @@ from kgsampler.losses import (
     softmargin_loss_and_grads,
     vanilla_loss_and_grads,
 )
-from kgsampler.samplers import Minibatch, SamplerPolicy, sample_sr
+from kgsampler.samplers import Minibatch, SamplerPolicy, sample_minibatch
 from kgsampler.scorers import MODEL_KINDS, EmbeddingStore, initialize, score, score_gradient
 from kgsampler.synth import random_graph
 
@@ -115,6 +115,16 @@ class TestAdversarialWeights:
         w_perm = adversarial_weights(scores[perm], alpha=0.7)
         np.testing.assert_allclose(w_perm, w[perm], atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_mask_restricts_softmax_to_valid(self, alpha):
+        scores = np.array([[1.0, 9.0, -2.0, 0.5], [3.0, 1.0, 2.0, 0.0]])
+        valid = np.array([[True, False, True, True], [False, False, False, False]])
+        w = adversarial_weights(scores, alpha, valid)
+        np.testing.assert_array_equal(w[0, 1], 0.0)
+        np.testing.assert_allclose(w[0, valid[0]], adversarial_weights(scores[0, valid[0]], alpha),
+                                   atol=1e-15)
+        np.testing.assert_array_equal(w[1], 0.0)
+
 
 class TestSoftmarginLoss:
     def test_log2_at_margin(self):
@@ -151,7 +161,7 @@ class TestSoftmarginLoss:
         store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=0)
         rng = np.random.default_rng(5)
         config = LossConfig(margin=2.0, negatives_per_positive=8)
-        m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=16, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=16, seed=1))
         loss, _ = vanilla_loss_and_grads(g, store, m, config, rng)
         assert loss >= 0
 
@@ -352,7 +362,7 @@ class TestNeighborsLoss:
         nl_config = LossConfig(neighbors_loss_enabled=True, neighbor_cap=0, **base)
         v_config = LossConfig(neighbors_loss_enabled=False, **base)
         for seed in range(10):
-            m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=20, seed=seed))
+            m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20, seed=seed))
             nl, _ = neighbors_loss_and_grads(g, store, m, nl_config,
                                              np.random.default_rng(seed))
             vl, _ = vanilla_loss_and_grads(g, store, m, v_config,
@@ -391,7 +401,7 @@ class TestNeighborsLoss:
     def test_dispatch(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "transe", 4, seed=38)
-        m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=8, seed=2))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=8, seed=2))
         cfg_on = LossConfig(neighbors_loss_enabled=True, negatives_per_positive=2,
                             filtered_negatives=False)
         cfg_off = LossConfig(neighbors_loss_enabled=False, negatives_per_positive=2,

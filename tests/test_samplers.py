@@ -13,11 +13,6 @@ from kgsampler.samplers import (
     batches_per_epoch,
     epoch_iterator,
     sample_minibatch,
-    sample_rw,
-    sample_rwisg,
-    sample_rwisg_n,
-    sample_rwr,
-    sample_sr,
     to_dot,
 )
 from kgsampler.synth import random_graph
@@ -42,45 +37,45 @@ class TestSimplyRandom:
     def test_full_batch_is_train_split(self, small_random_graph):
         g = small_random_graph
         policy = SamplerPolicy(kind="sr", batch_size=g.n_train, seed=1)
-        m = sample_sr(g, policy)
+        m = sample_minibatch(g, policy)
         assert as_set(m.positives) == as_set(g.train)
 
     def test_small_batch_distinct_and_contained(self, small_random_graph):
         g = small_random_graph
-        m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=3, seed=2))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=3, seed=2))
         assert len(m) == 3
         assert len(as_set(m.positives)) == 3
         assert as_set(m.positives) <= as_set(g.train)
 
     def test_clamp_with_warning(self, chain3, caplog):
         with caplog.at_level("WARNING"):
-            m = sample_sr(chain3, SamplerPolicy(kind="sr", batch_size=50, seed=0))
+            m = sample_minibatch(chain3, SamplerPolicy(kind="sr", batch_size=50, seed=0))
         assert len(m) == chain3.n_train
         assert any("clamp" in r.message for r in caplog.records)
 
     def test_empty_graph_rejected(self):
         g = from_id_triples([], n_entities=1, n_relations=1)
         with pytest.raises(ValueError):
-            sample_sr(g, SamplerPolicy(kind="sr", batch_size=1))
+            sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=1))
 
 
 class TestRandomWalk:
     def test_path_graph_chain_order(self, path5):
         policy = SamplerPolicy(kind="rw", batch_size=4, seed=0)
-        m = sample_rw(path5, policy, start_entity=0)
+        m = sample_minibatch(path5, policy, start_entity=0)
         assert m.positives.tolist() == [[0, 0, 1], [1, 0, 2], [2, 0, 3], [3, 0, 4]]
         assert m.restarts == 0
 
     def test_single_step(self, star6):
-        m = sample_rw(star6, SamplerPolicy(kind="rw", batch_size=1, seed=3),
-                      start_entity=0)
+        m = sample_minibatch(star6, SamplerPolicy(kind="rw", batch_size=1, seed=3),
+                             start_entity=0)
         assert len(m) == 1
         s, _, o = m.positives[0]
         assert 0 in (s, o)
 
     def test_connected_without_stall(self):
         g = random_graph(n_entities=40, n_relations=2, n_triples=300, seed=5)
-        m = sample_rw(g, SamplerPolicy(kind="rw", batch_size=30, seed=9))
+        m = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=30, seed=9))
         assert m.restarts == 0
         # walk triples form one weakly connected component
         verts = m.vertex_set
@@ -100,7 +95,7 @@ class TestRandomWalk:
 
     def test_containment(self, small_random_graph):
         g = small_random_graph
-        m = sample_rw(g, SamplerPolicy(kind="rw", batch_size=20, seed=11))
+        m = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=20, seed=11))
         assert as_set(m.positives) <= as_set(g.train)
         assert len(as_set(m.positives)) == len(m)
 
@@ -119,7 +114,7 @@ class TestWalkStep:
         for seed in range(3000):
             policy = SamplerPolicy(kind="rwr", batch_size=5, restart_probability=1.0,
                                    restart_target="start_node", seed=seed)
-            m = sample_rwr(star6, policy, start_entity=0)
+            m = sample_minibatch(star6, policy, start_entity=0)
             assert m.restarts == 0
             assert len(as_set(m.positives)) == 5
             counts[int(m.positives[3, 2]), int(m.positives[4, 2])] += 1
@@ -129,8 +124,8 @@ class TestWalkStep:
         monkeypatch.setattr(samplers, "_WALK_TRIES", 0)
         g = small_random_graph
         policy = SamplerPolicy(kind="rw", batch_size=60, seed=12)
-        m = sample_rw(g, policy)
-        assert np.array_equal(m.positives, sample_rw(g, policy).positives)
+        m = sample_minibatch(g, policy)
+        assert np.array_equal(m.positives, sample_minibatch(g, policy).positives)
         assert len(as_set(m.positives)) == 60
         assert as_set(m.positives) <= as_set(g.train)
 
@@ -154,9 +149,9 @@ class TestWalkStep:
 class TestRandomWalkRestart:
     def test_zero_probability_equals_plain_walk(self, small_random_graph):
         g = small_random_graph
-        rw = sample_rw(g, SamplerPolicy(kind="rw", batch_size=15, seed=21))
-        rwr = sample_rwr(g, SamplerPolicy(kind="rwr", batch_size=15,
-                                          restart_probability=0.0, seed=21))
+        rw = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=15, seed=21))
+        rwr = sample_minibatch(g, SamplerPolicy(kind="rwr", batch_size=15,
+                                                    restart_probability=0.0, seed=21))
         assert np.array_equal(rw.positives, rwr.positives)
 
     def test_always_restart_stays_around_start(self):
@@ -166,39 +161,39 @@ class TestRandomWalkRestart:
         g = from_id_triples(triples, n_entities=12, n_relations=2)
         policy = SamplerPolicy(kind="rwr", batch_size=5, restart_probability=1.0,
                                restart_target="start_node", seed=4)
-        m = sample_rwr(g, policy, start_entity=0)
+        m = sample_minibatch(g, policy, start_entity=0)
         if m.restarts == 0:
             assert all(0 in (s, o) for s, _, o in m.positives)
 
     def test_star_all_spokes(self, star6):
         policy = SamplerPolicy(kind="rwr", batch_size=4, restart_probability=1.0,
                                restart_target="start_node", seed=8)
-        m = sample_rwr(star6, policy, start_entity=0)
+        m = sample_minibatch(star6, policy, start_entity=0)
         assert len(m) == 4
         assert all(s == 0 for s, _, o in m.positives)
 
     def test_uniform_previous_target(self, small_random_graph):
         policy = SamplerPolicy(kind="rwr", batch_size=10, restart_probability=0.3,
                                restart_target="uniform_previous", seed=17)
-        m = sample_rwr(small_random_graph, policy)
+        m = sample_minibatch(small_random_graph, policy)
         assert len(m) == 10
 
 
 class TestInducedSubgraphSamplers:
     def test_tree_equals_walk(self, path5):
         seed = 13
-        rw = sample_rw(path5, SamplerPolicy(kind="rw", batch_size=3, seed=seed))
-        isg = sample_rwisg(path5, SamplerPolicy(kind="rwisg", batch_size=3, seed=seed))
+        rw = sample_minibatch(path5, SamplerPolicy(kind="rw", batch_size=3, seed=seed))
+        isg = sample_minibatch(path5, SamplerPolicy(kind="rwisg", batch_size=3, seed=seed))
         assert as_set(rw.positives) == as_set(isg.positives)
 
     def test_triangle_closure(self, triangle):
         # any 2-edge walk visits all three vertices, closing the triangle
-        m = sample_rwisg(triangle, SamplerPolicy(kind="rwisg", batch_size=2, seed=0))
+        m = sample_minibatch(triangle, SamplerPolicy(kind="rwisg", batch_size=2, seed=0))
         assert as_set(m.positives) == {(0, 0, 1), (1, 0, 2), (2, 0, 0)}
 
     def test_closed_under_induction(self, small_random_graph):
         g = small_random_graph
-        m = sample_rwisg(g, SamplerPolicy(kind="rwisg", batch_size=25, seed=31))
+        m = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=25, seed=31))
         again = induced_subgraph(g, set(m.vertex_set.tolist()))
         assert as_set(m.positives) == as_set(again)
 
@@ -220,24 +215,24 @@ class TestInducedSubgraphSamplers:
 
     def test_rwisg_n_zero_fraction_equals_rwisg(self, small_random_graph):
         g = small_random_graph
-        isg = sample_rwisg(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=5))
-        n0 = sample_rwisg_n(g, SamplerPolicy(kind="rwisg_n", batch_size=20,
-                                             extra_neighbor_fraction=0.0, seed=5))
+        isg = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=5))
+        n0 = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=20,
+                                                     extra_neighbor_fraction=0.0, seed=5))
         assert np.array_equal(isg.positives, n0.positives)
 
     def test_rwisg_n_full_fraction_star(self, star6):
         policy = SamplerPolicy(kind="rwisg_n", batch_size=1,
                                extra_neighbor_fraction=1.0, seed=2)
-        m = sample_rwisg_n(star6, policy, start_entity=0)
+        m = sample_minibatch(star6, policy, start_entity=0)
         # the hub is visited, so all six spokes are drawn
         assert as_set(m.positives) == {(0, 0, i) for i in range(1, 7)}
 
     def test_sandwich_with_shared_walk(self, small_random_graph):
         g = small_random_graph
         seed = 77
-        rw = sample_rw(g, SamplerPolicy(kind="rw", batch_size=20, seed=seed))
-        isg = sample_rwisg(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=seed))
-        isg_n = sample_rwisg_n(g, SamplerPolicy(kind="rwisg_n", batch_size=20, seed=seed))
+        rw = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=20, seed=seed))
+        isg = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=seed))
+        isg_n = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=20, seed=seed))
         assert as_set(rw.positives) <= as_set(isg.positives)
         assert as_set(isg.positives) <= as_set(isg_n.positives)
 
@@ -276,7 +271,7 @@ class TestExtraNeighbors:
                             n_entities=30, n_relations=3)
         policy = SamplerPolicy(kind="rwisg_n", batch_size=15, extra_neighbor_fraction=0.3,
                                extra_neighbor_cap=3, seed=seed)
-        m = sample_rwisg_n(g, policy)
+        m = sample_minibatch(g, policy)
         rng = np.random.default_rng(seed)
         _, visited, _ = samplers._random_walk(g, 15, rng)
         drawn = g.train[g.adj_indices[samplers._extra_slots(g, visited, 0.3, 3, rng)]]
@@ -345,12 +340,12 @@ class TestPolicyValidation:
 class TestDotExport:
     def test_edge_count_matches_batch(self, small_random_graph):
         g = small_random_graph
-        m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=7, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=7, seed=1))
         dot = to_dot(m, g)
         assert dot.startswith("digraph")
         assert dot.count("->") == 7
 
     def test_ids_without_graph(self, chain3):
-        m = sample_sr(chain3, SamplerPolicy(kind="sr", batch_size=3, seed=1))
+        m = sample_minibatch(chain3, SamplerPolicy(kind="sr", batch_size=3, seed=1))
         dot = to_dot(m)
         assert '"e0"' in dot

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgsampler.samplers import Minibatch, SamplerPolicy, sample_sr
+from kgsampler.samplers import Minibatch, SamplerPolicy, sample_minibatch
 from kgsampler.stats import (
     DegreeHistogram,
     averaged_distribution,
@@ -48,7 +48,7 @@ class TestMinibatchDistribution:
     def test_matches_naive_count(self):
         g = random_graph(n_entities=50, n_relations=3, n_triples=400, seed=2)
         for seed in range(5):
-            m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=60, seed=seed))
+            m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=60, seed=seed))
             h = minibatch_degree_distribution(m)
             naive = {}
             for v in set(m.positives[:, 0]) | set(m.positives[:, 2]):
@@ -81,7 +81,7 @@ class TestAveragedDistribution:
         g = random_graph(n_entities=60, n_relations=2, n_triples=500, seed=4)
         hists = [
             minibatch_degree_distribution(
-                sample_sr(g, SamplerPolicy(kind="sr", batch_size=50, seed=s)))
+                sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=50, seed=s)))
             for s in range(20)
         ]
         lhs = expected_degree(averaged_distribution(hists))
@@ -148,7 +148,7 @@ class TestSweep:
 
         from kgsampler.stats import distribution_rows
         h = minibatch_degree_distribution(
-            sample_sr(g, SamplerPolicy(kind="sr", batch_size=20, seed=0)))
+            sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20, seed=0)))
         dist_path = tmp_path / "dist.csv"
         write_distribution_csv(distribution_rows(policy, 20, h), str(dist_path))
         with open(dist_path) as fh:

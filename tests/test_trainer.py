@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
-from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_sr
+from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_minibatch
 from kgsampler.scorers import EmbeddingStore, initialize
 from kgsampler.stats import expected_degree_of_batch
 from kgsampler.synth import planted_toy_graph, random_graph
@@ -106,7 +106,7 @@ class TestTrain:
     def test_updates_touch_only_gradient_rows(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "transe", 4, seed=3)
-        m = sample_sr(g, SamplerPolicy(kind="sr", batch_size=8, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=8, seed=1))
         config = small_config(g)
         rng = np.random.default_rng(0)
         _, grads = minibatch_loss_and_grads(g, store, m, config.loss_config, rng)
@@ -201,7 +201,7 @@ class TestVarianceProbe:
     def test_stub_sampler_zero_variance(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
-        fixed = sample_sr(g, SamplerPolicy(kind="sr", batch_size=10, seed=9))
+        fixed = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=10, seed=9))
         report = gradient_variance_probe(
             g, store, small_config(g), num_batches=5, sample_batch=lambda: fixed)
         assert len(report.entity_ids) > 0
