@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -290,6 +291,15 @@ def _load_graph(args):
         {"dataset": {"name": args.dataset, "root": args.data_root or ""}}))
 
 
+@contextmanager
+def _flag_error(flag: str):
+    """Re-raise a ValueError from the value of ``flag`` as a ConfigError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def cmd_stats(args) -> int:
     g = _load_graph(args)
 
@@ -304,21 +314,24 @@ def cmd_stats(args) -> int:
         print(f"median degree: {np.median(degs):.0f}")
         return 0
 
+    # every argument is checked before the first line of output
+    with _flag_error("--samplers"):
+        policies = [SamplerPolicy(kind=k, seed=args.seed) for k in args.samplers.split(",")]
+    with _flag_error("--batch-sizes"):   # SamplerPolicy checks each size
+        batch_sizes = [SamplerPolicy(batch_size=int(b)).batch_size
+                       for b in args.batch_sizes.split(",")]
+    with _flag_error("--num-batches"):
+        points = sweep_points(g, policies, batch_sizes, args.num_batches, args.seed)
+
     sweep_rows, dist_rows = [], []
     print(f"{'policy':<10}{'batch_size':>12}{'E[D]':>10}{'std_err':>10}")
-    try:  # every ValueError here comes from an argument: a kind, a size or the batch count
-        policies = [SamplerPolicy(kind=k, seed=args.seed) for k in args.samplers.split(",")]
-        batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-        for policy, hists in sweep_points(g, policies, batch_sizes, args.num_batches,
-                                          args.seed):
-            row = sweep_row(policy, hists)
-            sweep_rows.append(row)
-            dist_rows.extend(distribution_rows(policy, policy.batch_size,
-                                               averaged_distribution(hists)))
-            print(f"{row['policy']:<10}{row['batch_size']:>12}"
-                  f"{row['expected_degree']:>10.3f}{row['std_error']:>10.4f}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for policy, hists in points:
+        row = sweep_row(policy, hists)
+        sweep_rows.append(row)
+        dist_rows.extend(distribution_rows(policy, policy.batch_size,
+                                           averaged_distribution(hists)))
+        print(f"{row['policy']:<10}{row['batch_size']:>12}"
+              f"{row['expected_degree']:>10.3f}{row['std_error']:>10.4f}")
 
     os.makedirs(args.out, exist_ok=True)
     write_sweep_csv(sweep_rows, os.path.join(args.out, "expected_degree.csv"))

@@ -12,12 +12,12 @@ Ranks are exact: they equal the ranks a brute-force loop over
 three steps.
 
 1. **Screen.** One query row per distinct ``(s, r)`` (object side) or
-   ``(r, o)`` (subject side) pair of the block, and one GEMM ``Q @ E.T``
-   of all of them against every entity row. DistMult and ComplEx scores
-   are such dot products. TransE and RotatE scores are distances
-   ``-||x - e||``, screened as ``-sqrt(||x||² + ||e||² - 2 x·e)``; on
-   the subject side RotatE's query is the object rotated back (the
-   inverse rotation). Each screen value ``S`` comes with a proven bound
+   ``(r, o)`` (subject side) pair of the block, built by
+   :func:`scorers.query_rows`, and one GEMM ``Q @ E.T`` of all of them
+   against every entity row. DistMult and ComplEx scores are such dot
+   products. TransE and RotatE scores are distances ``-||x - e||``,
+   screened as ``-sqrt(||x||² + ||e||² - 2 x·e)``; on the subject side
+   RotatE's query is the object rotated back (the inverse rotation). Each screen value ``S`` comes with a proven bound
    ``B`` on ``|S - X|``, where ``X`` is the candidate's ``score_triples``
    value (derivation in :func:`_screen`).
 2. **Refine.** With ``T`` the target's own ``score_triples`` value, a
@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .scorers import EmbeddingStore, _halves, _rotations, score_triples
+from .scorers import (DISTANCE_MODELS, UNIT_ROUNDOFF, EmbeddingStore, query_rows,
+                      score_triples)
 
 HITS_KS = (1, 3, 10)
 PROTOCOLS = ("raw", "filtered")
@@ -53,7 +54,6 @@ PROTOCOLS = ("raw", "filtered")
 # FB15k-237-shaped graph.
 QUERY_BLOCK = 64
 
-_U = 2.0 ** -53                        # unit roundoff of float64
 _TINY = np.finfo(np.float64).tiny      # smallest normal float64, 2⁻¹⁰²²
 _NORM_CAP = 2.0 ** 500                 # larger norms are treated as infinite
 SAFETY = 4.0                           # the bound's factor over the derived error
@@ -61,7 +61,7 @@ SAFETY = 4.0                           # the bound's factor over the derived err
 
 def _gamma(n: int) -> float:
     """Higham's γₙ = nu / (1 - nu): the relative error of n roundings."""
-    return n * _U / (1.0 - n * _U)
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
 @dataclass
@@ -111,50 +111,6 @@ def _row_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _queries(store: EmbeddingStore, spo: np.ndarray, side: int):
-    """Screen query rows for ranking column ``side`` (0 or 2) of each row of ``spo``.
-
-    Returns ``(q, q_abs, eps)``. ``q @ e`` is the screened dot product with
-    entity row ``e``: the score itself for DistMult and ComplEx, the cross
-    term of the distance for TransE and RotatE. ``q_abs`` bounds, entry by
-    entry, the absolute values the query is built from (see
-    :func:`_screen`). ``eps`` bounds ``|cos² + sin² - 1|`` of RotatE's
-    rotations, 0 for the other models.
-    """
-    kind = store.model_kind
-    fixed = store.entities[spo[:, 2 - side]]
-    eps = 0.0
-    if kind == "rotate":
-        cos, sin = _rotations(store, spo[:, 1])
-        x, y = _halves(fixed)
-        if side == 2:   # the rotated subject
-            q = np.concatenate([x * cos - y * sin, x * sin + y * cos], axis=1)
-        else:           # the object under the inverse rotation
-            q = np.concatenate([x * cos + y * sin, y * cos - x * sin], axis=1)
-        q_abs = np.concatenate([np.abs(x) * np.abs(cos) + np.abs(y) * np.abs(sin),
-                                np.abs(x) * np.abs(sin) + np.abs(y) * np.abs(cos)], axis=1)
-        eps = float(np.max(np.abs(cos * cos + sin * sin - 1.0))) + 4 * _U
-        return q, q_abs, eps
-    wr = store.relations[spo[:, 1]]
-    if kind == "transe":
-        q = fixed + wr if side == 2 else fixed - wr
-        return q, np.abs(fixed) + np.abs(wr), eps
-    if kind == "distmult":
-        q = fixed * wr
-        return q, np.abs(q), eps
-    if kind == "complex":
-        p, r = _halves(wr)
-        x, y = _halves(fixed)
-        if side == 2:   # subject x + iy: score = c·(px - ry) + d·(py + rx)
-            q = np.concatenate([p * x - r * y, p * y + r * x], axis=1)
-        else:           # object x + iy: score = a·(px + ry) + b·(py - rx)
-            q = np.concatenate([p * x + r * y, p * y - r * x], axis=1)
-        q_abs = np.concatenate([np.abs(p) * np.abs(x) + np.abs(r) * np.abs(y),
-                                np.abs(p) * np.abs(y) + np.abs(r) * np.abs(x)], axis=1)
-        return q, q_abs, eps
-    raise ValueError(kind)
-
-
 def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
             entity_sq: np.ndarray, entity_norms: np.ndarray) -> tuple:
     """Screen scores ``S`` of every entity for each query row, and their bounds.
@@ -164,15 +120,17 @@ def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
     entity_bound)`` bounds ``|S - X|`` for the candidate's
     ``score_triples`` value ``X`` wherever ``B`` is finite.
 
-    Derivation. Let u = 2⁻⁵³, γₙ = nu / (1 - nu), w the entity row width,
-    e a candidate row and x the candidate's score in exact real arithmetic
-    on the same float inputs (for RotatE, on the cos/sin that
-    ``score_triples`` uses, which :func:`scorers._rotations` provides to
-    both paths). A sum of products, each carrying at most n roundings
-    along its way into the sum, differs from its exact value by at most γₙ
-    times the sum of the products' absolute values, whatever the summation
-    order and whether FMA is used (Higham, Accuracy and Stability of
-    Numerical Algorithms, Lemma 3.1 and eq. 3.5).
+    ``q``, ``q_abs`` and ``eps`` are the rows of :func:`scorers.query_rows`.
+
+    Derivation. Let u = 2⁻⁵³ (``scorers.UNIT_ROUNDOFF``), γₙ = nu / (1 - nu),
+    w the entity row width, e a candidate row and x the candidate's score
+    in exact real arithmetic on the same float inputs (for RotatE, on the
+    cos/sin that ``score_triples`` uses: ``query_rows`` takes them from the
+    same per-relation table). A sum of products, each carrying at most n
+    roundings along its way into the sum, differs from its exact value by
+    at most γₙ times the sum of the products' absolute values, whatever
+    the summation order and whether FMA is used (Higham, Accuracy and
+    Stability of Numerical Algorithms, Lemma 3.1 and eq. 3.5).
 
     * DistMult and ComplEx: ``X`` and ``S`` are both such sums of the
       products of x (s·r·o, or the four terms of ComplEx). Their roundings
@@ -206,7 +164,7 @@ def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
     w = q.shape[1]
     entities = store.entities
     q_norms = _norms(_row_sq(q_abs), w)
-    if store.model_kind in ("transe", "rotate"):
+    if store.model_kind in DISTANCE_MODELS:
         with np.errstate(invalid="ignore", over="ignore"):
             # -2 scales exactly; S = -sqrt(max(||q||² + ||e||² - 2 q·e, 0))
             s = (-2.0 * q) @ entities.T
@@ -258,7 +216,7 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
     for side in sides:
         fixed = spo[:, [1, 2] if side == 0 else [0, 1]]
         _, first, inv = np.unique(fixed, axis=0, return_index=True, return_inverse=True)
-        built.append(_queries(store, spo[first], side))
+        built.append(query_rows(store, spo[first], side))
         inverses.append(inv.reshape(-1))
     screen, query_bound, entity_bound, combine = _screen(
         store, np.concatenate([b[0] for b in built]), np.concatenate([b[1] for b in built]),

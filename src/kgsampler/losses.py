@@ -27,6 +27,8 @@ from .scorers import EmbeddingStore, score_gradients, score_triples
 
 log = logging.getLogger(__name__)
 
+_CORRUPT_RETRIES = 100   # redraw rounds before a colliding negative is marked invalid
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -147,13 +149,13 @@ def sigmoid(x):
 
 
 def corrupt_batch(g: KnowledgeGraph, positives: np.ndarray, n: int,
-                  filtered: bool, rng, max_retries: int = 100) -> NegativeBatch:
+                  filtered: bool, rng) -> NegativeBatch:
     """Corrupt each positive n times by replacing head or tail (fair coin).
 
     Replacement entities are uniform over all entities except the original.
     With ``filtered`` on, candidates found among the known triples (the
     graph's ``spo_keys`` over train/valid/test) are re-drawn; entries still
-    colliding after ``max_retries`` rounds are marked invalid and a warning
+    colliding after ``_CORRUPT_RETRIES`` rounds are marked invalid and a warning
     is logged.
     """
     if g.n_entities < 2:
@@ -184,7 +186,7 @@ def corrupt_batch(g: KnowledgeGraph, positives: np.ndarray, n: int,
             return g.contains_triples(check)
 
         pending = colliding()
-        for _ in range(max_retries):
+        for _ in range(_CORRUPT_RETRIES):
             rows, cols = np.nonzero(pending)
             if len(rows) == 0:
                 break

@@ -66,7 +66,6 @@ class Minibatch:
     """A sampled set of positive training triples."""
 
     positives: np.ndarray          # (m, 3) int64, in collection order, no duplicates
-    provenance: SamplerPolicy
     restarts: int = 0              # fresh-restart count of the underlying walk
 
     def __len__(self):
@@ -187,12 +186,11 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     rng = np.random.default_rng(policy.seed) if rng is None else rng
     b = _clamp_batch_size(g, policy.batch_size)
     if policy.kind == "sr":
-        return Minibatch(positives=g.train[rng.choice(g.n_train, size=b, replace=False)],
-                         provenance=policy)
+        return Minibatch(positives=g.train[rng.choice(g.n_train, size=b, replace=False)])
     p = policy.restart_probability if policy.kind == "rwr" else 0.0
     walk, visited, restarts = _random_walk(g, b, rng, p, policy.restart_target, start_entity)
     if policy.kind in ("rw", "rwr"):
-        return Minibatch(positives=g.train[walk], provenance=policy, restarts=restarts)
+        return Minibatch(positives=g.train[walk], restarts=restarts)
     positives = induced_subgraph(g, visited)
     if policy.kind == "rwisg_n":
         extra = g.adj_indices[_extra_slots(g, visited, policy.extra_neighbor_fraction,
@@ -202,7 +200,7 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
             keys = _pack(rows[:, 0], rows[:, 1], rows[:, 2], g.n_entities, g.n_relations)
             order = np.argsort(keys)
             positives = rows[order[np.diff(keys[order], prepend=-1) > 0]]   # keys are >= 0
-    return Minibatch(positives=positives, provenance=policy, restarts=restarts)
+    return Minibatch(positives=positives, restarts=restarts)
 
 
 def batches_per_epoch(g: KnowledgeGraph, policy: SamplerPolicy) -> int:
@@ -225,7 +223,7 @@ def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng=None):
         perm = rng.permutation(g.n_train)
         for i in range(n_batches):
             ids = perm[i * b:(i + 1) * b]
-            yield Minibatch(positives=g.train[ids], provenance=policy)
+            yield Minibatch(positives=g.train[ids])
     else:
         for _ in range(n_batches):
             yield sample_minibatch(g, policy, rng=rng)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MODEL_KINDS = ("transe", "distmult", "complex", "rotate")
+DISTANCE_MODELS = ("transe", "rotate")   # scores are -||query - candidate||
+UNIT_ROUNDOFF = 2.0 ** -53               # of float64
 
 _CKPT_MAGIC = b"KGSCKPT1"
 
@@ -203,70 +205,70 @@ def score_gradient(store: EmbeddingStore, t) -> ScoreGradient:
     return ScoreGradient(d_subject=ds[0], d_relation=dr[0], d_object=do[0])
 
 
-def score_against_all_objects(store: EmbeddingStore, s: int, r: int) -> np.ndarray:
-    """score(s, r, o) for every entity o, with shared subexpressions."""
-    _check_ids(store, np.array([[s, r, 0]], dtype=np.int64))
-    E = store.entities
-    es = E[s]
-    wr = store.relations[r]
-    kind = store.model_kind
+def query_rows(store: EmbeddingStore, spo: np.ndarray, side: int):
+    """Query rows for scoring every entity in column ``side`` (0 or 2) of each row of ``spo``.
 
-    if kind == "transe":
-        return -np.linalg.norm((es + wr) - E, axis=1)
-    if kind == "distmult":
-        return E @ (es * wr)
-    if kind == "complex":
-        a, b = _halves(es)
-        p, q = _halves(wr)
-        u_re = p * a - q * b
-        u_im = p * b + q * a
-        C, D = _halves(E)
-        return C @ u_re + D @ u_im
+    Returns ``(q, q_abs, eps)``. For DistMult and ComplEx the score with
+    entity row ``e`` in that column is ``q @ e``; for the
+    ``DISTANCE_MODELS`` it is ``-||q - e||`` (on RotatE's subject side up
+    to the rotation's rounding, see ``eps``). ``q_abs`` bounds, entry by
+    entry, the absolute values the query is built from, for the error
+    bound of ``evaluation._screen``. ``eps`` bounds ``|cos² + sin² - 1|``
+    of RotatE's rotations, 0 for the other models.
+    """
+    kind = store.model_kind
+    fixed = store.entities[spo[:, 2 - side]]
+    eps = 0.0
     if kind == "rotate":
-        a, b = _halves(es)
-        cos, sin = np.cos(wr), np.sin(wr)
-        rot_re = a * cos - b * sin
-        rot_im = a * sin + b * cos
-        C, D = _halves(E)
-        return -np.sqrt(((C - rot_re) ** 2 + (D - rot_im) ** 2).sum(axis=1))
+        cos, sin = _rotations(store, spo[:, 1])
+        x, y = _halves(fixed)
+        if side == 2:   # the rotated subject
+            q = np.concatenate([x * cos - y * sin, x * sin + y * cos], axis=1)
+        else:           # the object under the inverse rotation
+            q = np.concatenate([x * cos + y * sin, y * cos - x * sin], axis=1)
+        q_abs = np.concatenate([np.abs(x) * np.abs(cos) + np.abs(y) * np.abs(sin),
+                                np.abs(x) * np.abs(sin) + np.abs(y) * np.abs(cos)], axis=1)
+        eps = float(np.max(np.abs(cos * cos + sin * sin - 1.0))) + 4 * UNIT_ROUNDOFF
+        return q, q_abs, eps
+    wr = store.relations[spo[:, 1]]
+    if kind == "transe":
+        q = fixed + wr if side == 2 else fixed - wr
+        return q, np.abs(fixed) + np.abs(wr), eps
+    if kind == "distmult":
+        q = fixed * wr
+        return q, np.abs(q), eps
+    if kind == "complex":
+        p, r = _halves(wr)
+        x, y = _halves(fixed)
+        if side == 2:   # subject x + iy: score = c·(px - ry) + d·(py + rx)
+            q = np.concatenate([p * x - r * y, p * y + r * x], axis=1)
+        else:           # object x + iy: score = a·(px + ry) + b·(py - rx)
+            q = np.concatenate([p * x + r * y, p * y - r * x], axis=1)
+        q_abs = np.concatenate([np.abs(p) * np.abs(x) + np.abs(r) * np.abs(y),
+                                np.abs(p) * np.abs(y) + np.abs(r) * np.abs(x)], axis=1)
+        return q, q_abs, eps
     raise ValueError(kind)
+
+
+def _score_all(store: EmbeddingStore, t, side: int) -> np.ndarray:
+    """Scores of triple ``t`` with column ``side`` replaced by every entity."""
+    spo = np.array([t], dtype=np.int64)
+    _check_ids(store, spo)
+    q = query_rows(store, spo, side)[0][0]
+    if store.model_kind in DISTANCE_MODELS:
+        d = store.entities - q
+        return -np.sqrt(np.einsum("ij,ij->i", d, d))
+    return store.entities @ q
+
+
+def score_against_all_objects(store: EmbeddingStore, s: int, r: int) -> np.ndarray:
+    """score(s, r, o) for every entity o."""
+    return _score_all(store, (s, r, 0), 2)
 
 
 def score_against_all_subjects(store: EmbeddingStore, r: int, o: int) -> np.ndarray:
     """score(s, r, o) for every entity s."""
-    _check_ids(store, np.array([[0, r, o]], dtype=np.int64))
-    E = store.entities
-    wr = store.relations[r]
-    eo = E[o]
-    kind = store.model_kind
-
-    if kind == "transe":
-        return -np.linalg.norm(E - (eo - wr), axis=1)
-    if kind == "distmult":
-        return E @ (wr * eo)
-    if kind == "complex":
-        p, q = _halves(wr)
-        c, d = _halves(eo)
-        v_re = p * c + q * d
-        v_im = q * c - p * d
-        A, B = _halves(E)
-        return A @ v_re - B @ v_im
-    if kind == "rotate":
-        c, d = _halves(eo)
-        cos, sin = np.cos(wr), np.sin(wr)
-        t_re = c * cos + d * sin
-        t_im = d * cos - c * sin
-        A, B = _halves(E)
-        return -np.sqrt(((A - t_re) ** 2 + (B - t_im) ** 2).sum(axis=1))
-    raise ValueError(kind)
-
-
-def relation_coefficient_modulus(store: EmbeddingStore, r: int) -> np.ndarray:
-    """Modulus of the effective complex relation coefficients (rotate)."""
-    if store.model_kind != "rotate":
-        raise ValueError("modulus is defined for the rotation model only")
-    wr = store.relations[r]
-    return np.sqrt(np.cos(wr) ** 2 + np.sin(wr) ** 2)
+    return _score_all(store, (0, r, o), 0)
 
 
 @contextmanager

@@ -97,21 +97,21 @@ def expected_degree_of_batch(m: Minibatch) -> float:
 
 def sweep_points(g: KnowledgeGraph, policies, batch_sizes, batches_per_point: int,
                  seed: int = 0):
-    """Yield ``(policy at batch size b, per-batch histograms)`` per grid point.
+    """Iterator of ``(policy at batch size b, per-batch histograms)`` per grid point.
 
-    Points run policy-major. Each draws ``batches_per_point`` independent
-    batches from its own generator, the next child spawned from
+    The arguments are checked on the call, before any batch is drawn. Points
+    run policy-major. Each draws ``batches_per_point`` independent batches
+    from its own generator, the next child spawned from
     ``SeedSequence(seed)``.
     """
+    grid = [dataclasses.replace(policy, batch_size=b) for policy in policies for b in batch_sizes]
     if batches_per_point < 30:
-        raise ValueError("batches_per_point must be >= 30 for a usable standard error")
-    ss = np.random.SeedSequence(seed)
-    for policy in policies:
-        for b in batch_sizes:
-            rng = np.random.default_rng(ss.spawn(1)[0])
-            pol = dataclasses.replace(policy, batch_size=b)
-            yield pol, [minibatch_degree_distribution(sample_minibatch(g, pol, rng=rng))
-                        for _ in range(batches_per_point)]
+        raise ValueError(f"got {batches_per_point} batches per point; a usable standard "
+                         "error needs at least 30")
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    return ((pol, [minibatch_degree_distribution(sample_minibatch(g, pol, rng=rng))
+                   for _ in range(batches_per_point)])
+            for pol, rng in zip(grid, map(np.random.default_rng, children)))
 
 
 def sweep_row(policy: SamplerPolicy, histograms) -> dict:

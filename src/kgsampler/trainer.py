@@ -87,15 +87,21 @@ class SparseAdam:
             ids, G = rowgrads.ids, rowgrads.rows
             t = st["t"][ids] + 1
             st["t"][ids] = t
-            m = self.b1 * st["m"][ids] + (1 - self.b1) * G
-            v = self.b2 * st["v"][ids] + (1 - self.b2) * G * G
-            st["m"][ids] = m
-            st["v"][ids] = v
-            bc1 = 1.0 - self.b1 ** t
-            bc2 = 1.0 - self.b2 ** t
-            m_hat = m / bc1[:, None]
-            v_hat = v / bc2[:, None]
-            params[ids] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, in the operation order of m = b1·m + (1-b1)·G,
+            # v = b2·v + (1-b2)·G·G and lr·m̂ / (√v̂ + eps), so the bits are kept
+            m, v = st["m"][ids], st["v"][ids]
+            m *= self.b1
+            m += G * (1 - self.b1)
+            v *= self.b2
+            v += (G * (1 - self.b2)) * G
+            st["m"][ids], st["v"][ids] = m, v
+            step = m / (1.0 - self.b1 ** t)[:, None]
+            step *= self.lr
+            v /= (1.0 - self.b2 ** t)[:, None]
+            np.sqrt(v, out=v)
+            v += self.eps
+            step /= v
+            params[ids] -= step
 
 
 def make_optimizer(store: EmbeddingStore, config: TrainConfig):

@@ -253,7 +253,7 @@ def test_criterion_05_gradient_correctness():
             grads))
 
         from kgsampler.samplers import Minibatch
-        m = Minibatch(positives=graph.train[:3], provenance=SamplerPolicy())
+        m = Minibatch(positives=graph.train[:3])
         nl = LossConfig(margin=1.0, negatives_per_positive=4,
                         adversarial_temperature=0.0, filtered_negatives=False,
                         neighbors_loss_enabled=True, neighbor_cap=4)
@@ -377,7 +377,8 @@ def test_criterion_09_desk_scale_learning():
 def test_criterion_10_full_scale_runs_documented_not_run():
     readme = os.path.join(REPO_ROOT, "README.md")
     assert os.path.isfile(readme), "README.md missing"
-    text = open(readme, encoding="utf-8").read().lower()
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read().lower()
     assert "db100k" in text, "README must document the full-scale commands"
     assert "rwisg_n" in text
     assert "0.396" in text and "0.296" in text, \

@@ -18,6 +18,11 @@ from kgsampler.stats import (
 )
 
 
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.fixture
 def toy_dataset(tmp_path):
     out = tmp_path / "toy"
@@ -86,12 +91,12 @@ class TestTrainCommand:
         for fname in ("manifest.json", "train_log.jsonl", "last.ckpt", "best.ckpt",
                       "entities.tsv", "relations.tsv"):
             assert os.path.isfile(os.path.join(run_dir, fname)), fname
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(read_text(os.path.join(run_dir, "manifest.json")))
         assert manifest["config"]["train"]["epochs"] == 2
         assert manifest["config"]["loss"]["negatives"] == 8
         assert "train.txt" in manifest["dataset_fingerprint"]
         assert "started_at" in manifest and "finished_at" in manifest
-        log_lines = open(os.path.join(run_dir, "train_log.jsonl")).read().splitlines()
+        log_lines = read_text(os.path.join(run_dir, "train_log.jsonl")).splitlines()
         assert len(log_lines) == 2
         records = [json.loads(line) for line in log_lines]
         assert "valid" not in records[0]  # eval_every=2: only epoch 2 is evaluated
@@ -196,10 +201,10 @@ class TestStatsCommand:
         code = main(["stats", "--dataset", toy_dataset, "--samplers", "sr,rw",
                      "--batch-sizes", "32", "--num-batches", "30", "--out", out])
         assert code == 0
-        sweep = open(os.path.join(out, "expected_degree.csv")).read().splitlines()
+        sweep = read_text(os.path.join(out, "expected_degree.csv")).splitlines()
         assert sweep[0] == "policy,batch_size,expected_degree,std_error,num_batches"
         assert len(sweep) == 3
-        dist = open(os.path.join(out, "degree_distributions.csv")).read().splitlines()
+        dist = read_text(os.path.join(out, "degree_distributions.csv")).splitlines()
         assert dist[0] == "policy,batch_size,degree,probability"
 
     def test_single_batch(self, tmp_path, toy_dataset, capsys):
@@ -209,6 +214,20 @@ class TestStatsCommand:
                      "--batch-sizes", "16", "--num-batches", "1", "--out", out])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, value", [("--num-batches", "3"),
+                                             ("--batch-sizes", "64,0"),
+                                             ("--samplers", "sr,bogus")])
+    def test_usage_error_names_the_flag_before_any_output(self, tmp_path, toy_dataset,
+                                                          capsys, flag, value):
+        out = str(tmp_path / "stats")
+        code = main(["stats", "--dataset", toy_dataset, "--samplers", "sr",
+                     "--batch-sizes", "16", "--num-batches", "30", "--out", out, flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {flag}" in captured.err
         assert not os.path.exists(out)
 
     def test_csvs_equal_the_library_sweep(self, tmp_path, toy_dataset):
@@ -236,7 +255,7 @@ class TestVizCommand:
         code = main(["viz", "--dataset", toy_dataset, "--sampler", "sr",
                      "--batch-size", "16", "--output", out])
         assert code == 0
-        text = open(out).read()
+        text = read_text(out)
         assert text.startswith("digraph")
         assert text.count("->") == 16
 

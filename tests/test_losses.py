@@ -26,11 +26,9 @@ from kgsampler.synth import random_graph
 
 from conftest import known_triples
 
-POLICY = SamplerPolicy(kind="sr", batch_size=4, seed=0)
-
 
 def make_batch(rows):
-    return Minibatch(positives=np.asarray(rows, dtype=np.int64), provenance=POLICY)
+    return Minibatch(positives=np.asarray(rows, dtype=np.int64))
 
 
 def corrupt(g, t, n: int, filtered: bool, rng) -> list:

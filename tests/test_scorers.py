@@ -8,7 +8,7 @@ from kgsampler.scorers import (
     EmbeddingStore,
     initialize,
     load_checkpoint,
-    relation_coefficient_modulus,
+    query_rows,
     row_widths,
     save_checkpoint,
     score,
@@ -144,6 +144,25 @@ class TestVectorizedAgreement:
         for s in range(store.n_entities):
             assert vec[s] == pytest.approx(score(store, (s, 2, 7)), abs=1e-12)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_both_sides_match_score_triples(self, kind):
+        """Scaled RotatE phases, and on each side a candidate at the query point."""
+        store = random_store(kind, 6, n_entities=30, seed=16)
+        if kind == "rotate":
+            store.relations *= 37.5
+        s, r, o = 3, 2, 7
+        t = np.array([[s, r, o]])
+        planted = {2: 11, 0: 12}   # side -> the candidate put at that side's query point
+        for side, e in planted.items():
+            store.entities[e] = query_rows(store, t, side)[0][0]
+        for side, got in ((2, score_against_all_objects(store, s, r)),
+                          (0, score_against_all_subjects(store, r, o))):
+            rows = np.repeat(t, store.n_entities, axis=0)
+            rows[:, side] = np.arange(store.n_entities)
+            np.testing.assert_allclose(got, score_triples(store, rows), rtol=0, atol=1e-12)
+            if kind in ("transe", "rotate"):   # a distance of 0
+                assert abs(got[planted[side]]) < 1e-12
+
     def test_batch_scores_match_scalar(self):
         store = random_store("rotate", 4, seed=11)
         rng = np.random.default_rng(1)
@@ -218,19 +237,19 @@ class TestModelProperties:
                         rng.integers(store.n_entities, size=50)], axis=1)
         assert np.all(score_triples(store, spo) <= 0)
 
-    def test_rotate_unit_modulus(self):
-        store = random_store("rotate", 8, seed=14)
-        store.relations *= 37.5  # arbitrary rescaling of stored phases
-        for r in range(store.n_relations):
-            np.testing.assert_allclose(relation_coefficient_modulus(store, r), 1.0,
-                                       atol=1e-12)
-
     def test_out_of_range_ids(self):
         store = random_store("transe", 3, seed=15)
         with pytest.raises(IndexError):
             score(store, (0, 0, 99))
-        with pytest.raises(IndexError):
-            score_against_all_objects(store, 0, 99)
+        for bad in (99, -1):
+            with pytest.raises(IndexError):
+                score_against_all_objects(store, 0, bad)    # relation
+            with pytest.raises(IndexError):
+                score_against_all_subjects(store, bad, 0)   # relation
+            with pytest.raises(IndexError):
+                score_against_all_objects(store, bad, 0)    # subject
+            with pytest.raises(IndexError):
+                score_against_all_subjects(store, 0, bad)   # object
 
 
 class TestInitialize:

@@ -17,11 +17,9 @@ from kgsampler.stats import (
 )
 from kgsampler.synth import random_graph
 
-POLICY = SamplerPolicy(kind="sr", batch_size=4, seed=0)
-
 
 def batch(rows):
-    return Minibatch(positives=np.asarray(rows, dtype=np.int64), provenance=POLICY)
+    return Minibatch(positives=np.asarray(rows, dtype=np.int64))
 
 
 class TestMinibatchDistribution:

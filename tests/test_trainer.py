@@ -75,6 +75,44 @@ class TestSparseAdam:
         assert opt.state["entities"]["t"][1] == 0
         assert np.all(opt.state["relations"]["t"] == 0)
 
+    def test_steps_bitwise_equal_the_textbook_formula(self):
+        """Rows touched in several steps, rows never touched, gradients across 6 decades."""
+        rng = np.random.default_rng(3)
+        store = initialize(6, 3, "complex", 2, seed=4)
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        opt = SparseAdam(store, lr, b1, b2, eps)
+        ref = {name: {"p": arr.copy(), "m": np.zeros_like(arr), "v": np.zeros_like(arr),
+                      "t": np.zeros(len(arr), dtype=np.int64)}
+               for name, arr in (("entities", store.entities), ("relations", store.relations))}
+
+        def rowgrads(ids):
+            rows = rng.normal(size=(len(ids), 4)) * 10.0 ** rng.uniform(-3, 3, size=(len(ids), 1))
+            return RowGrads(np.array(ids), rows)
+
+        for ent_ids, rel_ids in (([0, 2, 3], [1]), ([0, 3], [1]), ([2, 4], [0, 1]),
+                                 ([0, 2, 3, 4], [1]), ([3], [0])):
+            grads = SparseGrads(entities=rowgrads(ent_ids), relations=rowgrads(rel_ids))
+            opt.step(store, grads)
+            for name, rg in (("entities", grads.entities), ("relations", grads.relations)):
+                st, ids, G = ref[name], rg.ids, rg.rows
+                t = st["t"][ids] + 1
+                st["t"][ids] = t
+                m = b1 * st["m"][ids] + (1 - b1) * G
+                v = b2 * st["v"][ids] + (1 - b2) * G * G
+                st["m"][ids] = m
+                st["v"][ids] = v
+                m_hat = m / (1.0 - b1 ** t)[:, None]
+                v_hat = v / (1.0 - b2 ** t)[:, None]
+                st["p"][ids] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        for name, params in (("entities", store.entities), ("relations", store.relations)):
+            assert np.array_equal(params, ref[name]["p"])
+            for key in ("m", "v", "t"):
+                assert np.array_equal(opt.state[name][key], ref[name][key])
+        untouched = initialize(6, 3, "complex", 2, seed=4)
+        assert np.array_equal(store.entities[[1, 5]], untouched.entities[[1, 5]])
+        assert np.array_equal(store.relations[2], untouched.relations[2])
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_store(self, small_random_graph):
