@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -144,6 +145,60 @@ class TestWalkStep:
         order, _, _ = samplers._random_walk(g, b, np.random.default_rng(3))
         monkeypatch.undo()
         assert np.array_equal(order, samplers._random_walk(g, b, np.random.default_rng(3))[0])
+
+
+GOLDEN_BATCHES, GOLDEN_WALKS = [1, 64, 1024], [None, 0, 7]
+
+
+def loops_graph():
+    """Self-loops, three components and an isolated entity 7: walks from 7
+    stall at once, and b = 64 or 1024 is clamped to the 12 train triples."""
+    triples = [(0, 0, 0), (0, 0, 1), (1, 0, 2), (2, 1, 2), (2, 0, 3), (3, 1, 0),
+               (4, 0, 5), (5, 1, 5), (5, 0, 6), (6, 1, 4), (8, 0, 9), (9, 1, 9)]
+    return from_id_triples(triples, n_entities=10, n_relations=2)
+
+
+def sparse_graph():
+    """20 of 2000 entities hold triples, so fresh starts often miss 200 draws
+    and take the exact pick among the open vertices."""
+    ring = [(i, 0, (i + 1) % 20) for i in range(20)]
+    chords = [(i, 1, (7 * i + 3) % 20) for i in range(20) if (7 * i + 3) % 20 != i]
+    return from_id_triples(ring + chords, n_entities=2000, n_relations=2)
+
+
+class TestGoldenStream:
+    """sha256 of every walk kind's output over a fixed grid of seeds, batch
+    sizes and starts. A change to the walk that keeps its random stream keeps
+    these digests; one that changes the stream must say so and re-record them."""
+
+    GRAPHS = {"random": lambda: random_graph(2000, 20, 30000, seed=0), "loops": loops_graph,
+              "sparse": sparse_graph}
+    DIGESTS = {
+        "loops": ("65442bec093e6f980f5572747967e0f27d470e0242fda36ce33b659426f30a5b",
+                  "3e8d2573725a82e77f1e8a28a662ce58bc4b1ca423bb30795ab7994fffa9512a"),
+        "random": ("7a76ef7b913dc279bca45a551dc3226ef044f9b702f7d0c79f6afa248f45ef0c",
+                   "6ae5cb3463dd64f771186c7a1734c054ec381e9d223aa25e0b6e276baca08b1f"),
+        "sparse": ("0a443fecb92a72c7b287ed99ab40fdb59dd28ee05195e9ec95f5b898b53bb1b1",
+                   "053613fe0f23d88eed422bbc3b55b50c5f3e9d95e7f57fb26398f8c3961f80fa"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_batches_and_walks_equal_the_recorded_stream(self, name):
+        g = self.GRAPHS[name]()
+        batches, walks = hashlib.sha256(), hashlib.sha256()
+        grid = list(itertools.product(GOLDEN_BATCHES, GOLDEN_WALKS, range(3)))
+        for kind, target in itertools.product(samplers.SAMPLER_KINDS, samplers.RESTART_TARGETS):
+            for b, start, seed in grid:
+                policy = SamplerPolicy(kind=kind, batch_size=b, restart_probability=0.3,
+                                       restart_target=target, seed=seed)
+                m = sample_minibatch(g, policy, start_entity=start)
+                batches.update(m.positives.tobytes() + b"%d;" % m.restarts)
+        for p, target in itertools.product((0.0, 0.3), samplers.RESTART_TARGETS):
+            for b, start, seed in grid:
+                order, visited, restarts = samplers._random_walk(
+                    g, min(b, g.n_train), np.random.default_rng(seed), p, target, start)
+                walks.update(order.tobytes() + visited.tobytes() + b"%d;" % restarts)
+        assert (batches.hexdigest(), walks.hexdigest()) == self.DIGESTS[name]
 
 
 class TestRandomWalkRestart:
