@@ -235,9 +235,17 @@ def cmd_train(args) -> int:
             section, key = dotted.split(".")
             config[section][key] = value
 
+    try:    # bad values are usage errors, found before the dataset is read
+        tconf = _train_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    kind, dimension = config["model"]["kind"], config["model"]["dimension"]
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    if dimension < 1:
+        raise ConfigError("model.dimension must be >= 1")
     dataset_dir = resolve_dataset_dir(config)
     g = load_dataset(dataset_dir)
-    tconf = _train_config(config)
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = args.out or os.path.join(
@@ -247,8 +255,7 @@ def cmd_train(args) -> int:
     manifest = write_manifest(run_dir, config, dataset_dir)
     write_dictionaries(g, run_dir)
 
-    store = initialize(g.n_entities, g.n_relations, config["model"]["kind"],
-                       config["model"]["dimension"], seed=tconf.seed)
+    store = initialize(g.n_entities, g.n_relations, kind, dimension, seed=tconf.seed)
 
     best = {"mrr": -1.0, "epoch": 0}
     log_path = os.path.join(run_dir, "train_log.jsonl")

@@ -46,6 +46,8 @@ class LossConfig:
             raise ValueError("margin must be finite")
         if self.adversarial_temperature < 0:
             raise ValueError("adversarial temperature must be >= 0")
+        if self.neighbor_cap is not None and self.neighbor_cap < 0:
+            raise ValueError("neighbor_cap must be >= 0 (None = unlimited)")
 
 
 @dataclass

@@ -59,6 +59,8 @@ class SamplerPolicy:
             raise ValueError(f"restart_target must be one of {RESTART_TARGETS}")
         if not 0.0 <= self.extra_neighbor_fraction <= 1.0:
             raise ValueError("extra_neighbor_fraction must be in [0, 1]")
+        if self.extra_neighbor_cap < 0:
+            raise ValueError("extra_neighbor_cap must be >= 0")
 
 
 @dataclass
@@ -100,17 +102,21 @@ def _random_walk(g: KnowledgeGraph, b: int, rng,
     """
     draw = itertools.chain.from_iterable(    # uniforms on [0, 1), a chunk at a time
         rng.random(_UNIFORM_CHUNK).tolist() for _ in itertools.count()).__next__
-    indptr, adj = g.adj_indptr, g.adj_indices
-    heads, tails = g.train[:, 0], g.train[:, 2]
-    remaining = np.diff(indptr)            # open incident triples per vertex
+    # zero-copy views: indexing them gives Python ints, not numpy scalars
+    indptr, adj = memoryview(g.adj_indptr), memoryview(g.adj_indices)
+    heads, tails = memoryview(g.train[:, 0]), memoryview(g.train[:, 2])
+    remaining = memoryview(np.diff(g.adj_indptr))    # open incident triples per vertex
     collected = bytearray(g.n_train)
     seen = bytearray(g.n_entities)
     visited, order = [], []
     restarts = 0
     # -1: no start yet, so the first step takes a fresh start that is not counted
     current = anchor = -1 if start_entity is None else int(start_entity)
+    if current >= 0 and remaining[current]:
+        seen[current] = 1
+        visited.append(current)
 
-    while len(order) < b:
+    for _ in range(b):                     # each step collects one triple
         if current < 0 or not remaining[current]:
             restarts += current >= 0
             for _ in range(200):
@@ -121,26 +127,28 @@ def _random_walk(g: KnowledgeGraph, b: int, rng,
                 open_vertices = np.flatnonzero(remaining)
                 current = int(open_vertices[int(draw() * len(open_vertices))])
             anchor = current
-        lo = int(indptr[current])
-        n = int(indptr[current + 1]) - lo
+            if not seen[current]:
+                seen[current] = 1
+                visited.append(current)
+        lo = indptr[current]
+        n = indptr[current + 1] - lo
         for _ in range(_WALK_TRIES):
-            ti = int(adj[lo + int(draw() * n)])
+            ti = adj[lo + int(draw() * n)]
             if not collected[ti]:
                 break
         else:
-            incident = adj[lo:lo + n]
+            incident = g.adj_indices[lo:lo + n]
             open_ids = incident[~np.frombuffer(collected, dtype=bool)[incident]]
             ti = int(open_ids[int(draw() * len(open_ids))])
         collected[ti] = 1
         order.append(ti)
-        s, o = int(heads[ti]), int(tails[ti])
+        s, o = heads[ti], tails[ti]
         remaining[s] -= 1
         remaining[o] -= o != s                 # a self-loop holds one slot
-        for v in (current, o if current == s else s):
-            if not seen[v]:
-                seen[v] = 1
-                visited.append(v)
-        current = v                            # the triple's other endpoint
+        current = o if current == s else s     # the triple's other endpoint
+        if not seen[current]:
+            seen[current] = 1
+            visited.append(current)
         if restart_probability > 0.0 and draw() < restart_probability:
             current = (anchor if restart_target == "start_node"
                        else visited[int(draw() * len(visited))])
@@ -180,9 +188,12 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     vertices, and ``rwisg_n`` adds to that, for each visited vertex v,
     ceil(fraction * degree(v)) incident triples drawn without replacement up
     to the per-vertex cap. Positives with extras come sorted by (s, r, o).
+    A ``start_entity`` outside [0, n_entities) is a ValueError for every kind.
     """
     if g.n_train == 0:
         raise ValueError("cannot sample from an empty train split")
+    if start_entity is not None and not 0 <= start_entity < g.n_entities:
+        raise ValueError(f"start_entity {start_entity} is not an entity id in [0, {g.n_entities})")
     rng = np.random.default_rng(policy.seed) if rng is None else rng
     b = _clamp_batch_size(g, policy.batch_size)
     if policy.kind == "sr":

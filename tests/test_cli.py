@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from kgsampler import trainer
+from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.graph import load_dataset
 from kgsampler.samplers import SamplerPolicy
@@ -135,6 +135,27 @@ class TestTrainCommand:
         assert failed["epoch"] == 1
         assert len(failed["batch"]) == 128 and all(len(t) == 3 for t in failed["batch"])
         assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
+
+    def test_bad_sampler_value_is_a_usage_error_before_the_load(self, tmp_path, toy_dataset,
+                                                                capsys, monkeypatch):
+        def no_load(directory):
+            raise AssertionError("the dataset was loaded before the config was checked")
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        code, run_dir = run_training(tmp_path, toy_dataset,
+                                     ["--set", "sampler.restart_probability=2"])
+        assert code == 1
+        assert "config error: restart_probability" in capsys.readouterr().err
+        assert not os.path.exists(run_dir)
+
+    @pytest.mark.parametrize("setting", ["model.kind=foo", "model.dimension=0",
+                                         "loss.neighbor_cap=-1"])
+    def test_bad_model_or_loss_value_leaves_no_run_directory(self, tmp_path, toy_dataset,
+                                                             capsys, setting):
+        run_dir = str(tmp_path / "run")
+        code = main(["train", "--dataset", toy_dataset, "--out", run_dir, "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(run_dir)
 
     def test_missing_dataset_exits_data_error(self, tmp_path):
         code = main(["train", "--dataset", "no-such-dataset",

@@ -379,6 +379,11 @@ class TestNeighborsLoss:
         loss, grads = neighbors_loss_and_grads(star6, store, m, config, rng)
         assert np.isfinite(loss)
 
+    def test_negative_cap_rejected_none_unlimited(self):
+        with pytest.raises(ValueError, match="neighbor_cap"):
+            LossConfig(neighbor_cap=-1)
+        assert LossConfig(neighbor_cap=None).neighbor_cap is None
+
     def test_gradients_fd(self):
         g = self.chain()
         store = initialize(3, 1, "distmult", 3, seed=37)

@@ -391,6 +391,20 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             SamplerPolicy(restart_probability=1.5)
 
+    def test_negative_extra_cap(self):
+        with pytest.raises(ValueError, match="extra_neighbor_cap"):
+            SamplerPolicy(extra_neighbor_cap=-1)
+
+    @pytest.mark.parametrize("kind", ["sr", "rw", "rwisg_n"])
+    @pytest.mark.parametrize("start", [-1, -3, 30])
+    def test_start_entity_outside_the_entities(self, small_random_graph, kind, start):
+        policy = SamplerPolicy(kind=kind, batch_size=5, seed=0)
+        with pytest.raises(ValueError, match="start_entity"):
+            sample_minibatch(small_random_graph, policy, start_entity=start)
+        m = sample_minibatch(small_random_graph, policy,
+                             start_entity=small_random_graph.n_entities - 1)
+        assert len(m) >= 5
+
 
 class TestDotExport:
     def test_edge_count_matches_batch(self, small_random_graph):
