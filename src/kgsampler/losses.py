@@ -23,7 +23,8 @@ import numpy as np
 
 from .graph import KnowledgeGraph, neighbor_triple_ids
 from .samplers import Minibatch
-from .scorers import EmbeddingStore, score_gradients, score_triples
+from .scorers import (EmbeddingStore, check_ids, query_rows, query_rows_backward,
+                      query_score_grads, query_scores)
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +81,17 @@ class RowGrads:
 
 @dataclass(frozen=True)
 class SparseGrads:
-    """Gradients of a batch loss: one :class:`RowGrads` per embedding table."""
+    """Gradients of a batch loss: one :class:`RowGrads` per embedding table.
+
+    ``scored_rows`` counts the positives and valid negatives the loss
+    scored, ``exhausted_negatives`` the negatives that filtered corruption
+    could not draw (``~NegativeBatch.valid``).
+    """
 
     entities: RowGrads
     relations: RowGrads
+    scored_rows: int = 0
+    exhausted_negatives: int = 0
 
 
 # Rows per block of the loss's score and gradient passes: each block's
@@ -92,53 +100,35 @@ class SparseGrads:
 BLOCK_ROWS = 1024
 
 
-def _blocked_scores(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
-    """score_triples over ``spo``, one block of rows at a time."""
-    out = np.empty(len(spo))
-    for i in range(0, len(spo), BLOCK_ROWS):
-        out[i:i + BLOCK_ROWS] = score_triples(store, spo[i:i + BLOCK_ROWS])
-    return out
+def _query_blocks(rows: np.ndarray, head: np.ndarray, fixed: np.ndarray,
+                  rel: np.ndarray):
+    """Walk ``rows``, row ids sorted by query, in blocks of at most ``BLOCK_ROWS``.
 
-
-def _scatter_add(acc: np.ndarray, inv: np.ndarray, rows: np.ndarray) -> None:
-    """acc.reshape(-1, width)[inv] += rows, repeated indices summed in order.
-
-    A 1-D ``np.add.at`` over flat offsets; it adds the same values in the
-    same order as the 2-D form, and faster.
+    A row's query is (side, fixed entity, relation); the tail-side rows
+    (``head`` False) come first, and no block mixes the two sides. Yields
+    ``(block, side, starts, group)``: the block's row ids, the side of the
+    candidate (2 = object, 0 = subject), the offsets in ``block`` where a
+    query starts and each row's query number within the block. A query that
+    straddles a block boundary starts again in the next block.
     """
-    width = rows.shape[1]
-    np.add.at(acc, (inv[:, None] * width + np.arange(width)).ravel(), rows.ravel())
+    h, f, r = head[rows], fixed[rows], rel[rows]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (h[1:] != h[:-1]) | (f[1:] != f[:-1]) | (r[1:] != r[:-1])
+    n_tail = len(rows) - np.count_nonzero(h)
+    for side, lo, hi in ((2, 0, n_tail), (0, n_tail, len(rows))):
+        for i in range(lo, hi, BLOCK_ROWS):
+            j = min(i + BLOCK_ROWS, hi)
+            first = new[i:j].copy()
+            first[0] = True
+            yield rows[i:j], side, np.flatnonzero(first), np.cumsum(first) - 1
 
 
-def _blocked_gradients(store: EmbeddingStore, spo: np.ndarray,
-                       coefs: np.ndarray) -> SparseGrads:
-    """Sum ``coefs[i]`` times the score gradient of each row of ``spo``, per table.
-
-    Rows are walked in blocks of ``BLOCK_ROWS``: each block's partials are
-    scaled and scattered into flat per-table accumulators, so no partial of
-    the whole row set is ever held at once. Every row keeps its ids, even at
-    coefficient 0.
-    """
-    n = len(spo)
-    ew, rw = store.entities.shape[1], store.relations.shape[1]
-    # subjects occupy ent_inv[:n], objects ent_inv[n:]
-    ent_ids, ent_inv = np.unique(np.concatenate([spo[:, 0], spo[:, 2]]),
-                                 return_inverse=True)
-    rel_ids, rel_inv = np.unique(spo[:, 1], return_inverse=True)
-    ent_acc = np.zeros(len(ent_ids) * ew)
-    rel_acc = np.zeros(len(rel_ids) * rw)
-    for i in range(0, n, BLOCK_ROWS):
-        j = min(i + BLOCK_ROWS, n)
-        ds, dr, do = score_gradients(store, spo[i:j])
-        coef = coefs[i:j, None]
-        ds *= coef
-        dr *= coef
-        do *= coef
-        _scatter_add(ent_acc, ent_inv[i:j], ds)
-        _scatter_add(rel_acc, rel_inv[i:j], dr)
-        _scatter_add(ent_acc, ent_inv[n + i:n + j], do)
-    return SparseGrads(entities=RowGrads(ent_ids, ent_acc.reshape(-1, ew)),
-                       relations=RowGrads(rel_ids, rel_acc.reshape(-1, rw)))
+def _distinct(n: int, *ids) -> np.ndarray:
+    """Sorted distinct values of the id arrays ``ids``, all in [0, n)."""
+    seen = np.zeros(n, dtype=bool)
+    for a in ids:
+        seen[a] = True
+    return np.flatnonzero(seen)
 
 
 def log_sigmoid(x):
@@ -240,11 +230,18 @@ def softmargin_batch_loss_and_grads(
     neighbor-aware loss); ``frozen_weights`` overrides the adversarial
     weights (they are treated as constants either way).
 
-    Two passes, each over blocks of ``BLOCK_ROWS`` rows. The score pass
-    scores every positive and negative: the adversarial weights, and so
-    every gradient coefficient, need all of a positive's negative scores.
-    The gradient pass then runs once over the positives and the negatives
-    with a nonzero coefficient.
+    Every scored row is a pair (query, candidate): a positive or a
+    tail-corrupted negative scores its object against the query built from
+    (subject, relation), a head-corrupted negative its subject against the
+    query built from (object, relation). Rows are sorted by query once, so a
+    positive's negatives share one query row (see :func:`_query_blocks`).
+    Two passes walk them in blocks. The score pass scores every row: the
+    adversarial weights, and so every gradient coefficient, need all of a
+    positive's negative scores. The gradient pass then runs over the
+    positives and the negatives with a nonzero coefficient: candidate
+    gradients are scattered per row, query gradients summed per query and
+    mapped back to the fixed entity and the relation by
+    :func:`scorers.query_rows_backward`.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     m, n = negatives.valid.shape
@@ -252,9 +249,20 @@ def softmargin_batch_loss_and_grads(
         entry_weights = np.ones(m)
     gamma = config.margin
 
-    pos_scores = _blocked_scores(store, positives)
-    flat_negs = negatives.triples.reshape(-1, 3)
-    neg_scores = _blocked_scores(store, flat_negs).reshape(m, n)
+    spo = np.concatenate([positives, negatives.triples.reshape(-1, 3)])
+    check_ids(store, spo)
+    head = np.concatenate([np.zeros(m, dtype=bool), negatives.head_corrupted.reshape(-1)])
+    fixed = np.where(head, spo[:, 2], spo[:, 0])
+    cand = np.where(head, spo[:, 0], spo[:, 2])
+    rel = spo[:, 1]
+    order = np.lexsort((fixed, rel, head))
+
+    scores = np.empty(len(spo))
+    for block, side, starts, group in _query_blocks(order, head, fixed, rel):
+        q = query_rows(store, spo[block[starts]], side)[0]
+        scores[block] = query_scores(store, q[group], store.entities[cand[block]])
+    pos_scores = scores[:m]
+    neg_scores = scores[m:].reshape(m, n)
 
     if frozen_weights is None:
         weights = adversarial_weights(neg_scores, config.adversarial_temperature,
@@ -269,13 +277,39 @@ def softmargin_batch_loss_and_grads(
     # d loss / d score, including the per-entry scaling
     dpos = entry_weights * (-0.5) * sigmoid(gamma - pos_scores)
     dneg = (entry_weights[:, None] * 0.5 * weights * sigmoid(neg_scores - gamma)).reshape(-1)
+    coefs = np.concatenate([dpos, dneg])
 
     # Positives keep their rows even at coefficient 0; negatives only when
     # their weighted coefficient is nonzero.
-    touched = dneg != 0.0
-    grads = _blocked_gradients(store,
-                               np.concatenate([positives, flat_negs[touched]]),
-                               np.concatenate([dpos, dneg[touched]]))
+    touched = np.concatenate([np.ones(m, dtype=bool), dneg != 0.0])
+    rows = order[touched[order]]
+    ent_ids = _distinct(store.n_entities, fixed[rows], cand[rows])
+    rel_ids = _distinct(store.n_relations, rel[rows])
+    ew, rw = store.entities.shape[1], store.relations.shape[1]
+    ent_acc = np.zeros(len(ent_ids) * ew)
+    rel_acc = np.zeros(len(rel_ids) * rw)
+    # flat offsets of each id's first accumulator entry
+    ent_at = np.zeros(store.n_entities, dtype=np.int64)
+    ent_at[ent_ids] = np.arange(0, len(ent_acc), ew)
+    rel_at = np.zeros(store.n_relations, dtype=np.int64)
+    rel_at[rel_ids] = np.arange(0, len(rel_acc), rw)
+    ent_cols, rel_cols = np.arange(ew), np.arange(rw)
+    for block, side, starts, group in _query_blocks(rows, head, fixed, rel):
+        firsts = spo[block[starts]]
+        q = query_rows(store, firsts, side)[0]
+        dq, de = query_score_grads(store, q[group], store.entities[cand[block]],
+                                   coefs[block])
+        d_fixed, d_rel = query_rows_backward(store, firsts, side,
+                                             np.add.reduceat(dq, starts, axis=0))
+        # 1-D np.add.at over flat offsets: the same sums as the 2-D form, faster
+        np.add.at(ent_acc, (ent_at[cand[block], None] + ent_cols).ravel(), de.ravel())
+        np.add.at(ent_acc, (ent_at[firsts[:, 2 - side], None] + ent_cols).ravel(),
+                  d_fixed.ravel())
+        np.add.at(rel_acc, (rel_at[firsts[:, 1], None] + rel_cols).ravel(), d_rel.ravel())
+    grads = SparseGrads(entities=RowGrads(ent_ids, ent_acc.reshape(-1, ew)),
+                        relations=RowGrads(rel_ids, rel_acc.reshape(-1, rw)),
+                        scored_rows=m + int(np.count_nonzero(negatives.valid)),
+                        exhausted_negatives=int(np.count_nonzero(~negatives.valid)))
     return loss, grads
 
 

@@ -88,7 +88,11 @@ def initialize(n_entities: int, n_relations: int, model_kind: str, k: int,
     return EmbeddingStore(model_kind, k, entities, relations)
 
 
-def _check_ids(store: EmbeddingStore, spo: np.ndarray):
+def check_ids(store: EmbeddingStore, spo: np.ndarray):
+    """Raise IndexError unless every id of the (m, 3) triples ``spo`` indexes ``store``.
+
+    Runs before any fancy index, so a negative id never wraps around.
+    """
     if len(spo) == 0:
         return
     if spo[:, [0, 2]].max() >= store.n_entities or spo[:, [0, 2]].min() < 0:
@@ -122,7 +126,7 @@ def score_triples(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
     of the per-row formula, so scores do not depend on the other rows.
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
-    _check_ids(store, spo)
+    check_ids(store, spo)
     es = store.entities[spo[:, 0]]
     eo = store.entities[spo[:, 2]]
     kind = store.model_kind
@@ -156,47 +160,17 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
     """Per-triple analytic gradients.
 
     Returns (d_subject, d_relation, d_object) arrays of shape
-    (m, entity width) / (m, relation width). The norm-based models use the
-    zero subgradient at an exact match. ``rotate`` takes cos/sin from a
-    per-relation table, as :func:`score_triples` does.
+    (m, entity width) / (m, relation width). Each triple is one tail-side
+    query of :func:`query_rows` scored against its object: the partials of
+    :func:`query_scores` are mapped back through :func:`query_rows_backward`.
+    The norm-based models use the zero subgradient at an exact match.
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
-    _check_ids(store, spo)
-    es = store.entities[spo[:, 0]]
-    eo = store.entities[spo[:, 2]]
-    kind = store.model_kind
-
-    if kind == "rotate":
-        a, b = _halves(es)
-        c, d = _halves(eo)
-        cos, sin = _rotations(store, spo[:, 1])
-        re = a * cos - b * sin - c
-        im = a * sin + b * cos - d
-        n = np.sqrt(np.einsum("ij->i", re * re + im * im))[:, None]
-        inv = np.divide(-1.0, n, out=np.zeros_like(n), where=n > 0)
-        da = inv * (re * cos + im * sin)
-        db = inv * (-re * sin + im * cos)
-        dth = inv * (re * (-a * sin - b * cos) + im * (a * cos - b * sin))
-        dc = -inv * re
-        dd = -inv * im
-        return np.concatenate([da, db], axis=1), dth, np.concatenate([dc, dd], axis=1)
-    wr = store.relations[spo[:, 1]]
-    if kind == "transe":
-        diff = es + wr - eo
-        n = np.linalg.norm(diff, axis=1, keepdims=True)
-        unit = np.divide(diff, n, out=np.zeros_like(diff), where=n > 0)
-        return -unit, -unit.copy(), unit.copy()
-    if kind == "distmult":
-        return wr * eo, es * eo, es * wr
-    if kind == "complex":
-        a, b = _halves(es)
-        p, q = _halves(wr)
-        c, d = _halves(eo)
-        ds = np.concatenate([p * c + q * d, p * d - q * c], axis=1)
-        dr = np.concatenate([a * c + b * d, a * d - b * c], axis=1)
-        do = np.concatenate([p * a - q * b, p * b + q * a], axis=1)
-        return ds, dr, do
-    raise ValueError(kind)
+    check_ids(store, spo)
+    q = query_rows(store, spo, 2)[0]
+    dq, d_object = query_score_grads(store, q, store.entities[spo[:, 2]], np.ones(len(spo)))
+    d_subject, d_relation = query_rows_backward(store, spo, 2, dq)
+    return d_subject, d_relation, d_object
 
 
 def score_gradient(store: EmbeddingStore, t) -> ScoreGradient:
@@ -250,10 +224,76 @@ def query_rows(store: EmbeddingStore, spo: np.ndarray, side: int):
     raise ValueError(kind)
 
 
+def query_rows_backward(store: EmbeddingStore, spo: np.ndarray, side: int,
+                        dq: np.ndarray):
+    """Map gradients w.r.t. the query rows of :func:`query_rows` back to their inputs.
+
+    ``dq`` holds one gradient row per row of ``spo``. Returns
+    ``(d_fixed, d_relation)``: the gradients w.r.t. the entity row in column
+    ``2 - side`` and the relation row of each triple.
+    """
+    kind = store.model_kind
+    fixed = store.entities[spo[:, 2 - side]]
+    if kind == "rotate":
+        cos, sin = _rotations(store, spo[:, 1])
+        x, y = _halves(fixed)
+        u, v = _halves(dq)
+        if side == 2:   # q = (x cos - y sin, x sin + y cos)
+            d_fixed = np.concatenate([u * cos + v * sin, v * cos - u * sin], axis=1)
+            d_relation = u * (-x * sin - y * cos) + v * (x * cos - y * sin)
+        else:           # q = (x cos + y sin, y cos - x sin)
+            d_fixed = np.concatenate([u * cos - v * sin, u * sin + v * cos], axis=1)
+            d_relation = u * (y * cos - x * sin) - v * (x * cos + y * sin)
+        return d_fixed, d_relation
+    wr = store.relations[spo[:, 1]]
+    if kind == "transe":   # q = fixed ± wr
+        return dq, dq.copy() if side == 2 else -dq
+    if kind == "distmult":
+        return dq * wr, dq * fixed
+    if kind == "complex":
+        p, r = _halves(wr)
+        x, y = _halves(fixed)
+        u, v = _halves(dq)
+        if side == 2:   # q = (px - ry, py + rx)
+            return (np.concatenate([u * p + v * r, v * p - u * r], axis=1),
+                    np.concatenate([u * x + v * y, v * x - u * y], axis=1))
+        # q = (px + ry, py - rx)
+        return (np.concatenate([u * p - v * r, u * r + v * p], axis=1),
+                np.concatenate([u * x + v * y, u * y - v * x], axis=1))
+    raise ValueError(kind)
+
+
+def query_scores(store: EmbeddingStore, q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Score of each candidate entity row ``e[i]`` against query row ``q[i]``.
+
+    ``-||q - e||`` for the ``DISTANCE_MODELS``, ``q · e`` for the others.
+    """
+    if store.model_kind in DISTANCE_MODELS:
+        d = q - e
+        return -np.sqrt(np.einsum("ij,ij->i", d, d))
+    return np.einsum("ij,ij->i", q, e)
+
+
+def query_score_grads(store: EmbeddingStore, q: np.ndarray, e: np.ndarray,
+                      coef: np.ndarray):
+    """``coef[i]`` times the partials of :func:`query_scores` w.r.t. ``q[i]`` and ``e[i]``.
+
+    Returns ``(dq, de)``; the distance models use the zero subgradient
+    where ``q[i] == e[i]``.
+    """
+    if store.model_kind in DISTANCE_MODELS:
+        d = q - e
+        n = np.sqrt(np.einsum("ij,ij->i", d, d))
+        d *= np.divide(-coef, n, out=np.zeros_like(n), where=n > 0)[:, None]
+        return d, -d
+    c = coef[:, None]
+    return e * c, q * c
+
+
 def _score_all(store: EmbeddingStore, t, side: int) -> np.ndarray:
     """Scores of triple ``t`` with column ``side`` replaced by every entity."""
     spo = np.array([t], dtype=np.int64)
-    _check_ids(store, spo)
+    check_ids(store, spo)
     q = query_rows(store, spo, side)[0][0]
     if store.model_kind in DISTANCE_MODELS:
         d = store.entities - q

@@ -126,10 +126,12 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
     corrupts them, and applies one optimizer step per batch touching only
     the rows that received gradient. The logged ``mean_loss`` is the epoch
     loss per positive triple. Each record also counts the epoch's positives,
-    its smallest and largest batch, and the entity and relation rows that
-    received gradient and walk restarts, summed over batches, and the mean
-    E[D] of the batches. A non-finite loss aborts with the offending batch
-    attached to the raised :class:`NumericalError`.
+    its smallest and largest batch; summed over batches, the scored rows
+    (positives plus valid negatives), the negatives that filtered corruption
+    could not draw, the entity and relation rows that received gradient and
+    the walk restarts; and the mean E[D] of the batches. A non-finite loss
+    aborts with the offending batch attached to the raised
+    :class:`NumericalError`.
     """
     optimizer = make_optimizer(store, config)
     ss = np.random.SeedSequence(config.seed)
@@ -142,6 +144,7 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
         total_loss = 0.0
         batch_sizes = []
         entity_rows = relation_rows = restarts = degree_sum = 0
+        scored_rows = exhausted = 0
         for m in epoch_iterator(g, config.sampler_policy, rng=sample_rng):
             loss, grads = minibatch_loss_and_grads(g, store, m, config.loss_config,
                                                    corrupt_rng)
@@ -156,6 +159,8 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
                 _project_to_unit_ball(store, grads.entities.ids)
             total_loss += loss
             batch_sizes.append(len(m))
+            scored_rows += grads.scored_rows
+            exhausted += grads.exhausted_negatives
             entity_rows += len(grads.entities)
             relation_rows += len(grads.relations)
             restarts += m.restarts
@@ -169,6 +174,8 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
             "positives": positives,
             "batch_size_min": min(batch_sizes, default=0),
             "batch_size_max": max(batch_sizes, default=0),
+            "scored_rows": scored_rows,
+            "exhausted_negatives": exhausted,
             "entity_rows": entity_rows,
             "relation_rows": relation_rows,
             "restarts": restarts,

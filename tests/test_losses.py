@@ -15,6 +15,7 @@ from kgsampler.losses import (
     corrupt_batch,
     log_sigmoid,
     minibatch_loss_and_grads,
+    sigmoid,
     neighbors_loss_and_grads,
     softmargin_batch_loss_and_grads,
     softmargin_loss_and_grads,
@@ -303,6 +304,146 @@ class TestLossGradients:
             tracemalloc.stop()
         assert len(grads.entities) > 10000
         assert peak < 128 << 20
+
+
+def per_row_reference(store, positives, negs, config, frozen_weights=None):
+    """Batch loss and gradient rows, one ``score``/``score_gradient`` call per triple.
+
+    Follows the parent rule for touched rows: a positive's rows always, a
+    negative's only at a nonzero coefficient.
+    """
+    gamma = config.margin
+    loss = 0.0
+    ref = {"entities": {}, "relations": {}}
+
+    def add(t, coef):
+        d = score_gradient(store, t)
+        for table, row, vec in (("entities", t[0], d.d_subject),
+                                ("relations", t[1], d.d_relation),
+                                ("entities", t[2], d.d_object)):
+            ref[table][int(row)] = ref[table].get(int(row), 0.0) + coef * vec
+
+    for i, t in enumerate(positives):
+        neg_scores = np.array([score(store, neg) for neg in negs.triples[i]])
+        if frozen_weights is None:
+            w = adversarial_weights(neg_scores, config.adversarial_temperature, negs.valid[i])
+        else:
+            w = np.where(negs.valid[i], frozen_weights[i], 0.0)
+        pos_score = score(store, t)
+        loss -= 0.5 * (log_sigmoid(pos_score - gamma)
+                       + np.sum(w * log_sigmoid(gamma - neg_scores)))
+        add(t, -0.5 * sigmoid(gamma - pos_score))
+        for neg, wj, sj in zip(negs.triples[i], w, neg_scores):
+            coef = 0.5 * wj * sigmoid(sj - gamma)
+            if coef != 0.0:
+                add(neg, coef)
+    return loss, ref
+
+
+def assert_grads_match(grads, ref):
+    for table in ("entities", "relations"):
+        got = getattr(grads, table)
+        assert got.ids.tolist() == sorted(ref[table])
+        want = np.stack([ref[table][i] for i in sorted(ref[table])])
+        np.testing.assert_allclose(got.rows, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def query_keys(positives, negs):
+    """(side, fixed entity, relation) of every scored row."""
+    spo = np.concatenate([positives, negs.triples.reshape(-1, 3)])
+    head = np.concatenate([np.zeros(len(positives), dtype=bool),
+                           negs.head_corrupted.reshape(-1)])
+    return np.stack([head, np.where(head, spo[:, 2], spo[:, 0]), spo[:, 1]], axis=1)
+
+
+class TestSharedQueryPass:
+    """The sorted, blocked (query, candidate) pass against a per-row loop."""
+
+    def straddling(self, store_kind):
+        g = random_graph(n_entities=30, n_relations=3, n_triples=200, seed=40)
+        store = initialize(g.n_entities, g.n_relations, store_kind, 4, seed=41)
+        positives = g.train[:16]
+        negs = corrupt_batch(g, positives, 12, True, np.random.default_rng(42))
+        return store, positives, negs
+
+    def one_query(self, store_kind):
+        # every positive and every negative scores an object against (0, 1)
+        rng = np.random.default_rng(43)
+        store = initialize(20, 3, store_kind, 4, seed=44)
+        positives = np.array([[0, 1, o] for o in (2, 5, 9, 0)])
+        triples = np.zeros((4, 7, 3), dtype=np.int64)
+        triples[:, :, 1] = 1
+        triples[:, :, 2] = rng.integers(20, size=(4, 7))
+        negs = NegativeBatch(triples=triples, head_corrupted=np.zeros((4, 7), dtype=bool),
+                             valid=np.ones((4, 7), dtype=bool))
+        return store, positives, negs
+
+    def no_sharing(self, store_kind):
+        rng = np.random.default_rng(45)
+        store = initialize(5000, 50, store_kind, 4, seed=46)
+
+        def triples(*shape):
+            return np.stack([rng.integers(5000, size=shape), rng.integers(50, size=shape),
+                             rng.integers(5000, size=shape)], axis=-1)
+
+        negs = NegativeBatch(triples=triples(8, 6), head_corrupted=rng.random((8, 6)) < 0.5,
+                             valid=rng.random((8, 6)) < 0.9)
+        return store, triples(8), negs
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("case", ["straddling", "one_query", "no_sharing"])
+    def test_matches_per_row_loop(self, kind, case, monkeypatch):
+        store, positives, negs = getattr(self, case)(kind)
+        keys = query_keys(positives, negs)
+        n_queries = len(np.unique(keys, axis=0))
+        if case == "straddling":
+            # queries of more than 5 rows cross the 5-row block boundaries
+            monkeypatch.setattr(losses, "BLOCK_ROWS", 5)
+            assert np.unique(keys, axis=0, return_counts=True)[1].max() > 5
+        elif case == "one_query":
+            assert n_queries == 1
+        else:
+            assert n_queries == len(keys)
+        config = LossConfig(margin=1.0, negatives_per_positive=negs.valid.shape[1],
+                            adversarial_temperature=1.0)
+        loss, grads = softmargin_batch_loss_and_grads(store, positives, negs, config)
+        want_loss, ref = per_row_reference(store, positives, negs, config)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert_grads_match(grads, ref)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_zero_frozen_weights_touch_only_weighted_rows(self, kind):
+        """Exact-zero frozen weights leave a negative's rows out of the id sets."""
+        store, positives, negs = self.straddling(kind)
+        config = LossConfig(margin=1.0, negatives_per_positive=12)
+        frozen = np.where(np.arange(12) % 3 == 0, 0.25, 0.0) * np.ones((16, 1))
+        frozen[5] = 0.0
+        _, grads = softmargin_batch_loss_and_grads(store, positives, negs, config,
+                                                   frozen_weights=frozen)
+        _, ref = per_row_reference(store, positives, negs, config, frozen_weights=frozen)
+        assert_grads_match(grads, ref)
+        weighted = negs.triples[(frozen != 0) & negs.valid]
+        rows = np.concatenate([positives, weighted])
+        assert grads.entities.ids.tolist() == np.unique(rows[:, [0, 2]]).tolist()
+        assert grads.relations.ids.tolist() == np.unique(rows[:, 1]).tolist()
+        # all weights 0: the positives' rows alone
+        _, zero = softmargin_batch_loss_and_grads(store, positives, negs, config,
+                                                  frozen_weights=np.zeros((16, 12)))
+        assert zero.entities.ids.tolist() == np.unique(positives[:, [0, 2]]).tolist()
+        assert zero.relations.ids.tolist() == np.unique(positives[:, 1]).tolist()
+
+    def test_negative_id_raises_before_indexing(self):
+        store, positives, negs = self.one_query("rotate")
+        negs.triples[2, 3, 2] = -1
+        with pytest.raises(IndexError):
+            softmargin_batch_loss_and_grads(store, positives, negs, LossConfig())
+
+    def test_scored_and_exhausted_counts(self):
+        store, positives, negs = self.no_sharing("transe")
+        _, grads = softmargin_batch_loss_and_grads(store, positives, negs, LossConfig())
+        assert grads.scored_rows == 8 + negs.valid.sum()
+        assert grads.exhausted_negatives == (~negs.valid).sum() > 0
 
 
 class TestNeighborsLoss:

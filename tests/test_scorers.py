@@ -9,6 +9,7 @@ from kgsampler.scorers import (
     initialize,
     load_checkpoint,
     query_rows,
+    query_rows_backward,
     row_widths,
     save_checkpoint,
     score,
@@ -127,6 +128,32 @@ class TestGradientFiniteDifference:
 
         numeric = fd_gradient(f, store.entities[2])
         assert grad_rel_error(g.d_subject + g.d_object, numeric) < 1e-6
+
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("side", [0, 2])
+    def test_query_backward_matches_central_differences(self, kind, side):
+        """query_rows_backward is the transpose of query_rows' Jacobian, on both sides."""
+        store = random_store(kind, 3, seed=17)
+        if kind == "rotate":
+            store.relations *= 7.5
+        # each row has its own fixed entity and relation, so rows do not interact
+        spo = np.array([[0, 1, 2], [3, 2, 4], [5, 3, 6]])
+        rng = np.random.default_rng(18 + side)
+        dq = rng.normal(size=(len(spo), store.entities.shape[1]))
+        d_fixed, d_relation = query_rows_backward(store, spo, side, dq)
+        for i, t in enumerate(spo):
+            def projected(row_value, table, row_id, i=i):
+                st = EmbeddingStore(store.model_kind, store.dimension,
+                                    store.entities.copy(), store.relations.copy())
+                getattr(st, table)[row_id] = row_value
+                return float(dq[i] @ query_rows(st, spo[i:i + 1], side)[0][0])
+
+            for table, row_id, analytic in (("entities", t[2 - side], d_fixed[i]),
+                                            ("relations", t[1], d_relation[i])):
+                numeric = fd_gradient(lambda x: projected(x, table, row_id),
+                                      getattr(store, table)[row_id])
+                assert grad_rel_error(analytic, numeric) < 1e-6
 
 
 class TestVectorizedAgreement:

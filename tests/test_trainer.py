@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from kgsampler.graph import from_id_triples
 from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
 from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_minibatch
 from kgsampler.scorers import EmbeddingStore, initialize
@@ -173,11 +174,29 @@ class TestTrain:
             assert r["entity_rows"] >= r["batches"]
             assert r["restarts"] == 0
             assert r["expected_degree"] >= 1.0
+            # unfiltered corruption never runs out: every positive scores all its negatives
+            n = config.loss_config.negatives_per_positive
+            assert (r["scored_rows"], r["exhausted_negatives"]) == (g.n_train * (1 + n), 0)
         # the first epoch's batches, drawn as train draws them
         sample_seed, _ = np.random.SeedSequence(config.seed).spawn(2)
         batches = epoch_iterator(g, config.sampler_policy, rng=np.random.default_rng(sample_seed))
         eds = [expected_degree_of_batch(m) for m in batches]
         assert records[0]["expected_degree"] == pytest.approx(np.mean(eds), rel=1e-12)
+
+    def test_epoch_log_counts_exhausted_negatives(self):
+        # every (s, 0, o) over 3 entities is known, so filtered corruption
+        # exhausts its retries for every negative and only positives are scored
+        g = from_id_triples([(s, 0, o) for s in range(3) for o in range(3)],
+                            n_entities=3, n_relations=1)
+        store = initialize(3, 1, "rotate", 4, seed=1)
+        n = 5
+        config = small_config(g, loss_config=LossConfig(
+            margin=1.0, negatives_per_positive=n, filtered_negatives=True))
+        _, records = train(g, store, config)
+        for r in records:
+            assert r["positives"] == g.n_train == 9
+            assert r["scored_rows"] == 9
+            assert r["exhausted_negatives"] == 9 * n
 
     def test_loss_decreases_on_planted_graph(self):
         g = planted_toy_graph(seed=0)
