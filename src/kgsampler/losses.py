@@ -123,12 +123,19 @@ def _query_blocks(rows: np.ndarray, head: np.ndarray, fixed: np.ndarray,
             yield rows[i:j], side, np.flatnonzero(first), np.cumsum(first) - 1
 
 
-def _distinct(n: int, *ids) -> np.ndarray:
-    """Sorted distinct values of the id arrays ``ids``, all in [0, n)."""
+def _row_slots(n: int, width: int, *ids):
+    """The sorted distinct ids in ``ids`` (arrays of ids in [0, n)), and their flat offsets.
+
+    Returns ``(distinct, at)``: ``at[i]`` is the offset of id ``i``'s first
+    entry in a flat accumulator of ``len(distinct)`` rows of ``width``.
+    """
     seen = np.zeros(n, dtype=bool)
     for a in ids:
         seen[a] = True
-    return np.flatnonzero(seen)
+    distinct = np.flatnonzero(seen)
+    at = np.zeros(n, dtype=np.int64)
+    at[distinct] = np.arange(0, len(distinct) * width, width)
+    return distinct, at
 
 
 def log_sigmoid(x):
@@ -283,16 +290,11 @@ def softmargin_batch_loss_and_grads(
     # their weighted coefficient is nonzero.
     touched = np.concatenate([np.ones(m, dtype=bool), dneg != 0.0])
     rows = order[touched[order]]
-    ent_ids = _distinct(store.n_entities, fixed[rows], cand[rows])
-    rel_ids = _distinct(store.n_relations, rel[rows])
     ew, rw = store.entities.shape[1], store.relations.shape[1]
+    ent_ids, ent_at = _row_slots(store.n_entities, ew, fixed[rows], cand[rows])
+    rel_ids, rel_at = _row_slots(store.n_relations, rw, rel[rows])
     ent_acc = np.zeros(len(ent_ids) * ew)
     rel_acc = np.zeros(len(rel_ids) * rw)
-    # flat offsets of each id's first accumulator entry
-    ent_at = np.zeros(store.n_entities, dtype=np.int64)
-    ent_at[ent_ids] = np.arange(0, len(ent_acc), ew)
-    rel_at = np.zeros(store.n_relations, dtype=np.int64)
-    rel_at[rel_ids] = np.arange(0, len(rel_acc), rw)
     ent_cols, rel_cols = np.arange(ew), np.arange(rw)
     for block, side, starts, group in _query_blocks(rows, head, fixed, rel):
         firsts = spo[block[starts]]
