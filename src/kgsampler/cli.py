@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import logging
@@ -44,33 +45,25 @@ DATA_ROOT_ENV = "KGSAMPLER_DATA_ROOT"
 
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
+# [sampler], [loss] and [train] hold the fields of these classes that have a
+# plain default, under the field's name unless _KEY_NAMES renames it. The
+# sampler's seed is not a key: it comes from train.seed.
+_SECTIONS = {"sampler": SamplerPolicy, "loss": LossConfig, "train": TrainConfig}
+_KEY_NAMES = {"negatives_per_positive": "negatives", "neighbors_loss_enabled": "neighbors_loss"}
+
+
+def _fields(cls):
+    """(config key, field name, default) of each field of ``cls`` the config sets."""
+    return [(_KEY_NAMES.get(f.name, f.name), f.name, f.default)
+            for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and (cls, f.name) != (SamplerPolicy, "seed")]
+
+
 DEFAULTS = {
     "dataset": {"root": "", "name": ""},
     "model": {"kind": "rotate", "dimension": 128},
-    "sampler": {
-        "kind": "sr",
-        "batch_size": 1024,
-        "restart_probability": 0.15,
-        "restart_target": "start_node",
-        "extra_neighbor_fraction": 0.5,
-        "extra_neighbor_cap": 32,
-    },
-    "loss": {
-        "margin": 6.0,
-        "negatives": 64,
-        "adversarial_temperature": 1.0,
-        "filtered_negatives": True,
-        "neighbors_loss": False,
-        "neighbor_cap": 32,
-    },
-    "train": {
-        "epochs": 100,
-        "learning_rate": 1e-3,
-        "optimizer": "adam",
-        "eval_every": 10,
-        "seed": 0,
-        "normalize_entities": False,
-    },
+    **{section: {key: default for key, _, default in _fields(cls)}
+       for section, cls in _SECTIONS.items()},
 }
 
 
@@ -129,43 +122,13 @@ def resolve_config(config_file=None, overrides=()):
     return config
 
 
-def _policy_from_config(config) -> SamplerPolicy:
-    s = config["sampler"]
-    return SamplerPolicy(
-        kind=s["kind"],
-        batch_size=s["batch_size"],
-        restart_probability=s["restart_probability"],
-        restart_target=s["restart_target"],
-        extra_neighbor_fraction=s["extra_neighbor_fraction"],
-        extra_neighbor_cap=s["extra_neighbor_cap"],
-        seed=config["train"]["seed"],
-    )
-
-
-def _loss_from_config(config) -> LossConfig:
-    l = config["loss"]
-    return LossConfig(
-        margin=l["margin"],
-        negatives_per_positive=l["negatives"],
-        adversarial_temperature=l["adversarial_temperature"],
-        filtered_negatives=l["filtered_negatives"],
-        neighbors_loss_enabled=l["neighbors_loss"],
-        neighbor_cap=l["neighbor_cap"],
-    )
-
-
 def _train_config(config) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        learning_rate=t["learning_rate"],
-        optimizer=t["optimizer"],
-        sampler_policy=_policy_from_config(config),
-        loss_config=_loss_from_config(config),
-        eval_every=t["eval_every"],
-        seed=t["seed"],
-        normalize_entities=t["normalize_entities"],
-    )
+    def build(section, **extra):
+        cls = _SECTIONS[section]
+        return cls(**{name: config[section][key] for key, name, _ in _fields(cls)}, **extra)
+
+    return build("train", sampler_policy=build("sampler", seed=config["train"]["seed"]),
+                 loss_config=build("loss"))
 
 
 def resolve_dataset_dir(config) -> str:

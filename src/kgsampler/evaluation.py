@@ -89,11 +89,6 @@ class Metrics:
     def as_json_line(self) -> str:
         return json.dumps(self.as_record())
 
-    def as_csv(self) -> str:
-        rec = self.as_record()
-        keys = list(rec)
-        return ",".join(keys) + "\n" + ",".join(str(rec[k]) for k in keys) + "\n"
-
 
 def _norms(sq: np.ndarray, width: int) -> np.ndarray:
     """Row norms from the rows' sums of squares, bounding the true norms from above.

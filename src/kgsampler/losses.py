@@ -173,34 +173,25 @@ def corrupt_batch(g: KnowledgeGraph, positives: np.ndarray, n: int,
         return cand + (cand >= orig)
 
     cand = draw((m, n), original)
+    triples = np.stack([np.where(head_mask, cand, s), np.broadcast_to(r, (m, n)),
+                        np.where(head_mask, o, cand)], axis=2)
     valid = np.ones((m, n), dtype=bool)
 
     if filtered:
-        def colliding():
-            check = np.stack([
-                np.where(head_mask, cand, np.broadcast_to(s, (m, n))),
-                np.broadcast_to(r, (m, n)),
-                np.where(head_mask, np.broadcast_to(o, (m, n)), cand),
-            ], axis=2)
-            return g.contains_triples(check)
-
-        pending = colliding()
+        # each round redraws and re-checks only the entries still colliding
+        rows, cols = np.nonzero(g.contains_triples(triples))
+        column = np.where(head_mask, 0, 2)
         for _ in range(_CORRUPT_RETRIES):
-            rows, cols = np.nonzero(pending)
             if len(rows) == 0:
                 break
-            cand[rows, cols] = draw((len(rows),), original[rows, cols])
-            pending &= colliding()
-        if pending.any():
-            valid &= ~pending
-            log.warning("filtered corruption exhausted retries for %d negatives",
-                        int(pending.sum()))
+            triples[rows, cols, column[rows, cols]] = draw((len(rows),), original[rows, cols])
+            colliding = g.contains_triples(triples[rows, cols])
+            rows, cols = rows[colliding], cols[colliding]
+        if len(rows):
+            valid[rows, cols] = False
+            log.warning("filtered corruption exhausted retries for %d negatives", len(rows))
 
-    neg_s = np.where(head_mask, cand, s)
-    neg_o = np.where(head_mask, o, cand)
-    triples = np.stack([neg_s, np.broadcast_to(r, (m, n)), neg_o], axis=2)
-    return NegativeBatch(triples=triples.astype(np.int64),
-                         head_corrupted=head_mask, valid=valid)
+    return NegativeBatch(triples=triples, head_corrupted=head_mask, valid=valid)
 
 
 def adversarial_weights(scores_of_negatives: np.ndarray, alpha: float,

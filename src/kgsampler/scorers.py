@@ -202,7 +202,7 @@ def query_rows(store: EmbeddingStore, spo: np.ndarray, side: int):
             q = np.concatenate([x * cos + y * sin, y * cos - x * sin], axis=1)
         q_abs = np.concatenate([np.abs(x) * np.abs(cos) + np.abs(y) * np.abs(sin),
                                 np.abs(x) * np.abs(sin) + np.abs(y) * np.abs(cos)], axis=1)
-        eps = float(np.max(np.abs(cos * cos + sin * sin - 1.0))) + 4 * UNIT_ROUNDOFF
+        eps = float(np.max(np.abs(cos * cos + sin * sin - 1.0), initial=0.0)) + 4 * UNIT_ROUNDOFF
         return q, q_abs, eps
     wr = store.relations[spo[:, 1]]
     if kind == "transe":

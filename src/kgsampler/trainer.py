@@ -38,9 +38,6 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
     optimizer: str = "adam"                # "adam" or "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     sampler_policy: SamplerPolicy = field(default_factory=SamplerPolicy)
     loss_config: LossConfig = field(default_factory=LossConfig)
     eval_every: int = 10
@@ -50,8 +47,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
 
@@ -106,8 +101,7 @@ class SparseAdam:
 
 def make_optimizer(store: EmbeddingStore, config: TrainConfig):
     if config.optimizer == "adam":
-        return SparseAdam(store, config.learning_rate, config.adam_beta1,
-                          config.adam_beta2, config.adam_eps)
+        return SparseAdam(store, config.learning_rate)
     return SparseSgd(store, config.learning_rate)
 
 

@@ -71,6 +71,54 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(None, ["loss.neighbors_loss=maybe"])
 
+    def test_defaults_pin_the_schema(self):
+        """Keys come from the dataclass fields: a field that gains or loses a default shows here."""
+        expected = {
+            "dataset": {"root": "", "name": ""},
+            "model": {"kind": "rotate", "dimension": 128},
+            "sampler": {
+                "kind": "sr",
+                "batch_size": 1024,
+                "restart_probability": 0.15,
+                "restart_target": "start_node",
+                "extra_neighbor_fraction": 0.5,
+                "extra_neighbor_cap": 32,
+            },
+            "loss": {
+                "margin": 6.0,
+                "negatives": 64,
+                "adversarial_temperature": 1.0,
+                "filtered_negatives": True,
+                "neighbors_loss": False,
+                "neighbor_cap": 32,
+            },
+            "train": {
+                "epochs": 100,
+                "learning_rate": 1e-3,
+                "optimizer": "adam",
+                "eval_every": 10,
+                "seed": 0,
+                "normalize_entities": False,
+            },
+        }
+        config = resolve_config()
+        assert config == expected
+        for section, keys in expected.items():
+            for key, value in keys.items():
+                assert type(config[section][key]) is type(value), f"{section}.{key}"
+
+    def test_default_config_builds_the_default_train_config(self):
+        assert cli._train_config(resolve_config()) == trainer.TrainConfig()
+        seeded = cli._train_config(resolve_config(None, ["train.seed=5"]))
+        assert seeded == trainer.TrainConfig(seed=5, sampler_policy=SamplerPolicy(seed=5))
+
+    def test_renamed_loss_keys_reach_the_loss_config(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[loss]\nnegatives = 8\nneighbors_loss = true\n")
+        loss = cli._train_config(resolve_config(str(ini))).loss_config
+        assert loss.negatives_per_positive == 8
+        assert loss.neighbors_loss_enabled is True
+
 
 class TestMakeToy:
     def test_writes_splits(self, toy_dataset):

@@ -253,5 +253,3 @@ class TestMetricsInvariants:
                     count=10, protocol="filtered")
         line = m.as_json_line()
         assert '"mrr": 0.5' in line and '"protocol": "filtered"' in line
-        csv_text = m.as_csv()
-        assert csv_text.splitlines()[0].startswith("mrr,mr,hits1,hits3,hits10")

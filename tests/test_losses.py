@@ -78,6 +78,46 @@ class TestCorrupt:
         assert negs == []
         assert any("retries" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_full_recheck_reference(self, seed):
+        """Re-checking only the redrawn entries gives the batch of re-checking all m×n."""
+        g = random_graph(60, 2, 6600, seed=seed)   # 93% of the possible triples
+        positives = g.train[:200]
+        n = 32
+
+        def full_recheck(rng):
+            m = len(positives)
+            s, r, o = (positives[:, [c]] for c in range(3))
+            head = rng.random((m, n)) < 0.5
+            original = np.where(head, s, o)
+
+            def draw(shape, orig):
+                cand = rng.integers(0, g.n_entities - 1, size=shape)
+                return cand + (cand >= orig)
+
+            cand = draw((m, n), original)
+
+            def triples():
+                return np.stack([np.where(head, cand, s), np.broadcast_to(r, (m, n)),
+                                 np.where(head, o, cand)], axis=2)
+
+            pending = g.contains_triples(triples())
+            for _ in range(losses._CORRUPT_RETRIES):
+                rows, cols = np.nonzero(pending)
+                if len(rows) == 0:
+                    break
+                cand[rows, cols] = draw((len(rows),), original[rows, cols])
+                pending &= g.contains_triples(triples())
+            return triples(), head, ~pending
+
+        batch = corrupt_batch(g, positives, n, True, np.random.default_rng(seed))
+        triples, head, valid = full_recheck(np.random.default_rng(seed))
+        assert batch.triples.dtype == triples.dtype == np.int64
+        np.testing.assert_array_equal(batch.triples, triples)
+        np.testing.assert_array_equal(batch.head_corrupted, head)
+        np.testing.assert_array_equal(batch.valid, valid)
+        assert not valid.all()   # some entries exhaust their retries
+
     def test_single_entity_rejected(self):
         g = from_id_triples([(0, 0, 0)], n_entities=1, n_relations=1)
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from kgsampler.scorers import (
     score_against_all_objects,
     score_against_all_subjects,
     score_gradient,
+    score_gradients,
     score_triples,
 )
 
@@ -157,6 +158,19 @@ class TestGradientFiniteDifference:
 
 
 class TestVectorizedAgreement:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("side", [0, 2])
+    def test_zero_rows_give_empty_arrays(self, kind, side):
+        store = random_store(kind, 3)
+        ew, rw = row_widths(kind, 3)
+        spo = np.zeros((0, 3), dtype=np.int64)
+        q, q_abs, eps = query_rows(store, spo, side)
+        assert q.shape == q_abs.shape == (0, ew)
+        assert np.isfinite(eps)
+        d_subject, d_relation, d_object = score_gradients(store, spo)
+        assert d_subject.shape == d_object.shape == (0, ew)
+        assert d_relation.shape == (0, rw)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_all_objects_matches_per_triple(self, kind):
         store = random_store(kind, 5, n_entities=40, seed=9)
