@@ -312,6 +312,8 @@ def cmd_stats(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load_graph(args)
+    if len(g.split(args.split)) == 0:
+        raise DataError(f"{args.dataset}: split {args.split!r} is empty")
     try:
         store = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:

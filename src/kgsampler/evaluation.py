@@ -13,13 +13,14 @@ three steps.
 
 1. **Screen.** One query row per distinct ``(s, r)`` (object side) or
    ``(r, o)`` (subject side) pair of the block, built by
-   :func:`scorers.query_rows`, and one GEMM ``Q @ E.T`` of all of them
-   against every entity row. DistMult and ComplEx scores are such dot
-   products. TransE and RotatE scores are distances ``-||x - e||``,
-   screened as ``-sqrt(||x||² + ||e||² - 2 x·e)``; on the subject side
-   RotatE's query is the object rotated back (the inverse rotation). Each screen value ``S`` comes with a proven bound
-   ``B`` on ``|S - X|``, where ``X`` is the candidate's ``score_triples``
-   value (derivation in :func:`_screen`).
+   :func:`scorers.query_rows`, as ``score_triples``' are, and one GEMM
+   ``Q @ E.T`` of all of them against every entity row. DistMult and
+   ComplEx scores are such dot products. TransE and RotatE scores are
+   distances ``-||x - e||``, screened as ``-sqrt(||x||² + ||e||² - 2 x·e)``;
+   on the subject side RotatE's query is the object rotated back. Each
+   screen value ``S`` comes with a proven bound ``B`` on ``|S - X|``, where
+   ``X`` is the candidate's ``score_triples`` value (from
+   :func:`scorers.query_bounds`; derivation in :func:`_screen`).
 2. **Refine.** With ``T`` the target's own ``score_triples`` value, a
    candidate with ``S - T > B`` scores at least ``T`` and counts against
    the target; one with ``T - S > B`` scores below ``T`` and does not.
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .scorers import (DISTANCE_MODELS, UNIT_ROUNDOFF, EmbeddingStore, query_rows,
-                      score_triples)
+from .scorers import (DISTANCE_MODELS, UNIT_ROUNDOFF, EmbeddingStore, query_bounds,
+                      query_rows, score_triples)
 
 HITS_KS = (1, 3, 10)
 PROTOCOLS = ("raw", "filtered")
@@ -115,23 +116,26 @@ def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
     entity_bound)`` bounds ``|S - X|`` for the candidate's
     ``score_triples`` value ``X`` wherever ``B`` is finite.
 
-    ``q``, ``q_abs`` and ``eps`` are the rows of :func:`scorers.query_rows`.
+    ``q`` holds rows of :func:`scorers.query_rows`; ``q_abs`` and ``eps``
+    are their :func:`scorers.query_bounds`.
 
     Derivation. Let u = 2⁻⁵³ (``scorers.UNIT_ROUNDOFF``), γₙ = nu / (1 - nu),
     w the entity row width, e a candidate row and x the candidate's score
     in exact real arithmetic on the same float inputs (for RotatE, on the
-    cos/sin that ``score_triples`` uses: ``query_rows`` takes them from the
-    same per-relation table). A sum of products, each carrying at most n
-    roundings along its way into the sum, differs from its exact value by
-    at most γₙ times the sum of the products' absolute values, whatever
-    the summation order and whether FMA is used (Higham, Accuracy and
-    Stability of Numerical Algorithms, Lemma 3.1 and eq. 3.5).
+    cos/sin of ``query_rows``' table). ``X`` scores the candidate's
+    tail-side query row q' (on the object side the screen's own q) against
+    its object o. A sum of products, each carrying at most n roundings
+    along its way into the sum, differs from its exact value by at most γₙ
+    times the sum of the products' absolute values, whatever the summation
+    order and whether FMA is used (Higham, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.1 and eq. 3.5).
 
     * DistMult and ComplEx: ``X`` and ``S`` are both such sums of the
-      products of x (s·r·o, or the four terms of ComplEx). Their roundings
-      (products, the query's additions, the w-term sum) number at most
-      w + 4, and the products' absolute values sum to
-      ``Σ q_abs·|e| <= ||q_abs||·||e||``. So |S - X| <= 2γ_{w+4}·||q_abs||·||e||.
+      products of x (s·r·o, or the four terms of ComplEx), each carrying
+      at most w + 3 roundings (up to 3 in its query entry, one times the
+      entity entry, w - 1 in the sum), and the products' absolute values
+      sum to ``Σ q_abs·|e| <= ||q_abs||·||e||``. So
+      |S - X| <= 2γ_{w+4}·||q_abs||·||e||.
     * TransE and RotatE: x = -d for the exact distance d. Let y be the
       exact query point: s + r, o - r, the rotated subject Rs, or the
       object rotated back, Rᵀo. Then d = ||y - e||, except on RotatE's
@@ -142,9 +146,9 @@ def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
       entrywise, and ``D = ||q||² + ||e||² - 2 q·e`` carries at most
       w + 2 roundings per term, so D is within α = (γ_{w+12} + eps)·m² of
       d². As |√a - √b| <= √|a - b|, the screen ``-sqrt(max(D, 0))`` is
-      within √α + 2u·m of x. ``score_triples`` forms each entry of the
-      difference with at most 4 roundings from inputs bounded by q_abs and
-      |e|, then squares, sums and takes the root:
+      within √α + 2u·m of x. ``score_triples`` forms each entry of
+      q' - o with at most 4 roundings from inputs whose norms m bounds,
+      then squares, sums and takes the root:
       |X - x| <= γ_{w+4}·(2d + 3m) <= 6γ_{w+6}·m. So
       |S - X| <= (√(γ_{w+12} + eps) + 7γ_{w+12})·m.
 
@@ -207,19 +211,20 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
     rows = np.arange(n)
     sides = (0, 2)   # rank the subjects (head), then the objects (tail)
     # One query per distinct fixed pair of each side, all in one GEMM.
-    built, inverses = [], []
+    queries, bounds, inverses = [], [], []
     for side in sides:
         fixed = spo[:, [1, 2] if side == 0 else [0, 1]]
         _, first, inv = np.unique(fixed, axis=0, return_index=True, return_inverse=True)
-        built.append(query_rows(store, spo[first], side))
+        queries.append(query_rows(store, spo[first], side))
+        bounds.append(query_bounds(store, spo[first], side))
         inverses.append(inv.reshape(-1))
     screen, query_bound, entity_bound, combine = _screen(
-        store, np.concatenate([b[0] for b in built]), np.concatenate([b[1] for b in built]),
-        max(b[2] for b in built), entity_sq, entity_norms)
+        store, np.concatenate(queries), np.concatenate([b[0] for b in bounds]),
+        max(b[1] for b in bounds), entity_sq, entity_norms)
 
     ranks = np.ones((2, n), dtype=np.int64)
     band_rows, band_owner = [], []
-    offsets = (0, len(built[0][0]))   # the first query row of each side
+    offsets = (0, len(queries[0]))   # the first query row of each side
     for k, side in enumerate(sides):
         at = offsets[k] + inverses[k]
         # exclude the target and, filtered, every known triple's candidate

@@ -38,7 +38,7 @@ class LossConfig:
     adversarial_temperature: float = 1.0   # 0 disables reweighting
     filtered_negatives: bool = True
     neighbors_loss_enabled: bool = False
-    neighbor_cap: int = 32                 # None = unlimited
+    neighbor_cap: int = 32
 
     def __post_init__(self):
         if self.negatives_per_positive < 1:
@@ -47,8 +47,8 @@ class LossConfig:
             raise ValueError("margin must be finite")
         if self.adversarial_temperature < 0:
             raise ValueError("adversarial temperature must be >= 0")
-        if self.neighbor_cap is not None and self.neighbor_cap < 0:
-            raise ValueError("neighbor_cap must be >= 0 (None = unlimited)")
+        if self.neighbor_cap is None or self.neighbor_cap < 0:
+            raise ValueError("neighbor_cap must be an integer >= 0")
 
 
 @dataclass
@@ -257,7 +257,7 @@ def softmargin_batch_loss_and_grads(
 
     scores = np.empty(len(spo))
     for block, side, starts, group in _query_blocks(order, head, fixed, rel):
-        q = query_rows(store, spo[block[starts]], side)[0]
+        q = query_rows(store, spo[block[starts]], side)
         scores[block] = query_scores(store, q[group], store.entities[cand[block]])
     pos_scores = scores[:m]
     neg_scores = scores[m:].reshape(m, n)
@@ -289,7 +289,7 @@ def softmargin_batch_loss_and_grads(
     ent_cols, rel_cols = np.arange(ew), np.arange(rw)
     for block, side, starts, group in _query_blocks(rows, head, fixed, rel):
         firsts = spo[block[starts]]
-        q = query_rows(store, firsts, side)[0]
+        q = query_rows(store, firsts, side)
         dq, de = query_score_grads(store, q[group], store.entities[cand[block]],
                                    coefs[block])
         d_fixed, d_rel = query_rows_backward(store, firsts, side,
@@ -330,7 +330,7 @@ def _capped_neighbors(g, t, cap, rng):
     zero (or a neighbor set within the cap) is rng-neutral.
     """
     ids = neighbor_triple_ids(g, t)
-    if cap is not None and len(ids) > cap:
+    if len(ids) > cap:
         if cap == 0:
             return ids[:0]
         return np.sort(rng.choice(ids, size=cap, replace=False))

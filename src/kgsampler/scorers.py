@@ -9,6 +9,10 @@ the two norm-based models are bounded above by zero.
 Complex-valued rows are stored as one real row: the first K entries are
 real parts, the last K imaginary parts. ``rotate`` relation rows store K
 phase angles, so the effective rotation coefficient always has modulus 1.
+
+Each model's formula is written once, in :func:`query_rows`, which every
+score goes through; :func:`query_rows_backward` is its gradient map and
+:func:`query_bounds` gives the rank screen its error-bound terms.
 """
 
 from __future__ import annotations
@@ -121,34 +125,13 @@ def _rotations(store: EmbeddingStore, r: np.ndarray):
 def score_triples(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
     """Scores for an (m, 3) array of triples.
 
-    ``rotate`` evaluates cos/sin once per distinct relation in ``spo``
-    (see :func:`_rotations`); every row's score keeps the arithmetic order
-    of the per-row formula, so scores do not depend on the other rows.
+    Each triple is one tail-side query of :func:`query_rows` scored against
+    its object by :func:`query_scores`; every row's score keeps its
+    arithmetic order, so scores do not depend on the other rows.
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     check_ids(store, spo)
-    es = store.entities[spo[:, 0]]
-    eo = store.entities[spo[:, 2]]
-    kind = store.model_kind
-
-    if kind == "rotate":
-        a, b = _halves(es)
-        c, d = _halves(eo)
-        cos, sin = _rotations(store, spo[:, 1])
-        re = a * cos - b * sin - c
-        im = a * sin + b * cos - d
-        return -np.sqrt(np.einsum("ij->i", re * re + im * im))
-    wr = store.relations[spo[:, 1]]
-    if kind == "transe":
-        return -np.linalg.norm(es + wr - eo, axis=1)
-    if kind == "distmult":
-        return np.einsum("ij,ij,ij->i", es, wr, eo)
-    if kind == "complex":
-        a, b = _halves(es)
-        p, q = _halves(wr)
-        c, d = _halves(eo)
-        return np.einsum("ij->i", p * a * c + p * b * d + q * a * d - q * b * c)
-    raise ValueError(kind)
+    return query_scores(store, query_rows(store, spo, 2), store.entities[spo[:, 2]])
 
 
 def score(store: EmbeddingStore, t) -> float:
@@ -167,7 +150,7 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     check_ids(store, spo)
-    q = query_rows(store, spo, 2)[0]
+    q = query_rows(store, spo, 2)
     dq, d_object = query_score_grads(store, q, store.entities[spo[:, 2]], np.ones(len(spo)))
     d_subject, d_relation = query_rows_backward(store, spo, 2, dq)
     return d_subject, d_relation, d_object
@@ -179,49 +162,59 @@ def score_gradient(store: EmbeddingStore, t) -> ScoreGradient:
     return ScoreGradient(d_subject=ds[0], d_relation=dr[0], d_object=do[0])
 
 
-def query_rows(store: EmbeddingStore, spo: np.ndarray, side: int):
+def _complex_relations(store: EmbeddingStore, rel: np.ndarray):
+    """Real and imaginary parts (p, r) of the complex relation rows ``rel``.
+
+    ComplEx stores them; RotatE's are the unit rotations (cos, sin) of its
+    phases, from :func:`_rotations`.
+    """
+    if store.model_kind == "rotate":
+        return _rotations(store, rel)
+    return _halves(store.relations[rel])
+
+
+def query_rows(store: EmbeddingStore, spo: np.ndarray, side: int) -> np.ndarray:
     """Query rows for scoring every entity in column ``side`` (0 or 2) of each row of ``spo``.
 
-    Returns ``(q, q_abs, eps)``. For DistMult and ComplEx the score with
-    entity row ``e`` in that column is ``q @ e``; for the
-    ``DISTANCE_MODELS`` it is ``-||q - e||`` (on RotatE's subject side up
-    to the rotation's rounding, see ``eps``). ``q_abs`` bounds, entry by
-    entry, the absolute values the query is built from, for the error
-    bound of ``evaluation._screen``. ``eps`` bounds ``|cos² + sin² - 1|``
-    of RotatE's rotations, 0 for the other models.
+    For DistMult and ComplEx the score with entity row ``e`` in that column
+    is ``q @ e``; for the ``DISTANCE_MODELS`` it is ``-||q - e||`` (on
+    RotatE's subject side up to the rotation's rounding, see
+    :func:`query_bounds`). :func:`query_scores` computes both.
     """
     kind = store.model_kind
     fixed = store.entities[spo[:, 2 - side]]
+    if kind in ("transe", "distmult"):
+        wr = store.relations[spo[:, 1]]
+        if kind == "distmult":
+            return fixed * wr
+        return fixed + wr if side == 2 else fixed - wr
+    p, r = _complex_relations(store, spo[:, 1])
+    x, y = _halves(fixed)
+    if side == 2:   # the subject x + iy times p + ir
+        return np.concatenate([p * x - r * y, p * y + r * x], axis=1)
+    # the object x + iy times p - ir: for RotatE, rotated back
+    return np.concatenate([p * x + r * y, p * y - r * x], axis=1)
+
+
+def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
+    """``(q_abs, eps)`` of the rows of :func:`query_rows`, for ``evaluation._screen``'s bound.
+
+    ``q_abs`` is each query entry's sums and products taken on absolute
+    values. ``eps`` bounds ``|cos² + sin² - 1|`` of RotatE's rotations plus
+    4u, and is 0 for the other models.
+    """
+    kind = store.model_kind
+    fixed = np.abs(store.entities[spo[:, 2 - side]])
+    if kind in ("transe", "distmult"):
+        wr = np.abs(store.relations[spo[:, 1]])
+        return (fixed * wr if kind == "distmult" else fixed + wr), 0.0
+    p, r = _complex_relations(store, spo[:, 1])
     eps = 0.0
     if kind == "rotate":
-        cos, sin = _rotations(store, spo[:, 1])
-        x, y = _halves(fixed)
-        if side == 2:   # the rotated subject
-            q = np.concatenate([x * cos - y * sin, x * sin + y * cos], axis=1)
-        else:           # the object under the inverse rotation
-            q = np.concatenate([x * cos + y * sin, y * cos - x * sin], axis=1)
-        q_abs = np.concatenate([np.abs(x) * np.abs(cos) + np.abs(y) * np.abs(sin),
-                                np.abs(x) * np.abs(sin) + np.abs(y) * np.abs(cos)], axis=1)
-        eps = float(np.max(np.abs(cos * cos + sin * sin - 1.0), initial=0.0)) + 4 * UNIT_ROUNDOFF
-        return q, q_abs, eps
-    wr = store.relations[spo[:, 1]]
-    if kind == "transe":
-        q = fixed + wr if side == 2 else fixed - wr
-        return q, np.abs(fixed) + np.abs(wr), eps
-    if kind == "distmult":
-        q = fixed * wr
-        return q, np.abs(q), eps
-    if kind == "complex":
-        p, r = _halves(wr)
-        x, y = _halves(fixed)
-        if side == 2:   # subject x + iy: score = c·(px - ry) + d·(py + rx)
-            q = np.concatenate([p * x - r * y, p * y + r * x], axis=1)
-        else:           # object x + iy: score = a·(px + ry) + b·(py - rx)
-            q = np.concatenate([p * x + r * y, p * y - r * x], axis=1)
-        q_abs = np.concatenate([np.abs(p) * np.abs(x) + np.abs(r) * np.abs(y),
-                                np.abs(p) * np.abs(y) + np.abs(r) * np.abs(x)], axis=1)
-        return q, q_abs, eps
-    raise ValueError(kind)
+        eps = float(np.max(np.abs(p * p + r * r - 1.0), initial=0.0)) + 4 * UNIT_ROUNDOFF
+    p, r = np.abs(p), np.abs(r)
+    x, y = _halves(fixed)
+    return np.concatenate([p * x + r * y, p * y + r * x], axis=1), eps
 
 
 def query_rows_backward(store: EmbeddingStore, spo: np.ndarray, side: int,
@@ -234,33 +227,23 @@ def query_rows_backward(store: EmbeddingStore, spo: np.ndarray, side: int,
     """
     kind = store.model_kind
     fixed = store.entities[spo[:, 2 - side]]
-    if kind == "rotate":
-        cos, sin = _rotations(store, spo[:, 1])
-        x, y = _halves(fixed)
-        u, v = _halves(dq)
-        if side == 2:   # q = (x cos - y sin, x sin + y cos)
-            d_fixed = np.concatenate([u * cos + v * sin, v * cos - u * sin], axis=1)
-            d_relation = u * (-x * sin - y * cos) + v * (x * cos - y * sin)
-        else:           # q = (x cos + y sin, y cos - x sin)
-            d_fixed = np.concatenate([u * cos - v * sin, u * sin + v * cos], axis=1)
-            d_relation = u * (y * cos - x * sin) - v * (x * cos + y * sin)
-        return d_fixed, d_relation
-    wr = store.relations[spo[:, 1]]
     if kind == "transe":   # q = fixed ± wr
         return dq, dq.copy() if side == 2 else -dq
     if kind == "distmult":
-        return dq * wr, dq * fixed
-    if kind == "complex":
-        p, r = _halves(wr)
-        x, y = _halves(fixed)
-        u, v = _halves(dq)
-        if side == 2:   # q = (px - ry, py + rx)
-            return (np.concatenate([u * p + v * r, v * p - u * r], axis=1),
-                    np.concatenate([u * x + v * y, v * x - u * y], axis=1))
-        # q = (px + ry, py - rx)
-        return (np.concatenate([u * p - v * r, u * r + v * p], axis=1),
-                np.concatenate([u * x + v * y, u * y - v * x], axis=1))
-    raise ValueError(kind)
+        return dq * store.relations[spo[:, 1]], dq * fixed
+    p, r = _complex_relations(store, spo[:, 1])
+    x, y = _halves(fixed)
+    u, v = _halves(dq)
+    if side == 2:   # q = (px - ry, py + rx)
+        d_fixed = np.concatenate([u * p + v * r, v * p - u * r], axis=1)
+        if kind == "rotate":   # (p, r) = (cos, sin) of the phase
+            return d_fixed, u * (-x * r - y * p) + v * (x * p - y * r)
+        return d_fixed, np.concatenate([u * x + v * y, v * x - u * y], axis=1)
+    # q = (px + ry, py - rx)
+    d_fixed = np.concatenate([u * p - v * r, u * r + v * p], axis=1)
+    if kind == "rotate":
+        return d_fixed, u * (y * p - x * r) - v * (x * p + y * r)
+    return d_fixed, np.concatenate([u * x + v * y, u * y - v * x], axis=1)
 
 
 def query_scores(store: EmbeddingStore, q: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -294,11 +277,7 @@ def _score_all(store: EmbeddingStore, t, side: int) -> np.ndarray:
     """Scores of triple ``t`` with column ``side`` replaced by every entity."""
     spo = np.array([t], dtype=np.int64)
     check_ids(store, spo)
-    q = query_rows(store, spo, side)[0][0]
-    if store.model_kind in DISTANCE_MODELS:
-        d = store.entities - q
-        return -np.sqrt(np.einsum("ij,ij->i", d, d))
-    return store.entities @ q
+    return query_scores(store, query_rows(store, spo, side), store.entities)
 
 
 def score_against_all_objects(store: EmbeddingStore, s: int, r: int) -> np.ndarray:

@@ -243,6 +243,17 @@ class TestEvalCommand:
                      "--checkpoint", os.path.join(run_dir, "last.ckpt")])
         assert code == 2
 
+    def test_empty_split_exits_data_error(self, tmp_path, toy_dataset, capsys):
+        code, run_dir = run_training(tmp_path, toy_dataset)
+        assert code == 0
+        open(os.path.join(toy_dataset, "valid.txt"), "w").close()
+        capsys.readouterr()
+        code = main(["eval", "--dataset", toy_dataset, "--split", "valid",
+                     "--checkpoint", os.path.join(run_dir, "last.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "split 'valid' is empty" in err
+
     def test_random_checkpoint_near_random_baseline(self, tmp_path, toy_dataset, capsys):
         from kgsampler.scorers import initialize, save_checkpoint
         from kgsampler.graph import load_dataset

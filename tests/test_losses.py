@@ -563,7 +563,8 @@ class TestNeighborsLoss:
     def test_negative_cap_rejected_none_unlimited(self):
         with pytest.raises(ValueError, match="neighbor_cap"):
             LossConfig(neighbor_cap=-1)
-        assert LossConfig(neighbor_cap=None).neighbor_cap is None
+        with pytest.raises(ValueError, match="neighbor_cap"):
+            LossConfig(neighbor_cap=None)
 
     def test_gradients_fd(self):
         g = self.chain()

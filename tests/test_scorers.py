@@ -5,9 +5,11 @@ import pytest
 
 from kgsampler.scorers import (
     MODEL_KINDS,
+    UNIT_ROUNDOFF,
     EmbeddingStore,
     initialize,
     load_checkpoint,
+    query_bounds,
     query_rows,
     query_rows_backward,
     row_widths,
@@ -148,7 +150,7 @@ class TestGradientFiniteDifference:
                 st = EmbeddingStore(store.model_kind, store.dimension,
                                     store.entities.copy(), store.relations.copy())
                 getattr(st, table)[row_id] = row_value
-                return float(dq[i] @ query_rows(st, spo[i:i + 1], side)[0][0])
+                return float(dq[i] @ query_rows(st, spo[i:i + 1], side)[0])
 
             for table, row_id, analytic in (("entities", t[2 - side], d_fixed[i]),
                                             ("relations", t[1], d_relation[i])):
@@ -164,12 +166,32 @@ class TestVectorizedAgreement:
         store = random_store(kind, 3)
         ew, rw = row_widths(kind, 3)
         spo = np.zeros((0, 3), dtype=np.int64)
-        q, q_abs, eps = query_rows(store, spo, side)
+        q = query_rows(store, spo, side)
+        q_abs, eps = query_bounds(store, spo, side)
         assert q.shape == q_abs.shape == (0, ew)
         assert np.isfinite(eps)
         d_subject, d_relation, d_object = score_gradients(store, spo)
         assert d_subject.shape == d_object.shape == (0, ew)
         assert d_relation.shape == (0, rw)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("side", [0, 2])
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-200])
+    def test_query_bounds_bound_the_query(self, kind, side, scale):
+        """``q_abs`` bounds ``|q|`` entry by entry, exactly: rounding is monotone."""
+        store = random_store(kind, 16, n_entities=50, n_relations=6, seed=19)
+        store.entities *= scale
+        if kind == "rotate":
+            store.relations *= 37.5
+        rng = np.random.default_rng(20)
+        spo = np.stack([rng.integers(50, size=200), rng.integers(6, size=200),
+                        rng.integers(50, size=200)], axis=1)
+        q_abs, eps = query_bounds(store, spo, side)
+        assert np.all(np.abs(query_rows(store, spo, side)) <= q_abs)
+        if kind == "rotate":
+            assert eps >= 4 * UNIT_ROUNDOFF
+        else:
+            assert eps == 0.0
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_all_objects_matches_per_triple(self, kind):
@@ -195,7 +217,7 @@ class TestVectorizedAgreement:
         t = np.array([[s, r, o]])
         planted = {2: 11, 0: 12}   # side -> the candidate put at that side's query point
         for side, e in planted.items():
-            store.entities[e] = query_rows(store, t, side)[0][0]
+            store.entities[e] = query_rows(store, t, side)[0]
         for side, got in ((2, score_against_all_objects(store, s, r)),
                           (0, score_against_all_subjects(store, r, o))):
             rows = np.repeat(t, store.n_entities, axis=0)
@@ -224,12 +246,11 @@ class TestVectorizedAgreement:
 
         def per_row(spo):
             a, b = np.split(store.entities[spo[:, 0]], 2, axis=1)
-            c, d = np.split(store.entities[spo[:, 2]], 2, axis=1)
             wr = store.relations[spo[:, 1]]
             cos, sin = np.cos(wr), np.sin(wr)
-            re = a * cos - b * sin - c
-            im = a * sin + b * cos - d
-            return -np.sqrt(np.einsum("ij->i", re * re + im * im))
+            d = np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=1)
+            d -= store.entities[spo[:, 2]]
+            return -np.sqrt(np.einsum("ij,ij->i", d, d))
 
         for rows in (spo, spo[::-1], spo[:1], spo[:0]):
             assert np.array_equal(score_triples(store, rows), per_row(rows))
