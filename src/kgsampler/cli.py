@@ -331,8 +331,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    with _flag_error("--batch-size"):
+        policy = SamplerPolicy(kind=args.sampler, batch_size=args.batch_size, seed=args.seed)
     g = _load_graph(args)
-    policy = SamplerPolicy(kind=args.sampler, batch_size=args.batch_size, seed=args.seed)
     m = sample_minibatch(g, policy)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -147,6 +147,19 @@ def concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum(), dtype=np.int64) + np.repeat(lo - starts, counts)
 
 
+def uniform_subsets(counts: np.ndarray, k: np.ndarray, rng) -> np.ndarray:
+    """Positions of a uniform k[i]-subset of each run i, in runs of ``counts`` laid end to end.
+
+    Run i keeps its k[i] positions with the smallest random keys, run by run in
+    key order: one argsort over int64 keys that pack (run index, random bits).
+    """
+    bits = 63 - max(len(counts) - 1, 1).bit_length()
+    run = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    by_key = np.argsort((run << bits) | rng.integers(0, 1 << bits, size=len(run)))
+    rank = concat_ranges(np.zeros_like(counts), counts)     # each position's place in its run
+    return by_key[rank < np.repeat(k, counts)]
+
+
 def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
     """Parse one tab-separated triple file, assigning ids in first-seen order."""
     if not os.path.isfile(path):
@@ -292,15 +305,29 @@ def degree(g: KnowledgeGraph, v: int) -> int:
     return int(g.degrees[v])
 
 
-def neighbor_triple_ids(g: KnowledgeGraph, t) -> np.ndarray:
-    """Indices of train triples incident to t's subject or object, minus t."""
-    s, r, o = int(t[0]), int(t[1]), int(t[2])
-    ids = np.union1d(g.incident_triple_ids(s), g.incident_triple_ids(o))
-    if len(ids) == 0:
-        return ids
-    rows = g.train[ids]
-    is_t = (rows[:, 0] == s) & (rows[:, 1] == r) & (rows[:, 2] == o)
-    return ids[~is_t]
+def neighbor_entries(g: KnowledgeGraph, positives: np.ndarray, cap: int, rng) -> tuple:
+    """Every positive followed by at most ``cap`` of its neighbor triples, and their weights.
+
+    Neighbors are the other train triples sharing the positive's subject or object;
+    above ``cap``, a uniform subset (:func:`uniform_subsets`, drawn only if some
+    positive has 0 < cap < neighbors). Returns ``(entries, weights)``: [positive,
+    kept neighbors in triple-id order] per positive, each row weighted 1 / (1 + kept).
+    """
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    ends = positives[:, [0, 2]].ravel()      # runs 2i and 2i + 1 belong to positive i
+    lo = g.adj_indptr[ends]
+    counts = g.adj_indptr[ends + 1] - lo
+    keys = np.unique(np.repeat(np.arange(len(ends)) // 2 * g.n_train, counts)
+                     + g.adj_indices[concat_ranges(lo, counts)])    # one per (positive, triple)
+    owner, ids = np.divmod(keys, g.n_train)
+    other = (g.train[ids] != positives[owner]).any(axis=1)
+    owner, ids = owner[other], ids[other]
+    counts = np.bincount(owner, minlength=len(positives))
+    kept = np.minimum(counts, cap)
+    if (kept < counts).any():
+        ids = ids[np.sort(uniform_subsets(counts, kept, rng))] if cap else ids[:0]
+    return (np.insert(g.train[ids], np.cumsum(kept) - kept, positives, axis=0),
+            np.repeat(1.0 / (1.0 + kept), kept + 1))
 
 
 def induced_subgraph(g: KnowledgeGraph, vertices) -> np.ndarray:

@@ -9,9 +9,10 @@ softmax-over-scores weighted mean when the adversarial temperature is
 positive (weights are constants: no gradient flows through them).
 
 The neighbor-aware variant adds, for every positive, the pair losses of the
-training triples sharing an endpoint with it, the whole group scaled by
-1 / (1 + number of neighbors) so a zero-neighbor positive reduces exactly
-to the base loss.
+training triples sharing an endpoint with it (at most ``neighbor_cap`` of
+them, a uniform subset, from :func:`graph.neighbor_entries`), the whole
+group scaled by 1 / (1 + number of kept neighbors) so a zero-neighbor
+positive reduces exactly to the base loss.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, neighbor_triple_ids
+from .graph import KnowledgeGraph, neighbor_entries
 from .samplers import Minibatch
 from .scorers import (EmbeddingStore, check_ids, query_rows, query_rows_backward,
                       query_score_grads, query_scores)
@@ -323,40 +324,14 @@ def softmargin_loss_and_grads(store: EmbeddingStore, t, negatives, config: LossC
     )
 
 
-def _capped_neighbors(g, t, cap, rng):
-    """Neighbor triple ids, uniformly subsampled to the cap.
-
-    Consumes randomness only when the cap actually truncates, so a cap of
-    zero (or a neighbor set within the cap) is rng-neutral.
-    """
-    ids = neighbor_triple_ids(g, t)
-    if len(ids) > cap:
-        if cap == 0:
-            return ids[:0]
-        return np.sort(rng.choice(ids, size=cap, replace=False))
-    return ids
-
-
 def neighbors_loss_and_grads(g: KnowledgeGraph, store: EmbeddingStore,
                              m: Minibatch, config: LossConfig, rng):
     """Neighbor-aware loss of a minibatch, with sparse gradients.
 
-    For each positive t the scaled group contains t itself and its (capped)
-    neighbor triples, every member paired with its own fresh negatives. The
-    1/(1+count) normalizer uses the post-cap neighbor count.
+    Each positive and its kept neighbors (:func:`graph.neighbor_entries`) are
+    scaled by 1/(1 + kept), every member with its own fresh negatives.
     """
-    entries = []
-    weights = []
-    for row in m.positives:
-        nbr_ids = _capped_neighbors(g, row, config.neighbor_cap, rng)
-        w = 1.0 / (1.0 + len(nbr_ids))
-        entries.append(row)
-        weights.append(w)
-        for i in nbr_ids:
-            entries.append(g.train[i])
-            weights.append(w)
-    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 3)
-    weights = np.asarray(weights)
+    entries, weights = neighbor_entries(g, m.positives, config.neighbor_cap, rng)
     negs = corrupt_batch(g, entries, config.negatives_per_positive,
                          config.filtered_negatives, rng)
     return softmargin_batch_loss_and_grads(store, entries, negs, config,

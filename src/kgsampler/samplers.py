@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, _pack, concat_ranges, induced_subgraph
+from .graph import KnowledgeGraph, _pack, concat_ranges, induced_subgraph, uniform_subsets
 
 log = logging.getLogger(__name__)
 
@@ -160,21 +160,15 @@ def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: i
                  rng) -> np.ndarray:
     """Adjacency slots of ``rwisg_n``'s extra triples: a uniform k-subset per run.
 
-    Visited vertex v gets the k = min(ceil(fraction * degree(v)), cap, run
-    length) slots of its run with the smallest random keys. One argsort ranks
-    every run at once, on int64 keys that pack (run index, random bits).
+    Visited vertex v gets k = min(ceil(fraction * degree(v)), cap, run length)
+    slots of its adjacency run, drawn by :func:`graph.uniform_subsets`.
     """
     if fraction == 0.0:
         return np.empty(0, dtype=np.int64)
     lo = g.adj_indptr[visited]
     counts = g.adj_indptr[visited + 1] - lo
     k = np.minimum(np.ceil(fraction * g.degrees[visited]), np.minimum(counts, cap))
-    slots = concat_ranges(lo, counts)
-    bits = 63 - max(len(visited) - 1, 1).bit_length()
-    run = np.repeat(np.arange(len(visited), dtype=np.int64), counts)
-    by_key = np.argsort((run << bits) | rng.integers(0, 1 << bits, size=len(slots)))
-    rank = concat_ranges(np.zeros_like(counts), counts)     # each slot's place in its run
-    return slots[by_key[rank < np.repeat(k, counts)]]
+    return concat_ranges(lo, counts)[uniform_subsets(counts, k, rng)]
 
 
 def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,

@@ -45,8 +45,9 @@ class TrainConfig:
     normalize_entities: bool = False       # project entity rows to the unit ball
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name, least in (("learning_rate", 0), ("epochs", 0), ("eval_every", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
 

@@ -28,6 +28,17 @@ def star6():
     return from_id_triples([(0, 0, i) for i in range(1, 7)], n_entities=7, n_relations=1)
 
 
+def chi_square(counts) -> float:
+    """Pearson's statistic of observed counts against equal expected counts."""
+    counts = np.asarray(counts, dtype=np.float64)
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+# Upper 0.1% points of the chi-square distribution with 9, 19 and 29 degrees of freedom.
+CHI2_CRIT = {9: 27.88, 19: 43.82, 29: 58.30}
+
+
 def known_triples(g):
     """Brute-force set of every (s, r, o) in train, valid and test."""
     return {tuple(int(x) for x in row) for split in (g.train, g.valid, g.test) for row in split}

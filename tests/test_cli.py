@@ -196,7 +196,8 @@ class TestTrainCommand:
         assert not os.path.exists(run_dir)
 
     @pytest.mark.parametrize("setting", ["model.kind=foo", "model.dimension=0",
-                                         "loss.neighbor_cap=-1"])
+                                         "loss.neighbor_cap=-1", "train.eval_every=0",
+                                         "train.epochs=-1"])
     def test_bad_model_or_loss_value_leaves_no_run_directory(self, tmp_path, toy_dataset,
                                                              capsys, setting):
         run_dir = str(tmp_path / "run")
@@ -344,6 +345,16 @@ class TestVizCommand:
         code = main(["viz", "--dataset", toy_dataset, "--sampler", "rw",
                      "--batch-size", "16", "--output", out])
         assert code == 0
+
+    def test_zero_batch_size_is_a_usage_error(self, tmp_path, toy_dataset, capsys):
+        out = str(tmp_path / "batch.dot")
+        code = main(["viz", "--dataset", toy_dataset, "--sampler", "rw",
+                     "--batch-size", "0", "--output", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: --batch-size: batch_size must be >= 1" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_unwritable_output(self, tmp_path, toy_dataset):
         out = os.path.join(str(tmp_path), "missing-dir", "x.dot")

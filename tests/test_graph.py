@@ -12,9 +12,10 @@ from kgsampler.graph import (
     from_id_triples,
     induced_subgraph,
     load_dataset,
-    neighbor_triple_ids,
+    neighbor_entries,
     write_dictionaries,
 )
+from kgsampler.synth import random_graph
 
 from conftest import known_triples, random_id_triples
 
@@ -157,7 +158,39 @@ class TestAdjacency:
 
 def neighbor_triples(g, t: Triple) -> set:
     """Train triples sharing an endpoint with t, excluding t itself."""
-    return {Triple(*map(int, g.train[i])) for i in neighbor_triple_ids(g, t)}
+    entries, weights = neighbor_entries(g, [t], g.n_train, np.random.default_rng(0))
+    assert entries[0].tolist() == list(t)
+    assert np.all(weights == 1.0 / len(entries))
+    got = [Triple(*map(int, row)) for row in entries[1:]]
+    assert len(set(got)) == len(got)
+    return set(got)
+
+
+def brute_neighbors(g, t: Triple) -> set:
+    return {
+        Triple(*map(int, r)) for r in g.train
+        if (r[0] in (t.subject, t.object) or r[2] in (t.subject, t.object))
+    } - {t}
+
+
+def reference_neighbor_entries(g, positives, cap, rng):
+    """The per-positive loop that ``neighbor_entries`` replaced."""
+    entries, weights = [], []
+    for t in positives:
+        s, r, o = int(t[0]), int(t[1]), int(t[2])
+        ids = np.union1d(g.incident_triple_ids(s), g.incident_triple_ids(o))
+        if len(ids):
+            rows = g.train[ids]
+            ids = ids[~((rows[:, 0] == s) & (rows[:, 1] == r) & (rows[:, 2] == o))]
+        if len(ids) > cap:
+            ids = ids[:0] if cap == 0 else np.sort(rng.choice(ids, size=cap, replace=False))
+        w = 1.0 / (1.0 + len(ids))
+        entries.append(t)
+        weights.append(w)
+        for i in ids:
+            entries.append(g.train[i])
+            weights.append(w)
+    return np.asarray(entries, dtype=np.int64).reshape(-1, 3), np.asarray(weights)
 
 
 class TestNeighborTriples:
@@ -177,11 +210,57 @@ class TestNeighborTriples:
         g = small_random_graph
         for row in g.train[:25]:
             t = Triple(*map(int, row))
-            brute = {
-                Triple(*map(int, r)) for r in g.train
-                if (r[0] in (t.subject, t.object) or r[2] in (t.subject, t.object))
-            } - {t}
-            assert neighbor_triples(g, t) == brute
+            assert neighbor_triples(g, t) == brute_neighbors(g, t)
+
+    def test_self_loop(self):
+        g = from_id_triples([(0, 0, 0), (0, 1, 1), (2, 0, 0), (1, 0, 2)],
+                            n_entities=3, n_relations=2)
+        for row in g.train:
+            t = Triple(*map(int, row))
+            assert neighbor_triples(g, t) == brute_neighbors(g, t)
+        assert neighbor_triples(g, Triple(0, 0, 0)) == {Triple(0, 1, 1), Triple(2, 0, 0)}
+
+    def test_parallel_edges_appear_once(self):
+        # (0,1,1) and (1,0,0) lie in both of (0,0,1)'s runs
+        g = from_id_triples([(0, 0, 1), (0, 1, 1), (1, 0, 0), (2, 0, 1)],
+                            n_entities=3, n_relations=2)
+        for row in g.train:
+            t = Triple(*map(int, row))
+            assert neighbor_triples(g, t) == brute_neighbors(g, t)
+        assert neighbor_triples(g, Triple(0, 0, 1)) == {
+            Triple(0, 1, 1), Triple(1, 0, 0), Triple(2, 0, 1)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("cap", [0, 10**6])
+    def test_equals_per_positive_loop(self, seed, cap):
+        # a cap that truncates nothing draws no random numbers, as the loop did
+        g = random_graph(n_entities=300, n_relations=5, n_triples=3000, seed=seed)
+        positives = g.train[np.random.default_rng(seed).choice(g.n_train, 50, replace=False)]
+        positives = np.concatenate([positives, [[0, 0, 0]]])   # not a train triple
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_neighbor_entries(g, positives, cap, want_rng)
+        got = neighbor_entries(g, positives, cap, got_rng)
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_truncated_groups_are_capped_subsets(self, small_random_graph):
+        g = small_random_graph
+        positives, cap = g.train[:25], 3
+        entries, weights = neighbor_entries(g, positives, cap, np.random.default_rng(4))
+        index = {Triple(*map(int, row)): i for i, row in enumerate(g.train)}
+        at = 0
+        for t in positives:
+            t = Triple(*map(int, t))
+            full = brute_neighbors(g, t)
+            kept = min(len(full), cap)
+            assert entries[at].tolist() == list(t)
+            group = [Triple(*map(int, row)) for row in entries[at + 1:at + 1 + kept]]
+            assert len(set(group)) == kept and set(group) <= full
+            assert [index[n] for n in group] == sorted(index[n] for n in group)
+            assert np.all(weights[at:at + 1 + kept] == 1.0 / (1 + kept))
+            at += 1 + kept
+        assert at == len(entries)
 
 
 class TestInducedSubgraph:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsampler import losses
-from kgsampler.graph import Triple, from_id_triples
+from kgsampler.graph import Triple, from_id_triples, neighbor_entries
 from kgsampler.losses import (
     LossConfig,
     NegativeBatch,
@@ -25,7 +26,7 @@ from kgsampler.samplers import Minibatch, SamplerPolicy, sample_minibatch
 from kgsampler.scorers import MODEL_KINDS, EmbeddingStore, initialize, score, score_gradient
 from kgsampler.synth import random_graph
 
-from conftest import known_triples
+from conftest import CHI2_CRIT, chi_square, known_triples
 
 
 def make_batch(rows):
@@ -557,8 +558,27 @@ class TestNeighborsLoss:
         # spoke (0,0,1) has 5 neighbors; the cap keeps 2 and the normalizer
         # uses the post-cap count 1/(1+2)
         rng = np.random.default_rng(12)
-        loss, grads = neighbors_loss_and_grads(star6, store, m, config, rng)
-        assert np.isfinite(loss)
+        entries, weights = neighbor_entries(star6, m.positives, 2, rng)
+        assert entries[0].tolist() == [0, 0, 1]
+        spokes = set(entries[1:, 2].tolist())
+        assert len(entries) == 3 and len(spokes) == 2 and spokes <= set(range(2, 7))
+        assert np.all(entries[1:, :2] == 0)
+        assert np.all(weights == 1.0 / 3.0)
+        # the loss scores exactly these entries, and its negatives follow the draw
+        negs = corrupt_batch(star6, entries, 2, False, rng)
+        want, _ = softmargin_batch_loss_and_grads(store, entries, negs, config,
+                                                  entry_weights=weights)
+        loss, _ = neighbors_loss_and_grads(star6, store, m, config, np.random.default_rng(12))
+        assert np.isfinite(loss) and loss == want
+
+    def test_capped_subsets_are_uniform(self, star6):
+        # 2 of the spoke's 5 neighbors: 10 possible subsets
+        counts = dict.fromkeys(itertools.combinations(range(2, 7), 2), 0)
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            entries, _ = neighbor_entries(star6, [(0, 0, 1)], 2, rng)
+            counts[tuple(entries[1:, 2].tolist())] += 1
+        assert chi_square(list(counts.values())) < CHI2_CRIT[9]
 
     def test_negative_cap_rejected_none_unlimited(self):
         with pytest.raises(ValueError, match="neighbor_cap"):

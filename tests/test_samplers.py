@@ -18,20 +18,11 @@ from kgsampler.samplers import (
 )
 from kgsampler.synth import random_graph
 
+from conftest import CHI2_CRIT, chi_square
+
 
 def as_set(positives):
     return {tuple(map(int, row)) for row in positives}
-
-
-def chi_square(counts) -> float:
-    """Pearson's statistic of observed counts against equal expected counts."""
-    counts = np.asarray(counts, dtype=np.float64)
-    expected = counts.sum() / len(counts)
-    return float(((counts - expected) ** 2 / expected).sum())
-
-
-# Upper 0.1% points of the chi-square distribution with 19 and 29 degrees of freedom.
-CHI2_CRIT = {19: 43.82, 29: 58.30}
 
 
 class TestSimplyRandom:

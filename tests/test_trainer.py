@@ -115,6 +115,12 @@ class TestSparseAdam:
         assert np.array_equal(store.relations[2], untouched.relations[2])
 
 
+@pytest.mark.parametrize("field, value", [("epochs", -1), ("eval_every", 0)])
+def test_train_config_rejects_bad_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_store(self, small_random_graph):
         g = small_random_graph
