@@ -209,6 +209,7 @@ def cmd_train(args) -> int:
         raise ConfigError("model.dimension must be >= 1")
     dataset_dir = resolve_dataset_dir(config)
     g = load_dataset(dataset_dir)
+    _require_split(g, "train", dataset_dir)
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = args.out or os.path.join(
@@ -261,6 +262,12 @@ def _load_graph(args):
         {"dataset": {"name": args.dataset, "root": args.data_root or ""}}))
 
 
+def _require_split(g, split: str, dataset: str):
+    """Raise DataError if ``split`` of ``g`` holds no triples."""
+    if len(g.split(split)) == 0:
+        raise DataError(f"{dataset}: split {split!r} is empty")
+
+
 @contextmanager
 def _flag_error(flag: str):
     """Re-raise a ValueError from the value of ``flag`` as a ConfigError naming it."""
@@ -283,6 +290,7 @@ def cmd_stats(args) -> int:
         print(f"avg degree: {degs.mean():.1f}")
         print(f"median degree: {np.median(degs):.0f}")
         return 0
+    _require_split(g, "train", args.dataset)
 
     # every argument is checked before the first line of output
     with _flag_error("--samplers"):
@@ -312,8 +320,7 @@ def cmd_stats(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load_graph(args)
-    if len(g.split(args.split)) == 0:
-        raise DataError(f"{args.dataset}: split {args.split!r} is empty")
+    _require_split(g, args.split, args.dataset)
     try:
         store = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
@@ -334,6 +341,7 @@ def cmd_viz(args) -> int:
     with _flag_error("--batch-size"):
         policy = SamplerPolicy(kind=args.sampler, batch_size=args.batch_size, seed=args.seed)
     g = _load_graph(args)
+    _require_split(g, "train", args.dataset)
     m = sample_minibatch(g, policy)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -131,9 +131,14 @@ class KnowledgeGraph:
                     & (r < self.n_relations) & (o < self.n_entities))
         if len(self.spo_keys) == 0:
             return np.zeros(in_range.shape, dtype=bool)
-        keys = _pack(s, r, o, self.n_entities, self.n_relations)
+        keys = _pack(s, r, o, self.n_entities, self.n_relations).reshape(-1)
+        # searched in sorted order, consecutive lookups walk nearby index entries
+        order = np.argsort(keys)
+        keys = keys[order]
         idx = np.minimum(np.searchsorted(self.spo_keys, keys), len(self.spo_keys) - 1)
-        return (self.spo_keys[idx] == keys) & in_range
+        found = np.empty(len(keys), dtype=bool)
+        found[order] = self.spo_keys[idx] == keys
+        return found.reshape(in_range.shape) & in_range
 
 
 def _pack(head, r, tail, n_entities: int, n_relations: int):

@@ -12,7 +12,8 @@ The neighbor-aware variant adds, for every positive, the pair losses of the
 training triples sharing an endpoint with it (at most ``neighbor_cap`` of
 them, a uniform subset, from :func:`graph.neighbor_entries`), the whole
 group scaled by 1 / (1 + number of kept neighbors) so a zero-neighbor
-positive reduces exactly to the base loss.
+positive reduces exactly to the base loss. One pass over blocks of whole
+positives scores every row and differentiates it from its own partials.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class LossConfig:
             raise ValueError("need at least one negative per positive")
         if not np.isfinite(self.margin):
             raise ValueError("margin must be finite")
-        if self.adversarial_temperature < 0:
-            raise ValueError("adversarial temperature must be >= 0")
+        if not np.isfinite(self.adversarial_temperature) or self.adversarial_temperature < 0:
+            raise ValueError("adversarial_temperature must be finite and >= 0")
         if self.neighbor_cap is None or self.neighbor_cap < 0:
             raise ValueError("neighbor_cap must be an integer >= 0")
 
@@ -95,48 +96,40 @@ class SparseGrads:
     exhausted_negatives: int = 0
 
 
-# Rows per block of the loss's score and gradient passes: each block's
-# per-row temporaries stay cache-sized instead of spanning the whole batch.
-# 1024 read fastest of 512-4096 on a b=1024, 64-negative, K=64 RotatE batch.
+# Scored rows per block of the loss pass: whole positives, at least one, with
+# all of their negatives, so a block's adversarial weights and coefficients
+# follow from its own scores, and its buffers stay cache-sized. 1024 read
+# fastest of 512-4096 on a b=1024, 64-negative, K=64 RotatE batch.
 BLOCK_ROWS = 1024
 
 
-def _query_blocks(rows: np.ndarray, head: np.ndarray, fixed: np.ndarray,
-                  rel: np.ndarray):
-    """Walk ``rows``, row ids sorted by query, in blocks of at most ``BLOCK_ROWS``.
-
-    A row's query is (side, fixed entity, relation); the tail-side rows
-    (``head`` False) come first, and no block mixes the two sides. Yields
-    ``(block, side, starts, group)``: the block's row ids, the side of the
-    candidate (2 = object, 0 = subject), the offsets in ``block`` where a
-    query starts and each row's query number within the block. A query that
-    straddles a block boundary starts again in the next block.
-    """
-    h, f, r = head[rows], fixed[rows], rel[rows]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (h[1:] != h[:-1]) | (f[1:] != f[:-1]) | (r[1:] != r[:-1])
-    n_tail = len(rows) - np.count_nonzero(h)
-    for side, lo, hi in ((2, 0, n_tail), (0, n_tail, len(rows))):
-        for i in range(lo, hi, BLOCK_ROWS):
-            j = min(i + BLOCK_ROWS, hi)
-            first = new[i:j].copy()
-            first[0] = True
-            yield rows[i:j], side, np.flatnonzero(first), np.cumsum(first) - 1
-
-
-def _row_slots(n: int, width: int, *ids):
-    """The sorted distinct ids in ``ids`` (arrays of ids in [0, n)), and their flat offsets.
-
-    Returns ``(distinct, at)``: ``at[i]`` is the offset of id ``i``'s first
-    entry in a flat accumulator of ``len(distinct)`` rows of ``width``.
-    """
+def _row_slots(n: int, *ids):
+    """The sorted distinct ids of the arrays ``ids`` (in [0, n)) and each id's rank among them."""
     seen = np.zeros(n, dtype=bool)
     for a in ids:
         seen[a] = True
     distinct = np.flatnonzero(seen)
-    at = np.zeros(n, dtype=np.int64)
-    at[distinct] = np.arange(0, len(distinct) * width, width)
-    return distinct, at
+    slot = np.zeros(n, dtype=np.int64)
+    slot[distinct] = np.arange(len(distinct))
+    return distinct, slot
+
+
+def _scatter_rows(acc: np.ndarray, slots: np.ndarray, rows: np.ndarray):
+    """``acc[slots[i]] += rows[i]``, repeated slots summed in order, by one 1-D ``np.add.at``.
+
+    Flat offsets give the 2-D form's sums, faster; complex128 views of an
+    even width add two float64 columns per offset, with half the offsets.
+    """
+    width = acc.shape[1]
+    acc, rows = acc.reshape(-1), np.ascontiguousarray(rows).reshape(-1)
+    if width % 2 == 0:
+        acc, rows, width = acc.view(np.complex128), rows.view(np.complex128), width // 2
+    np.add.at(acc, ((slots * width)[:, None] + np.arange(width)).reshape(-1), rows)
+
+
+def _compact(ids: np.ndarray, distinct: np.ndarray, slot: np.ndarray, acc: np.ndarray):
+    """:class:`RowGrads` of ``ids``, some of ``distinct``, from ``acc``'s rows for ``distinct``."""
+    return RowGrads(ids, acc if len(ids) == len(distinct) else acc[slot[ids]])
 
 
 def log_sigmoid(x):
@@ -232,15 +225,16 @@ def softmargin_batch_loss_and_grads(
     Every scored row is a pair (query, candidate): a positive or a
     tail-corrupted negative scores its object against the query built from
     (subject, relation), a head-corrupted negative its subject against the
-    query built from (object, relation). Rows are sorted by query once, so a
-    positive's negatives share one query row (see :func:`_query_blocks`).
-    Two passes walk them in blocks. The score pass scores every row: the
-    adversarial weights, and so every gradient coefficient, need all of a
-    positive's negative scores. The gradient pass then runs over the
-    positives and the negatives with a nonzero coefficient: candidate
-    gradients are scattered per row, query gradients summed per query and
-    mapped back to the fixed entity and the relation by
-    :func:`scorers.query_rows_backward`.
+    query built from (object, relation). One pass walks blocks of whole
+    positives with all of their negatives (``BLOCK_ROWS``), sorted by query
+    within a block, so a query row is built once per distinct query in it.
+    A block's scores give its adversarial weights and coefficients, and the
+    same difference rows (distance models) or gathered rows (dot models)
+    give the partials: candidate gradients are scattered per row, query
+    gradients summed per query and mapped back by
+    :func:`scorers.query_rows_backward`. The loss is summed from all scores
+    and weights after the pass. A positive's rows always count as touched,
+    a negative's only at a nonzero coefficient.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     m, n = negatives.valid.shape
@@ -254,54 +248,60 @@ def softmargin_batch_loss_and_grads(
     fixed = np.where(head, spo[:, 2], spo[:, 0])
     cand = np.where(head, spo[:, 0], spo[:, 2])
     rel = spo[:, 1]
-    order = np.lexsort((fixed, rel, head))
+    per = max(1, BLOCK_ROWS // (n + 1))   # positives per block
+    owner = np.concatenate([np.arange(m), np.repeat(np.arange(m), n)]) // per
+    order = np.lexsort((fixed, rel, head, owner))
+    keys = np.stack([owner, head, rel, fixed])[:, order]
+    new = np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])   # query starts
 
+    weights = (np.empty((m, n)) if frozen_weights is None
+               else np.where(negatives.valid, frozen_weights, 0.0))
     scores = np.empty(len(spo))
-    for block, side, starts, group in _query_blocks(order, head, fixed, rel):
-        q = query_rows(store, spo[block[starts]], side)
-        scores[block] = query_scores(store, q[group], store.entities[cand[block]])
-    pos_scores = scores[:m]
-    neg_scores = scores[m:].reshape(m, n)
+    coefs = np.empty(len(spo))   # d loss / d score, including the per-entry scaling
+    neg_scores, neg_coefs = scores[m:].reshape(m, n), coefs[m:].reshape(m, n)
 
-    if frozen_weights is None:
-        weights = adversarial_weights(neg_scores, config.adversarial_temperature,
-                                      negatives.valid)
-    else:
-        weights = np.where(negatives.valid, frozen_weights, 0.0)
+    ew, rw = store.entities.shape[1], store.relations.shape[1]
+    ent_ids, ent_slot = _row_slots(store.n_entities, fixed, cand)
+    rel_ids, rel_slot = _row_slots(store.n_relations, rel)
+    ent_acc, rel_acc = np.zeros((len(ent_ids), ew)), np.zeros((len(rel_ids), rw))
+    q_buf, e_buf = np.empty((2, min(per, m) * (n + 1), ew))
+    for lo in range(0, m, per):
+        hi = min(lo + per, m)
+        rows = order[lo * (n + 1):hi * (n + 1)]
+        first = new[lo * (n + 1):hi * (n + 1)]
+        starts = np.flatnonzero(first)
+        firsts = spo[rows[starts]]
+        sides = np.where(head[rows[starts]], 0, 2)
+        q = query_rows(store, firsts, sides)
+        # the ids are checked: "clip" only skips the copy np.take buffers ``out`` through
+        qb = np.take(q, np.cumsum(first) - 1, axis=0, out=q_buf[:len(rows)], mode="clip")
+        eb = np.take(store.entities, cand[rows], axis=0, out=e_buf[:len(rows)], mode="clip")
+        scores[rows] = query_scores(store, qb, eb, out=qb)
 
-    pos_term = log_sigmoid(pos_scores - gamma)
+        if frozen_weights is None:
+            weights[lo:hi] = adversarial_weights(neg_scores[lo:hi], config.adversarial_temperature,
+                                                 negatives.valid[lo:hi])
+        w = entry_weights[lo:hi]
+        coefs[lo:hi] = w * (-0.5) * sigmoid(gamma - scores[lo:hi])
+        neg_coefs[lo:hi] = w[:, None] * 0.5 * weights[lo:hi] * sigmoid(neg_scores[lo:hi] - gamma)
+
+        dq, de = query_score_grads(store, qb, eb, coefs[rows], scores[rows])
+        dq = np.add.reduceat(dq, starts, axis=0)
+        d_fixed, d_rel = query_rows_backward(store, firsts, sides, dq)
+        _scatter_rows(ent_acc, ent_slot[cand[rows]], de)
+        _scatter_rows(ent_acc, ent_slot[fixed[rows[starts]]], d_fixed)
+        _scatter_rows(rel_acc, rel_slot[rel[rows[starts]]], d_rel)
+
+    pos_term = log_sigmoid(scores[:m] - gamma)
     neg_term = (weights * log_sigmoid(gamma - neg_scores)).sum(axis=1)
     loss = float(np.dot(entry_weights, -0.5 * (pos_term + neg_term)))
 
-    # d loss / d score, including the per-entry scaling
-    dpos = entry_weights * (-0.5) * sigmoid(gamma - pos_scores)
-    dneg = (entry_weights[:, None] * 0.5 * weights * sigmoid(neg_scores - gamma)).reshape(-1)
-    coefs = np.concatenate([dpos, dneg])
-
-    # Positives keep their rows even at coefficient 0; negatives only when
-    # their weighted coefficient is nonzero.
-    touched = np.concatenate([np.ones(m, dtype=bool), dneg != 0.0])
-    rows = order[touched[order]]
-    ew, rw = store.entities.shape[1], store.relations.shape[1]
-    ent_ids, ent_at = _row_slots(store.n_entities, ew, fixed[rows], cand[rows])
-    rel_ids, rel_at = _row_slots(store.n_relations, rw, rel[rows])
-    ent_acc = np.zeros(len(ent_ids) * ew)
-    rel_acc = np.zeros(len(rel_ids) * rw)
-    ent_cols, rel_cols = np.arange(ew), np.arange(rw)
-    for block, side, starts, group in _query_blocks(rows, head, fixed, rel):
-        firsts = spo[block[starts]]
-        q = query_rows(store, firsts, side)
-        dq, de = query_score_grads(store, q[group], store.entities[cand[block]],
-                                   coefs[block])
-        d_fixed, d_rel = query_rows_backward(store, firsts, side,
-                                             np.add.reduceat(dq, starts, axis=0))
-        # 1-D np.add.at over flat offsets: the same sums as the 2-D form, faster
-        np.add.at(ent_acc, (ent_at[cand[block], None] + ent_cols).ravel(), de.ravel())
-        np.add.at(ent_acc, (ent_at[firsts[:, 2 - side], None] + ent_cols).ravel(),
-                  d_fixed.ravel())
-        np.add.at(rel_acc, (rel_at[firsts[:, 1], None] + rel_cols).ravel(), d_rel.ravel())
-    grads = SparseGrads(entities=RowGrads(ent_ids, ent_acc.reshape(-1, ew)),
-                        relations=RowGrads(rel_ids, rel_acc.reshape(-1, rw)),
+    touched = coefs != 0.0
+    touched[:m] = True
+    ent_hit = _row_slots(store.n_entities, fixed[touched], cand[touched])[0]
+    rel_hit = _row_slots(store.n_relations, rel[touched])[0]
+    grads = SparseGrads(entities=_compact(ent_hit, ent_ids, ent_slot, ent_acc),
+                        relations=_compact(rel_hit, rel_ids, rel_slot, rel_acc),
                         scored_rows=m + int(np.count_nonzero(negatives.valid)),
                         exhausted_negatives=int(np.count_nonzero(~negatives.valid)))
     return loss, grads

@@ -110,13 +110,22 @@ def _halves(x: np.ndarray):
     return x[..., :k], x[..., k:]
 
 
+# Up to this many ids, _rotations evaluates every row: np.unique's overhead
+# costs more than the trig it saves (65 against 50 us for 30 ids of a
+# 64-wide phase table; the unique path wins from ~300 ids).
+_SHORT_ROTATIONS = 128
+
+
 def _rotations(store: EmbeddingStore, r: np.ndarray):
     """(cos, sin) of the rotate phase rows of relations ``r``, one row per id.
 
-    The trig functions run once per distinct relation, on a small table that
-    is then gathered per row; being elementwise, they give the same bits as
-    evaluating every row.
+    For more than ``_SHORT_ROTATIONS`` ids the trig functions run once per
+    distinct relation, on a small table that is then gathered per row; being
+    elementwise, they give the same bits as evaluating every row.
     """
+    if len(r) <= _SHORT_ROTATIONS:
+        phases = store.relations[r]
+        return np.cos(phases), np.sin(phases)
     uniq, inv = np.unique(r, return_inverse=True)
     phases = store.relations[uniq]
     return np.cos(phases)[inv], np.sin(phases)[inv]
@@ -150,8 +159,9 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     check_ids(store, spo)
-    q = query_rows(store, spo, 2)
-    dq, d_object = query_score_grads(store, q, store.entities[spo[:, 2]], np.ones(len(spo)))
+    q, e = query_rows(store, spo, 2), store.entities[spo[:, 2]]
+    dq, d_object = query_score_grads(store, q, e, np.ones(len(spo)),
+                                     query_scores(store, q, e, out=q))
     d_subject, d_relation = query_rows_backward(store, spo, 2, dq)
     return d_subject, d_relation, d_object
 
@@ -173,27 +183,41 @@ def _complex_relations(store: EmbeddingStore, rel: np.ndarray):
     return _halves(store.relations[rel])
 
 
-def query_rows(store: EmbeddingStore, spo: np.ndarray, side: int) -> np.ndarray:
+def _side(spo: np.ndarray, side):
+    """Fixed entity ids of ``spo`` and the sign of the relation's odd part, candidates in ``side``.
+
+    ``side`` is 0 or 2, or one of them per row. The odd part (TransE's
+    translation, the complex models' imaginary part) enters with sign +1 on
+    the object side and -1 on the subject side: the inverse translation, the
+    conjugate. A factor of ±1 is exact, so both sides share one formula.
+    """
+    if np.ndim(side) == 0:
+        return spo[:, 2 - side], (1.0 if side == 2 else -1.0)
+    tail = np.asarray(side) == 2
+    return np.where(tail, spo[:, 0], spo[:, 2]), np.where(tail, 1.0, -1.0)[:, None]
+
+
+def query_rows(store: EmbeddingStore, spo: np.ndarray, side) -> np.ndarray:
     """Query rows for scoring every entity in column ``side`` (0 or 2) of each row of ``spo``.
 
-    For DistMult and ComplEx the score with entity row ``e`` in that column
-    is ``q @ e``; for the ``DISTANCE_MODELS`` it is ``-||q - e||`` (on
-    RotatE's subject side up to the rotation's rounding, see
-    :func:`query_bounds`). :func:`query_scores` computes both.
+    ``side`` may also give the column per row. For DistMult and ComplEx the
+    score with entity row ``e`` in that column is ``q @ e``; for the
+    ``DISTANCE_MODELS`` it is ``-||q - e||`` (on RotatE's subject side up to
+    the rotation's rounding, see :func:`query_bounds`). :func:`query_scores`
+    computes both.
     """
     kind = store.model_kind
-    fixed = store.entities[spo[:, 2 - side]]
+    fixed_ids, sign = _side(spo, side)
+    fixed = store.entities[fixed_ids]
     if kind in ("transe", "distmult"):
         wr = store.relations[spo[:, 1]]
-        if kind == "distmult":
-            return fixed * wr
-        return fixed + wr if side == 2 else fixed - wr
+        return fixed * wr if kind == "distmult" else fixed + sign * wr
     p, r = _complex_relations(store, spo[:, 1])
+    r = sign * r
     x, y = _halves(fixed)
-    if side == 2:   # the subject x + iy times p + ir
-        return np.concatenate([p * x - r * y, p * y + r * x], axis=1)
-    # the object x + iy times p - ir: for RotatE, rotated back
-    return np.concatenate([p * x + r * y, p * y - r * x], axis=1)
+    # the fixed entity x + iy times p + ir; on the subject side p - ir, which
+    # for RotatE rotates the object back
+    return np.concatenate([p * x - r * y, p * y + r * x], axis=1)
 
 
 def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
@@ -204,7 +228,7 @@ def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
     4u, and is 0 for the other models.
     """
     kind = store.model_kind
-    fixed = np.abs(store.entities[spo[:, 2 - side]])
+    fixed = np.abs(store.entities[_side(spo, side)[0]])
     if kind in ("transe", "distmult"):
         wr = np.abs(store.relations[spo[:, 1]])
         return (fixed * wr if kind == "distmult" else fixed + wr), 0.0
@@ -217,60 +241,63 @@ def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
     return np.concatenate([p * x + r * y, p * y + r * x], axis=1), eps
 
 
-def query_rows_backward(store: EmbeddingStore, spo: np.ndarray, side: int,
+def query_rows_backward(store: EmbeddingStore, spo: np.ndarray, side,
                         dq: np.ndarray):
     """Map gradients w.r.t. the query rows of :func:`query_rows` back to their inputs.
 
     ``dq`` holds one gradient row per row of ``spo``. Returns
-    ``(d_fixed, d_relation)``: the gradients w.r.t. the entity row in column
-    ``2 - side`` and the relation row of each triple.
+    ``(d_fixed, d_relation)``: the gradients w.r.t. the fixed entity row
+    (column ``2 - side``) and the relation row of each triple.
     """
     kind = store.model_kind
-    fixed = store.entities[spo[:, 2 - side]]
-    if kind == "transe":   # q = fixed ± wr
-        return dq, dq.copy() if side == 2 else -dq
+    fixed_ids, sign = _side(spo, side)
+    fixed = store.entities[fixed_ids]
+    if kind == "transe":   # q = fixed + sign·wr
+        return dq, sign * dq
     if kind == "distmult":
         return dq * store.relations[spo[:, 1]], dq * fixed
     p, r = _complex_relations(store, spo[:, 1])
+    r = sign * r
     x, y = _halves(fixed)
     u, v = _halves(dq)
-    if side == 2:   # q = (px - ry, py + rx)
-        d_fixed = np.concatenate([u * p + v * r, v * p - u * r], axis=1)
-        if kind == "rotate":   # (p, r) = (cos, sin) of the phase
-            return d_fixed, u * (-x * r - y * p) + v * (x * p - y * r)
-        return d_fixed, np.concatenate([u * x + v * y, v * x - u * y], axis=1)
-    # q = (px + ry, py - rx)
-    d_fixed = np.concatenate([u * p - v * r, u * r + v * p], axis=1)
-    if kind == "rotate":
-        return d_fixed, u * (y * p - x * r) - v * (x * p + y * r)
-    return d_fixed, np.concatenate([u * x + v * y, u * y - v * x], axis=1)
+    # q = (px - ry, py + rx), with r the signed odd part
+    d_fixed = np.concatenate([u * p + v * r, v * p - u * r], axis=1)
+    if kind == "rotate":   # (p, r) = (cos, sign·sin) of the phase
+        return d_fixed, sign * (u * (-x * r - y * p) + v * (x * p - y * r))
+    return d_fixed, np.concatenate([u * x + v * y, sign * (v * x - u * y)], axis=1)
 
 
-def query_scores(store: EmbeddingStore, q: np.ndarray, e: np.ndarray) -> np.ndarray:
+def query_scores(store: EmbeddingStore, q: np.ndarray, e: np.ndarray,
+                 out: np.ndarray = None) -> np.ndarray:
     """Score of each candidate entity row ``e[i]`` against query row ``q[i]``.
 
     ``-||q - e||`` for the ``DISTANCE_MODELS``, ``q · e`` for the others.
+    The distance models write ``q - e`` into ``out`` (shaped like ``q``; it
+    may be ``q``) when one is given, for :func:`query_score_grads` to reuse.
     """
     if store.model_kind in DISTANCE_MODELS:
-        d = q - e
+        d = np.subtract(q, e, out=out)
         return -np.sqrt(np.einsum("ij,ij->i", d, d))
     return np.einsum("ij,ij->i", q, e)
 
 
 def query_score_grads(store: EmbeddingStore, q: np.ndarray, e: np.ndarray,
-                      coef: np.ndarray):
+                      coef: np.ndarray, scores: np.ndarray):
     """``coef[i]`` times the partials of :func:`query_scores` w.r.t. ``q[i]`` and ``e[i]``.
 
-    Returns ``(dq, de)``; the distance models use the zero subgradient
-    where ``q[i] == e[i]``.
+    Reuses the pass ``scores = query_scores(store, q, e, out=q)``: the
+    distance models take ``q - e`` from ``q`` and the norms from
+    ``-scores``. Returns ``(dq, de)``, written over ``q`` and ``e``; the
+    distance models use the zero subgradient where ``q[i] == e[i]``.
     """
     if store.model_kind in DISTANCE_MODELS:
-        d = q - e
-        n = np.sqrt(np.einsum("ij,ij->i", d, d))
-        d *= np.divide(-coef, n, out=np.zeros_like(n), where=n > 0)[:, None]
-        return d, -d
+        n = -scores
+        q *= np.divide(-coef, n, out=np.zeros_like(n), where=n > 0)[:, None]
+        return q, np.negative(q, out=e)
     c = coef[:, None]
-    return e * c, q * c
+    e *= c
+    q *= c
+    return e, q
 
 
 def _score_all(store: EmbeddingStore, t, side: int) -> np.ndarray:

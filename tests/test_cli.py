@@ -206,6 +206,32 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not os.path.exists(run_dir)
 
+    @pytest.mark.parametrize("setting, field", [
+        ("loss.adversarial_temperature=nan", "adversarial_temperature"),
+        ("loss.adversarial_temperature=inf", "adversarial_temperature"),
+        ("train.learning_rate=nan", "learning_rate"),
+        ("train.learning_rate=inf", "learning_rate"),
+    ])
+    def test_non_finite_value_is_a_usage_error_before_the_load(self, tmp_path, toy_dataset,
+                                                                capsys, monkeypatch,
+                                                                setting, field):
+        def no_load(directory):
+            raise AssertionError("the dataset was loaded before the config was checked")
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        code, run_dir = run_training(tmp_path, toy_dataset, ["--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be finite")
+        assert not os.path.exists(run_dir)
+
+    def test_empty_train_split_is_a_data_error(self, tmp_path, toy_dataset, capsys):
+        open(os.path.join(toy_dataset, "train.txt"), "w").close()
+        code, run_dir = run_training(tmp_path, toy_dataset)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "split 'train' is empty" in err
+        assert not os.path.exists(run_dir)
+
     def test_missing_dataset_exits_data_error(self, tmp_path):
         code = main(["train", "--dataset", "no-such-dataset",
                      "--data-root", str(tmp_path)])
@@ -328,6 +354,38 @@ class TestStatsCommand:
         with open(os.path.join(out, "degree_distributions.csv")) as fh:
             got = list(csv.DictReader(fh))
         assert got == [{k: str(v) for k, v in row.items()} for row in dists]
+
+
+class TestEmptyTrainSplit:
+    """Commands that sample the train split stop with a data error when it is empty."""
+
+    @pytest.fixture
+    def no_train(self, toy_dataset):
+        open(os.path.join(toy_dataset, "train.txt"), "w").close()
+        return toy_dataset
+
+    def test_stats_exits_data_error_before_any_output(self, tmp_path, no_train, capsys):
+        out = str(tmp_path / "stats")
+        code = main(["stats", "--dataset", no_train, "--batch-sizes", "4",
+                     "--num-batches", "30", "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: ") and "split 'train' is empty" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
+    def test_stats_summary_still_works(self, no_train, capsys):
+        assert main(["stats", "--dataset", no_train, "--summary"]) == 0
+        assert "train:      0" in capsys.readouterr().out
+
+    def test_viz_exits_data_error(self, tmp_path, no_train, capsys):
+        out = str(tmp_path / "batch.dot")
+        code = main(["viz", "--dataset", no_train, "--sampler", "rw",
+                     "--batch-size", "4", "--output", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not os.path.exists(out)
 
 
 class TestVizCommand:

@@ -361,6 +361,23 @@ def test_known_triple_index_matches_brute_force(g):
         assert ptr.tolist() == [0] and len(found) == 0
 
 
+def test_contains_triples_unsorted_keys_with_duplicates():
+    """An (m, n, 3) batch in random order, known rows repeated, equals a set lookup."""
+    g = random_graph(n_entities=25, n_relations=3, n_triples=150, seed=13)
+    known = known_triples(g)
+    rng = np.random.default_rng(14)
+    rows = np.stack([rng.integers(-1, 26, size=240), rng.integers(-1, 4, size=240),
+                     rng.integers(-1, 26, size=240)], axis=1)
+    rows[::3] = g.train[rng.integers(len(g.train), size=80)]   # known, with repeats
+    rows[1::7] = rows[0]
+    batch = rows[rng.permutation(240)].reshape(8, 30, 3)
+    got = g.contains_triples(batch)
+    assert got.shape == (8, 30)
+    want = [[tuple(map(int, t)) in known for t in row] for row in batch]
+    assert got.tolist() == want
+    assert got.any() and not got.all()
+
+
 def test_loader_benchmark_shape(tmp_path):
     # dataset built from integer-named entities survives a file round trip
     rng = np.random.default_rng(3)

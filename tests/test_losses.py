@@ -23,7 +23,9 @@ from kgsampler.losses import (
     vanilla_loss_and_grads,
 )
 from kgsampler.samplers import Minibatch, SamplerPolicy, sample_minibatch
-from kgsampler.scorers import MODEL_KINDS, EmbeddingStore, initialize, score, score_gradient
+from kgsampler.scorers import (MODEL_KINDS, EmbeddingStore, initialize, query_rows,
+                               query_rows_backward, query_score_grads, query_scores, score,
+                               score_gradient)
 from kgsampler.synth import random_graph
 
 from conftest import CHI2_CRIT, chi_square, known_triples
@@ -487,6 +489,153 @@ class TestSharedQueryPass:
         assert grads.exhausted_negatives == (~negs.valid).sum() > 0
 
 
+def two_pass_reference(store, positives, negs, config, entry_weights=None,
+                       frozen_weights=None, block_rows=1024):
+    """The batch loss as two passes over query-sorted blocks of ``block_rows`` rows.
+
+    The score pass scores every row; once the adversarial weights fix every
+    coefficient, the gradient pass scores the positives and the negatives
+    with a nonzero coefficient again and scatters their partials. Returns
+    ``(loss, {table: (ids, rows)})``.
+    """
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    m, n = negs.valid.shape
+    if entry_weights is None:
+        entry_weights = np.ones(m)
+    gamma = config.margin
+    spo = np.concatenate([positives, negs.triples.reshape(-1, 3)])
+    head = np.concatenate([np.zeros(m, dtype=bool), negs.head_corrupted.reshape(-1)])
+    fixed = np.where(head, spo[:, 2], spo[:, 0])
+    cand = np.where(head, spo[:, 0], spo[:, 2])
+    rel = spo[:, 1]
+
+    def blocks(rows):
+        h, f, r = head[rows], fixed[rows], rel[rows]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (h[1:] != h[:-1]) | (f[1:] != f[:-1]) | (r[1:] != r[:-1])
+        n_tail = len(rows) - np.count_nonzero(h)
+        for side, lo, hi in ((2, 0, n_tail), (0, n_tail, len(rows))):
+            for i in range(lo, hi, block_rows):
+                j = min(i + block_rows, hi)
+                first = new[i:j].copy()
+                first[0] = True
+                yield rows[i:j], side, np.flatnonzero(first), np.cumsum(first) - 1
+
+    order = np.lexsort((fixed, rel, head))
+    scores = np.empty(len(spo))
+    for block, side, starts, group in blocks(order):
+        q = query_rows(store, spo[block[starts]], side)
+        scores[block] = query_scores(store, q[group], store.entities[cand[block]])
+    neg_scores = scores[m:].reshape(m, n)
+    if frozen_weights is None:
+        weights = adversarial_weights(neg_scores, config.adversarial_temperature, negs.valid)
+    else:
+        weights = np.where(negs.valid, frozen_weights, 0.0)
+    pos_term = log_sigmoid(scores[:m] - gamma)
+    neg_term = (weights * log_sigmoid(gamma - neg_scores)).sum(axis=1)
+    loss = float(np.dot(entry_weights, -0.5 * (pos_term + neg_term)))
+
+    dpos = entry_weights * (-0.5) * sigmoid(gamma - scores[:m])
+    dneg = (entry_weights[:, None] * 0.5 * weights * sigmoid(neg_scores - gamma)).reshape(-1)
+    coefs = np.concatenate([dpos, dneg])
+    touched = np.concatenate([np.ones(m, dtype=bool), dneg != 0.0])
+    rows = order[touched[order]]
+    acc = {"entities": np.zeros_like(store.entities),
+           "relations": np.zeros_like(store.relations)}
+    for block, side, starts, group in blocks(rows):
+        firsts = spo[block[starts]]
+        q = query_rows(store, firsts, side)
+        qb, eb = q[group], store.entities[cand[block]]
+        dq, de = query_score_grads(store, qb, eb, coefs[block],
+                                   query_scores(store, qb, eb, out=qb))
+        d_fixed, d_rel = query_rows_backward(store, firsts, side,
+                                             np.add.reduceat(dq, starts, axis=0))
+        np.add.at(acc["entities"], cand[block], de)
+        np.add.at(acc["entities"], firsts[:, 2 - side], d_fixed)
+        np.add.at(acc["relations"], firsts[:, 1], d_rel)
+    ids = {"entities": np.unique(np.concatenate([fixed[rows], cand[rows]])),
+           "relations": np.unique(rel[rows])}
+    return loss, {t: (ids[t], acc[t][ids[t]]) for t in acc}
+
+
+class TestFusedPass:
+    """The one-pass loss against the two-pass reference: the same loss bits and ids."""
+
+    def batch(self, kind, m=12, n=6, seed=50):
+        rng = np.random.default_rng(seed)
+        g = random_graph(n_entities=40, n_relations=4, n_triples=300, seed=seed)
+        store = initialize(g.n_entities, g.n_relations, kind, 4, seed=seed + 1)
+        positives = g.train[rng.choice(len(g.train), m, replace=False)]
+        negs = corrupt_batch(g, positives, n, True, rng)
+        return store, positives, negs
+
+    def check(self, store, positives, negs, config, block_rows, **kw):
+        want_loss, want = two_pass_reference(store, positives, negs, config,
+                                             block_rows=block_rows, **kw)
+        loss, grads = softmargin_batch_loss_and_grads(store, positives, negs, config, **kw)
+        assert loss == want_loss
+        for table in ("entities", "relations"):
+            ids, rows = want[table]
+            got = getattr(grads, table)
+            assert got.ids.tolist() == ids.tolist()
+            np.testing.assert_allclose(got.rows, rows, rtol=1e-12,
+                                       atol=1e-12 * np.abs(rows).max())
+        return grads
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 5, 16],
+                             ids=["default_blocks", "blocks_of_5", "blocks_of_16"])
+    def test_entry_weights_with_zeros(self, kind, block_rows, monkeypatch):
+        """Blocks of 5 rows hold one positive each, fewer than its n + 1 = 7 rows."""
+        monkeypatch.setattr(losses, "BLOCK_ROWS", block_rows)
+        store, positives, negs = self.batch(kind)
+        config = LossConfig(margin=1.0, negatives_per_positive=6)
+        weights = np.where(np.arange(12) % 4 == 1, 0.0, np.linspace(0.5, 2.0, 12))
+        grads = self.check(store, positives, negs, config, block_rows, entry_weights=weights)
+        assert set(positives[:, [0, 2]].ravel()) <= set(grads.entities.ids.tolist())
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 5, 16],
+                             ids=["default_blocks", "blocks_of_5", "blocks_of_16"])
+    def test_frozen_weights_with_exact_zeros(self, kind, block_rows, monkeypatch):
+        monkeypatch.setattr(losses, "BLOCK_ROWS", block_rows)
+        store, positives, negs = self.batch(kind)
+        config = LossConfig(margin=1.0, negatives_per_positive=6)
+        frozen = np.where(np.arange(6) % 2 == 0, 1 / 3, 0.0) * np.ones((12, 1))
+        frozen[3] = 0.0
+        self.check(store, positives, negs, config, block_rows, frozen_weights=frozen)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 5, 16],
+                             ids=["default_blocks", "blocks_of_5", "blocks_of_16"])
+    def test_invalid_negatives(self, kind, block_rows, monkeypatch):
+        monkeypatch.setattr(losses, "BLOCK_ROWS", block_rows)
+        store, positives, negs = self.batch(kind)
+        negs.valid[np.random.default_rng(52).random(negs.valid.shape) < 0.3] = False
+        negs.valid[4] = False   # a positive with no valid negative
+        config = LossConfig(margin=1.0, negatives_per_positive=6, adversarial_temperature=2.0)
+        self.check(store, positives, negs, config, block_rows)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_shared_query_across_blocks(self, kind, monkeypatch):
+        """Every row of every positive scores an object against the query (0, 1).
+
+        With 16-row blocks (two positives of 8 rows each) the query spans
+        all three blocks, so its gradient is summed in parts.
+        """
+        monkeypatch.setattr(losses, "BLOCK_ROWS", 16)
+        rng = np.random.default_rng(53)
+        store = initialize(20, 3, kind, 4, seed=54)
+        positives = np.array([[0, 1, o] for o in (2, 5, 9, 0, 7, 11)])
+        triples = np.zeros((6, 7, 3), dtype=np.int64)
+        triples[:, :, 1] = 1
+        triples[:, :, 2] = rng.integers(20, size=(6, 7))
+        negs = NegativeBatch(triples=triples, head_corrupted=np.zeros((6, 7), dtype=bool),
+                             valid=np.ones((6, 7), dtype=bool))
+        config = LossConfig(margin=1.0, negatives_per_positive=7)
+        self.check(store, positives, negs, config, 16)
+
+
 class TestNeighborsLoss:
     def chain(self):
         # 0 -r- 1 -r- 2: the two triples are mutual neighbors
@@ -579,6 +728,11 @@ class TestNeighborsLoss:
             entries, _ = neighbor_entries(star6, [(0, 0, 1)], 2, rng)
             counts[tuple(entries[1:, 2].tolist())] += 1
         assert chi_square(list(counts.values())) < CHI2_CRIT[9]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_adversarial_temperature_rejected(self, value):
+        with pytest.raises(ValueError, match="adversarial_temperature"):
+            LossConfig(adversarial_temperature=value)
 
     def test_negative_cap_rejected_none_unlimited(self):
         with pytest.raises(ValueError, match="neighbor_cap"):

@@ -226,6 +226,29 @@ class TestVectorizedAgreement:
             if kind in ("transe", "rotate"):   # a distance of 0
                 assert abs(got[planted[side]]) < 1e-12
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_per_row_sides_equal_each_side_bitwise(self, kind):
+        """A per-row ``side`` gives every row its own side's bits, forward and backward.
+
+        ~150 rows per side take RotatE's per-distinct-relation trig table,
+        chunks of ~15 rows its per-row trig; both give the same bits.
+        """
+        store = random_store(kind, 6, n_entities=40, n_relations=5, seed=21)
+        rng = np.random.default_rng(22)
+        spo = np.stack([rng.integers(40, size=300), rng.integers(5, size=300),
+                        rng.integers(40, size=300)], axis=1)
+        sides = np.where(rng.random(300) < 0.5, 0, 2)
+        dq = rng.standard_normal((300, row_widths(kind, 6)[0]))
+        q = query_rows(store, spo, sides)
+        d_fixed, d_rel = query_rows_backward(store, spo, sides, dq)
+        for side in (0, 2):
+            rows = np.flatnonzero(sides == side)
+            for part in [rows] + np.array_split(rows, 10):
+                assert np.array_equal(q[part], query_rows(store, spo[part], side))
+                want_fixed, want_rel = query_rows_backward(store, spo[part], side, dq[part])
+                assert np.array_equal(d_fixed[part], want_fixed)
+                assert np.array_equal(d_rel[part], want_rel)
+
     def test_batch_scores_match_scalar(self):
         store = random_store("rotate", 4, seed=11)
         rng = np.random.default_rng(1)

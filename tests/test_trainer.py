@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from kgsampler import trainer
 from kgsampler.graph import from_id_triples
 from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
 from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_minibatch
@@ -115,10 +116,65 @@ class TestSparseAdam:
         assert np.array_equal(store.relations[2], untouched.relations[2])
 
 
+def test_dense_and_sparse_adam_steps_equal_the_textbook_formula():
+    """Steps above and below ``DENSE_ADAM_SHARE`` of one table, with never-touched rows.
+
+    The dense steps run while some rows are still at t = 0; RuntimeWarning
+    is an error in the tests, so a 0/0 in their bias correction would fail.
+    """
+    rng = np.random.default_rng(11)
+    store = initialize(20, 4, "rotate", 3, seed=12)
+    start = store.entities.copy(), store.relations.copy()
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = SparseAdam(store, lr, b1, b2, eps)
+    ref = {name: {"p": arr.copy(), "m": np.zeros_like(arr), "v": np.zeros_like(arr),
+                  "t": np.zeros(len(arr), dtype=np.int64)}
+           for name, arr in (("entities", store.entities), ("relations", store.relations))}
+    never = [7, 13]   # entity rows no step touches
+    touched = [i for i in range(20) if i not in never]
+    # (entity ids, relation ids, whether each table's step is the dense one)
+    steps = ((touched, [0, 1, 2, 3], (True, True)),
+             (touched[:4], [2], (False, False)),
+             (touched[2:], [0, 1, 2, 3], (True, True)),   # entity rows at t = 0, 1 and 2
+             ([5], [1, 3], (False, False)))
+    for ent_ids, rel_ids, dense in steps:
+        assert [len(ids) > trainer.DENSE_ADAM_SHARE * n
+                for ids, n in ((ent_ids, 20), (rel_ids, 4))] == list(dense)
+        grads = SparseGrads(
+            entities=RowGrads(np.array(ent_ids), rng.normal(size=(len(ent_ids), 6))),
+            relations=RowGrads(np.array(rel_ids), rng.normal(size=(len(rel_ids), 3))))
+        opt.step(store, grads)
+        for name, rg in (("entities", grads.entities), ("relations", grads.relations)):
+            st, ids, G = ref[name], rg.ids, rg.rows
+            t = st["t"][ids] + 1
+            st["t"][ids] = t
+            m = b1 * st["m"][ids] + (1 - b1) * G
+            v = b2 * st["v"][ids] + (1 - b2) * G * G
+            st["m"][ids] = m
+            st["v"][ids] = v
+            m_hat = m / (1.0 - b1 ** t)[:, None]
+            v_hat = v / (1.0 - b2 ** t)[:, None]
+            st["p"][ids] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for name, params in (("entities", store.entities), ("relations", store.relations)):
+            assert np.array_equal(params, ref[name]["p"])
+            for key in ("m", "v", "t"):
+                assert np.array_equal(opt.state[name][key], ref[name][key])
+    assert np.array_equal(store.entities[never], start[0][never])
+    state = opt.state["entities"]
+    assert not state["m"][never].any() and not state["v"][never].any()
+    assert not state["t"][never].any()
+
+
 @pytest.mark.parametrize("field, value", [("epochs", -1), ("eval_every", 0)])
 def test_train_config_rejects_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+def test_train_config_rejects_bad_learning_rate(value):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=value)
 
 
 class TestTrain:
