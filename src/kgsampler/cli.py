@@ -29,12 +29,13 @@ from .losses import LossConfig
 from .samplers import SAMPLER_KINDS, SamplerPolicy, sample_minibatch, to_dot
 from .scorers import MODEL_KINDS, atomic_open, initialize, load_checkpoint, save_checkpoint
 from .stats import (
+    DISTRIBUTION_FIELDS,
+    SWEEP_FIELDS,
     averaged_distribution,
     distribution_rows,
     sweep_points,
     sweep_row,
-    write_distribution_csv,
-    write_sweep_csv,
+    write_csv,
 )
 from .synth import dense_sampler_graph, planted_toy_graph, variance_probe_graph, write_dataset
 from .trainer import NumericalError, TrainConfig, train
@@ -162,7 +163,7 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(run_dir, config, dataset_dir, extra=None):
+def write_manifest(run_dir, config, dataset_dir):
     manifest = {
         "tool_version": __version__,
         "config": config,
@@ -171,8 +172,6 @@ def write_manifest(run_dir, config, dataset_dir, extra=None):
         "seed": config["train"]["seed"],
         "started_at": _utcnow(),
     }
-    if extra:
-        manifest.update(extra)
     _save_manifest(run_dir, manifest)
     return manifest
 
@@ -293,8 +292,10 @@ def cmd_stats(args) -> int:
     _require_split(g, "train", args.dataset)
 
     # every argument is checked before the first line of output
+    with _flag_error("--seed"):
+        base = SamplerPolicy(seed=args.seed)
     with _flag_error("--samplers"):
-        policies = [SamplerPolicy(kind=k, seed=args.seed) for k in args.samplers.split(",")]
+        policies = [dataclasses.replace(base, kind=k) for k in args.samplers.split(",")]
     with _flag_error("--batch-sizes"):   # SamplerPolicy checks each size
         batch_sizes = [SamplerPolicy(batch_size=int(b)).batch_size
                        for b in args.batch_sizes.split(",")]
@@ -312,8 +313,8 @@ def cmd_stats(args) -> int:
               f"{row['expected_degree']:>10.3f}{row['std_error']:>10.4f}")
 
     os.makedirs(args.out, exist_ok=True)
-    write_sweep_csv(sweep_rows, os.path.join(args.out, "expected_degree.csv"))
-    write_distribution_csv(dist_rows, os.path.join(args.out, "degree_distributions.csv"))
+    write_csv(sweep_rows, os.path.join(args.out, "expected_degree.csv"), SWEEP_FIELDS)
+    write_csv(dist_rows, os.path.join(args.out, "degree_distributions.csv"), DISTRIBUTION_FIELDS)
     print(f"wrote CSVs to {args.out}")
     return 0
 
@@ -338,8 +339,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    with _flag_error("--seed"):
+        policy = SamplerPolicy(kind=args.sampler, seed=args.seed)
     with _flag_error("--batch-size"):
-        policy = SamplerPolicy(kind=args.sampler, batch_size=args.batch_size, seed=args.seed)
+        policy = dataclasses.replace(policy, batch_size=args.batch_size)
     g = _load_graph(args)
     _require_split(g, "train", args.dataset)
     m = sample_minibatch(g, policy)

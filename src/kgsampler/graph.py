@@ -80,9 +80,16 @@ class KnowledgeGraph:
         except KeyError:
             raise KeyError(f"unknown split {name!r}; expected train/valid/test")
 
-    def incident_triple_ids(self, v: int) -> np.ndarray:
-        """Sorted train-triple indices incident to entity v."""
-        return self.adj_indices[self.adj_indptr[v]:self.adj_indptr[v + 1]]
+    def incident(self, vertices: ArrayLike) -> tuple:
+        """Incidence runs of ``vertices``, laid end to end, as ``(counts, slots)``.
+
+        Run i holds the ``counts[i]`` positions in ``adj_indices`` of the train
+        triples incident to ``vertices[i]``, in triple-id order.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        lo = self.adj_indptr[vertices]
+        counts = self.adj_indptr[vertices + 1] - lo
+        return counts, concat_ranges(lo, counts)
 
     def filter_objects(self, s: int, r: int) -> np.ndarray:
         """Sorted ids of all known objects o with (s, r, o) in train+valid+test."""
@@ -303,13 +310,6 @@ def from_id_triples(
                          for name, rows in splits.items()}, n_entities, n_relations)
 
 
-def degree(g: KnowledgeGraph, v: int) -> int:
-    """Total degree of entity v on the train split (self-loop counts 2)."""
-    if not 0 <= v < g.n_entities:
-        raise IndexError(f"entity id {v} out of range [0, {g.n_entities})")
-    return int(g.degrees[v])
-
-
 def neighbor_entries(g: KnowledgeGraph, positives: np.ndarray, cap: int, rng) -> tuple:
     """Every positive followed by at most ``cap`` of its neighbor triples, and their weights.
 
@@ -320,10 +320,9 @@ def neighbor_entries(g: KnowledgeGraph, positives: np.ndarray, cap: int, rng) ->
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     ends = positives[:, [0, 2]].ravel()      # runs 2i and 2i + 1 belong to positive i
-    lo = g.adj_indptr[ends]
-    counts = g.adj_indptr[ends + 1] - lo
+    counts, slots = g.incident(ends)
     keys = np.unique(np.repeat(np.arange(len(ends)) // 2 * g.n_train, counts)
-                     + g.adj_indices[concat_ranges(lo, counts)])    # one per (positive, triple)
+                     + g.adj_indices[slots])    # one per (positive, triple)
     owner, ids = np.divmod(keys, g.n_train)
     other = (g.train[ids] != positives[owner]).any(axis=1)
     owner, ids = owner[other], ids[other]
@@ -344,9 +343,8 @@ def induced_subgraph(g: KnowledgeGraph, vertices) -> np.ndarray:
     inside = np.zeros(g.n_entities, dtype=bool)
     inside[list(vertices) if isinstance(vertices, set) else vertices] = True
     verts = np.flatnonzero(inside)
-    lo = g.adj_indptr[verts]
-    counts = g.adj_indptr[verts + 1] - lo
-    ids = g.adj_indices[concat_ranges(lo, counts)]
+    counts, slots = g.incident(verts)
+    ids = g.adj_indices[slots]
     keep = (g.train[ids, 0] == np.repeat(verts, counts)) & inside[g.train[ids, 2]]
     return g.train[np.sort(ids[keep])]
 

@@ -19,7 +19,7 @@ positives scores every row and differentiates it from its own partials.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -324,30 +324,31 @@ def softmargin_loss_and_grads(store: EmbeddingStore, t, negatives, config: LossC
     )
 
 
-def neighbors_loss_and_grads(g: KnowledgeGraph, store: EmbeddingStore,
-                             m: Minibatch, config: LossConfig, rng):
-    """Neighbor-aware loss of a minibatch, with sparse gradients.
+def minibatch_loss_and_grads(g, store, m, config: LossConfig, rng):
+    """Loss of a minibatch with sparse gradients: plain, or neighbor-aware if enabled.
 
-    Each positive and its kept neighbors (:func:`graph.neighbor_entries`) are
-    scaled by 1/(1 + kept), every member with its own fresh negatives.
+    The entries are the positives or, with ``config.neighbors_loss_enabled``,
+    each positive followed by its kept neighbors (:func:`graph.neighbor_entries`),
+    all scaled by 1/(1 + kept). Every entry gets its own fresh negatives.
     """
-    entries, weights = neighbor_entries(g, m.positives, config.neighbor_cap, rng)
+    entries, weights = m.positives, None
+    if config.neighbors_loss_enabled:
+        entries, weights = neighbor_entries(g, m.positives, config.neighbor_cap, rng)
     negs = corrupt_batch(g, entries, config.negatives_per_positive,
                          config.filtered_negatives, rng)
     return softmargin_batch_loss_and_grads(store, entries, negs, config,
                                            entry_weights=weights)
 
 
+def neighbors_loss_and_grads(g: KnowledgeGraph, store: EmbeddingStore,
+                             m: Minibatch, config: LossConfig, rng):
+    """Neighbor-aware loss of a minibatch, with sparse gradients."""
+    config = replace(config, neighbors_loss_enabled=True)
+    return minibatch_loss_and_grads(g, store, m, config, rng)
+
+
 def vanilla_loss_and_grads(g: KnowledgeGraph, store: EmbeddingStore,
                            m: Minibatch, config: LossConfig, rng):
     """Plain soft-margin loss of a minibatch (sum over its positives)."""
-    negs = corrupt_batch(g, m.positives, config.negatives_per_positive,
-                         config.filtered_negatives, rng)
-    return softmargin_batch_loss_and_grads(store, m.positives, negs, config)
-
-
-def minibatch_loss_and_grads(g, store, m, config: LossConfig, rng):
-    """Dispatch between the plain and the neighbor-aware objective."""
-    if config.neighbors_loss_enabled:
-        return neighbors_loss_and_grads(g, store, m, config, rng)
-    return vanilla_loss_and_grads(g, store, m, config, rng)
+    config = replace(config, neighbors_loss_enabled=False)
+    return minibatch_loss_and_grads(g, store, m, config, rng)

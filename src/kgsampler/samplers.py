@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, _pack, concat_ranges, induced_subgraph, uniform_subsets
+from .graph import KnowledgeGraph, _pack, induced_subgraph, uniform_subsets
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +61,8 @@ class SamplerPolicy:
             raise ValueError("extra_neighbor_fraction must be in [0, 1]")
         if self.extra_neighbor_cap < 0:
             raise ValueError("extra_neighbor_cap must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -77,13 +79,6 @@ class Minibatch:
     def vertex_set(self) -> np.ndarray:
         """Sorted unique entity ids appearing in the positives."""
         return np.unique(self.positives[:, [0, 2]])
-
-
-def _clamp_batch_size(g: KnowledgeGraph, b: int) -> int:
-    if b > g.n_train:
-        log.warning("batch_size %d exceeds train size %d; clamping", b, g.n_train)
-        return g.n_train
-    return b
 
 
 def _random_walk(g: KnowledgeGraph, b: int, rng,
@@ -165,10 +160,9 @@ def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: i
     """
     if fraction == 0.0:
         return np.empty(0, dtype=np.int64)
-    lo = g.adj_indptr[visited]
-    counts = g.adj_indptr[visited + 1] - lo
+    counts, slots = g.incident(visited)
     k = np.minimum(np.ceil(fraction * g.degrees[visited]), np.minimum(counts, cap))
-    return concat_ranges(lo, counts)[uniform_subsets(counts, k, rng)]
+    return slots[uniform_subsets(counts, k, rng)]
 
 
 def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
@@ -189,7 +183,9 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     if start_entity is not None and not 0 <= start_entity < g.n_entities:
         raise ValueError(f"start_entity {start_entity} is not an entity id in [0, {g.n_entities})")
     rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = _clamp_batch_size(g, policy.batch_size)
+    b = min(policy.batch_size, g.n_train)
+    if b < policy.batch_size:
+        log.warning("batch_size %d exceeds train size %d; clamping", policy.batch_size, b)
     if policy.kind == "sr":
         return Minibatch(positives=g.train[rng.choice(g.n_train, size=b, replace=False)])
     p = policy.restart_probability if policy.kind == "rwr" else 0.0

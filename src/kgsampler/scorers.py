@@ -110,22 +110,13 @@ def _halves(x: np.ndarray):
     return x[..., :k], x[..., k:]
 
 
-# Up to this many ids, _rotations evaluates every row: np.unique's overhead
-# costs more than the trig it saves (65 against 50 us for 30 ids of a
-# 64-wide phase table; the unique path wins from ~300 ids).
-_SHORT_ROTATIONS = 128
-
-
 def _rotations(store: EmbeddingStore, r: np.ndarray):
     """(cos, sin) of the rotate phase rows of relations ``r``, one row per id.
 
-    For more than ``_SHORT_ROTATIONS`` ids the trig functions run once per
-    distinct relation, on a small table that is then gathered per row; being
-    elementwise, they give the same bits as evaluating every row.
+    The trig functions run once per distinct relation, on a small table that
+    is then gathered per row; being elementwise, they give the same bits as
+    evaluating every row.
     """
-    if len(r) <= _SHORT_ROTATIONS:
-        phases = store.relations[r]
-        return np.cos(phases), np.sin(phases)
     uniq, inv = np.unique(r, return_inverse=True)
     phases = store.relations[uniq]
     return np.cos(phases)[inv], np.sin(phases)[inv]
@@ -191,10 +182,8 @@ def _side(spo: np.ndarray, side):
     the object side and -1 on the subject side: the inverse translation, the
     conjugate. A factor of ±1 is exact, so both sides share one formula.
     """
-    if np.ndim(side) == 0:
-        return spo[:, 2 - side], (1.0 if side == 2 else -1.0)
     tail = np.asarray(side) == 2
-    return np.where(tail, spo[:, 0], spo[:, 2]), np.where(tail, 1.0, -1.0)[:, None]
+    return np.where(tail, spo[:, 0], spo[:, 2]), np.where(tail, 1.0, -1.0)[..., None]
 
 
 def query_rows(store: EmbeddingStore, spo: np.ndarray, side) -> np.ndarray:

@@ -54,20 +54,11 @@ class DegreeHistogram:
         return {int(d): float(p) for d, p in enumerate(self.probabilities) if p > 0}
 
 
-def within_batch_degrees(m: Minibatch) -> np.ndarray:
-    """Total degree of each subgraph vertex, counting self-loops twice.
-
-    Returns degrees aligned with ``m.vertex_set``.
-    """
-    endpoints = m.positives[:, [0, 2]].ravel()
-    return np.unique(endpoints, return_counts=True)[1]
-
-
 def minibatch_degree_distribution(m: Minibatch) -> DegreeHistogram:
-    """Degree distribution of a single minibatch subgraph (N = 1)."""
+    """Degree distribution of a single minibatch subgraph (N = 1); a self-loop counts twice."""
     if len(m.positives) == 0:
         raise ValueError("empty minibatch has no degree distribution")
-    degs = within_batch_degrees(m)
+    degs = np.unique(m.positives[:, [0, 2]].ravel(), return_counts=True)[1]
     counts = np.bincount(degs)
     return DegreeHistogram(probabilities=counts / counts.sum(), n_batches=1)
 
@@ -146,13 +137,6 @@ SWEEP_FIELDS = ["policy", "batch_size", "expected_degree", "std_error", "num_bat
 DISTRIBUTION_FIELDS = ["policy", "batch_size", "degree", "probability"]
 
 
-def write_sweep_csv(rows, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def distribution_rows(policy: SamplerPolicy, batch_size: int, h: DegreeHistogram) -> list:
     return [
         {"policy": policy.kind, "batch_size": batch_size, "degree": d, "probability": p}
@@ -160,8 +144,9 @@ def distribution_rows(policy: SamplerPolicy, batch_size: int, h: DegreeHistogram
     ]
 
 
-def write_distribution_csv(rows, path: str) -> None:
+def write_csv(rows, path: str, fields) -> None:
+    """Write dict ``rows`` as CSV under the header ``fields``, e.g. ``SWEEP_FIELDS``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=DISTRIBUTION_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

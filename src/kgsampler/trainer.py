@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph
 from .losses import LossConfig, minibatch_loss_and_grads, SparseGrads
-from .samplers import Minibatch, SamplerPolicy, epoch_iterator, sample_minibatch
+from .samplers import SamplerPolicy, epoch_iterator, sample_minibatch
 from .scorers import EmbeddingStore
 from .stats import expected_degree_of_batch
 
@@ -47,7 +47,7 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
-        for name, least in (("learning_rate", 0), ("epochs", 0), ("eval_every", 1)):
+        for name, least in (("learning_rate", 0), ("epochs", 0), ("eval_every", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if self.optimizer not in ("adam", "sgd"):
@@ -244,33 +244,18 @@ class GradientVarianceReport:
     grad_variances: np.ndarray
     num_batches: int
 
-    def _select(self, min_degree):
-        return self.graph_degrees >= min_degree
-
     def median_variance(self, min_degree: int = 0) -> float:
-        keep = self._select(min_degree)
+        keep = self.graph_degrees >= min_degree
         if not keep.any():
             raise ValueError("no entities at this degree threshold")
         return float(np.median(self.grad_variances[keep]))
-
-    def median_batches_seen(self, min_degree: int = 0) -> float:
-        keep = self._select(min_degree)
-        return float(np.median(self.batches_seen[keep]))
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("entity_id,graph_degree,batches_seen,grad_variance\n")
             for e, d, b, v in zip(self.entity_ids, self.graph_degrees,
                                   self.batches_seen, self.grad_variances):
-                fh.write(f"{e},{d},{b},{v!r}\n")
-
-
-def _batch_corruption_rng(seed: int, m: Minibatch):
-    """Content-addressed rng: identical batches get identical negatives."""
-    digest = hashlib.blake2b(m.positives.tobytes(), digest_size=8).digest()
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, int.from_bytes(digest, "little")])
-    )
+                fh.write(f"{e},{d},{b},{float(v)!r}\n")
 
 
 def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,
@@ -300,7 +285,10 @@ def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,
             m = sample_batch()
         else:
             m = sample_minibatch(g, config.sampler_policy, rng=sample_rng)
-        corrupt_rng = _batch_corruption_rng(config.seed, m)
+        # content-addressed rng: identical batches get identical negatives
+        digest = hashlib.blake2b(m.positives.tobytes(), digest_size=8).digest()
+        corrupt_rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, int.from_bytes(digest, "little")]))
         _, grads = minibatch_loss_and_grads(g, store, m, config.loss_config, corrupt_rng)
         incident = np.bincount(m.positives[:, [0, 2]].ravel(), minlength=g.n_entities)
         nonzero = np.any(grads.entities.rows != 0, axis=1)

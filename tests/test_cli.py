@@ -224,6 +224,17 @@ class TestTrainCommand:
         assert err.startswith(f"config error: {field} must be finite")
         assert not os.path.exists(run_dir)
 
+    def test_negative_seed_is_a_usage_error_before_the_load(self, tmp_path, toy_dataset,
+                                                             capsys, monkeypatch):
+        def no_load(directory):
+            raise AssertionError("the dataset was loaded before the config was checked")
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        code, run_dir = run_training(tmp_path, toy_dataset, ["--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be >= 0") and "Traceback" not in err
+        assert not os.path.exists(run_dir)
+
     def test_empty_train_split_is_a_data_error(self, tmp_path, toy_dataset, capsys):
         open(os.path.join(toy_dataset, "train.txt"), "w").close()
         code, run_dir = run_training(tmp_path, toy_dataset)
@@ -325,7 +336,8 @@ class TestStatsCommand:
 
     @pytest.mark.parametrize("flag, value", [("--num-batches", "3"),
                                              ("--batch-sizes", "64,0"),
-                                             ("--samplers", "sr,bogus")])
+                                             ("--samplers", "sr,bogus"),
+                                             ("--seed", "-1")])
     def test_usage_error_names_the_flag_before_any_output(self, tmp_path, toy_dataset,
                                                           capsys, flag, value):
         out = str(tmp_path / "stats")
@@ -411,6 +423,16 @@ class TestVizCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error: --batch-size: batch_size must be >= 1" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, toy_dataset, capsys):
+        out = str(tmp_path / "batch.dot")
+        code = main(["viz", "--dataset", toy_dataset, "--sampler", "rw",
+                     "--seed", "-1", "--output", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: --seed: seed must be >= 0" in err
         assert "Traceback" not in err
         assert not os.path.exists(out)
 

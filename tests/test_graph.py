@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kgsampler.graph import (
     DataError,
     Triple,
-    degree,
     from_id_triples,
     induced_subgraph,
     load_dataset,
@@ -24,6 +23,11 @@ _MONOTONE_GRAPH = from_id_triples(
     random_id_triples(np.random.default_rng(11), 25, 2, 80),
     n_entities=25, n_relations=2,
 )
+
+
+def incident_ids(g, v):
+    """Sorted train-triple indices incident to entity v."""
+    return g.adj_indices[g.incident([v])[1]]
 
 
 def write_split(path, rows):
@@ -59,8 +63,8 @@ class TestLoader:
         ))
         # c participates only in valid, so it has no incident train triples
         c = g.entity_names.index("c")
-        assert degree(g, c) == 0
-        assert len(g.incident_triple_ids(c)) == 0
+        assert g.degrees[c] == 0
+        assert len(incident_ids(g, c)) == 0
 
     def test_membership_spans_all_splits(self, tmp_path):
         g = load_dataset(make_dataset(
@@ -114,41 +118,47 @@ class TestLoader:
 
 class TestDegree:
     def test_chain_interior(self, chain3):
-        assert degree(chain3, 1) == 2
+        assert chain3.degrees[1] == 2
 
     def test_absent_entity(self, chain3):
         g = from_id_triples([(0, 0, 1)], n_entities=3, n_relations=1)
-        assert degree(g, 2) == 0
+        assert g.degrees[2] == 0
 
     def test_self_loop_counts_twice(self):
         g = from_id_triples([(0, 0, 0), (0, 0, 1)], n_entities=2, n_relations=1)
-        assert degree(g, 0) == 3
+        assert g.degrees[0] == 3
         # but the loop appears once in the incidence list
-        assert len(g.incident_triple_ids(0)) == 2
-
-    def test_out_of_range(self, chain3):
-        with pytest.raises(IndexError):
-            degree(chain3, 99)
+        assert len(incident_ids(g, 0)) == 2
 
     def test_brute_force_equivalence(self, small_random_graph):
         g = small_random_graph
         for v in range(g.n_entities):
             expected = sum(1 for s, _, o in g.train for end in (s, o) if end == v)
-            assert degree(g, v) == expected
+            assert g.degrees[v] == expected
 
 
 class TestAdjacency:
     def test_round_trip(self, small_random_graph):
         g = small_random_graph
         for i, (s, _, o) in enumerate(g.train):
-            assert i in g.incident_triple_ids(s)
-            assert i in g.incident_triple_ids(o)
+            assert i in incident_ids(g, s)
+            assert i in incident_ids(g, o)
 
     def test_lists_sorted(self, small_random_graph):
         g = small_random_graph
         for v in range(g.n_entities):
-            ids = g.incident_triple_ids(v)
+            ids = incident_ids(g, v)
             assert np.all(np.diff(ids) > 0)
+
+    def test_runs_laid_end_to_end(self, small_random_graph):
+        g = small_random_graph
+        verts = np.array([3, 0, 3, g.n_entities - 1, 7])
+        counts, slots = g.incident(verts)
+        assert np.array_equal(counts, g.adj_indptr[verts + 1] - g.adj_indptr[verts])
+        want = np.concatenate([np.arange(g.adj_indptr[v], g.adj_indptr[v + 1]) for v in verts])
+        assert np.array_equal(slots, want) and slots.dtype == np.int64
+        counts, slots = g.incident(np.empty(0, dtype=np.int64))
+        assert len(counts) == 0 and len(slots) == 0
 
     def test_total_length(self, small_random_graph):
         g = small_random_graph
@@ -178,7 +188,7 @@ def reference_neighbor_entries(g, positives, cap, rng):
     entries, weights = [], []
     for t in positives:
         s, r, o = int(t[0]), int(t[1]), int(t[2])
-        ids = np.union1d(g.incident_triple_ids(s), g.incident_triple_ids(o))
+        ids = np.union1d(incident_ids(g, s), incident_ids(g, o))
         if len(ids):
             rows = g.train[ids]
             ids = ids[~((rows[:, 0] == s) & (rows[:, 1] == r) & (rows[:, 2] == o))]

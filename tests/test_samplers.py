@@ -386,6 +386,10 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="extra_neighbor_cap"):
             SamplerPolicy(extra_neighbor_cap=-1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerPolicy(seed=-1)
+
     @pytest.mark.parametrize("kind", ["sr", "rw", "rwisg_n"])
     @pytest.mark.parametrize("start", [-1, -3, 30])
     def test_start_entity_outside_the_entities(self, small_random_graph, kind, start):

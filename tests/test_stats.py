@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from kgsampler.samplers import Minibatch, SamplerPolicy, sample_minibatch
 from kgsampler.stats import (
+    DISTRIBUTION_FIELDS,
+    SWEEP_FIELDS,
     DegreeHistogram,
     averaged_distribution,
     ed_vs_batchsize_sweep,
     expected_degree,
     minibatch_degree_distribution,
-    write_distribution_csv,
-    write_sweep_csv,
+    write_csv,
 )
 from kgsampler.synth import random_graph
 
@@ -137,7 +138,7 @@ class TestSweep:
         policy = SamplerPolicy(kind="sr", seed=0)
         rows = ed_vs_batchsize_sweep(g, [policy], [20], batches_per_point=30)
         sweep_path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, str(sweep_path))
+        write_csv(rows, str(sweep_path), SWEEP_FIELDS)
         with open(sweep_path) as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == [
@@ -148,7 +149,7 @@ class TestSweep:
         h = minibatch_degree_distribution(
             sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20, seed=0)))
         dist_path = tmp_path / "dist.csv"
-        write_distribution_csv(distribution_rows(policy, 20, h), str(dist_path))
+        write_csv(distribution_rows(policy, 20, h), str(dist_path), DISTRIBUTION_FIELDS)
         with open(dist_path) as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == ["policy", "batch_size", "degree", "probability"]

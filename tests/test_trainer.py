@@ -165,7 +165,7 @@ def test_dense_and_sparse_adam_steps_equal_the_textbook_formula():
     assert not state["t"][never].any()
 
 
-@pytest.mark.parametrize("field, value", [("epochs", -1), ("eval_every", 0)])
+@pytest.mark.parametrize("field, value", [("epochs", -1), ("eval_every", 0), ("seed", -1)])
 def test_train_config_rejects_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
@@ -346,7 +346,7 @@ class TestVarianceProbe:
                                        adversarial_temperature=0.0,
                                        filtered_negatives=False))
             report = gradient_variance_probe(g, store, config, num_batches=40)
-            medians[kind] = report.median_batches_seen(min_degree=5)
+            medians[kind] = np.median(report.batches_seen[report.graph_degrees >= 5])
         assert medians["rwisg"] >= medians["rw"] >= medians["sr"]
 
     def test_variance_ordering_by_policy(self):
@@ -369,3 +369,9 @@ class TestVarianceProbe:
         lines = path.read_text().splitlines()
         assert lines[0] == "entity_id,graph_degree,batches_seen,grad_variance"
         assert len(lines) == len(report.entity_ids) + 1
+        # every field parses back to the report's value exactly
+        cols = list(zip(*(line.split(",") for line in lines[1:])))
+        assert [int(x) for x in cols[0]] == report.entity_ids.tolist()
+        assert [int(x) for x in cols[1]] == report.graph_degrees.tolist()
+        assert [int(x) for x in cols[2]] == report.batches_seen.tolist()
+        assert [float(x) for x in cols[3]] == report.grad_variances.tolist()
