@@ -301,6 +301,7 @@ def cmd_stats(args) -> int:
                        for b in args.batch_sizes.split(",")]
     with _flag_error("--num-batches"):
         points = sweep_points(g, policies, batch_sizes, args.num_batches, args.seed)
+    os.makedirs(args.out, exist_ok=True)
 
     sweep_rows, dist_rows = [], []
     print(f"{'policy':<10}{'batch_size':>12}{'E[D]':>10}{'std_err':>10}")
@@ -312,7 +313,6 @@ def cmd_stats(args) -> int:
         print(f"{row['policy']:<10}{row['batch_size']:>12}"
               f"{row['expected_degree']:>10.3f}{row['std_error']:>10.4f}")
 
-    os.makedirs(args.out, exist_ok=True)
     write_csv(sweep_rows, os.path.join(args.out, "expected_degree.csv"), SWEEP_FIELDS)
     write_csv(dist_rows, os.path.join(args.out, "degree_distributions.csv"), DISTRIBUTION_FIELDS)
     print(f"wrote CSVs to {args.out}")
@@ -346,17 +346,15 @@ def cmd_viz(args) -> int:
     g = _load_graph(args)
     _require_split(g, "train", args.dataset)
     m = sample_minibatch(g, policy)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(m, g))
-    except OSError as exc:
-        log.error("cannot write DOT file: %s", exc)
-        return DATA_ERROR
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(to_dot(m, g))
     print(f"wrote {args.output} ({len(m)} triples, {len(m.vertex_set)} entities)")
     return 0
 
 
 def cmd_make_toy(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed: seed must be >= 0")
     makers = {
         "planted": planted_toy_graph,
         "dense": dense_sampler_graph,
@@ -440,7 +438,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except NumericalError as exc:

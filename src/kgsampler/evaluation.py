@@ -215,7 +215,7 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
     for side in sides:
         fixed = spo[:, [1, 2] if side == 0 else [0, 1]]
         _, first, inv = np.unique(fixed, axis=0, return_index=True, return_inverse=True)
-        queries.append(query_rows(store, spo[first], side))
+        queries.append(query_rows(store, spo[first], side)[0])
         bounds.append(query_bounds(store, spo[first], side))
         inverses.append(inv.reshape(-1))
     screen, query_bound, entity_bound, combine = _screen(

@@ -25,8 +25,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph, neighbor_entries
 from .samplers import Minibatch
-from .scorers import (EmbeddingStore, check_ids, query_rows, query_rows_backward,
-                      query_score_grads, query_scores)
+from .scorers import EmbeddingStore, check_ids, query_rows, query_scores
 
 log = logging.getLogger(__name__)
 
@@ -229,10 +228,11 @@ def softmargin_batch_loss_and_grads(
     positives with all of their negatives (``BLOCK_ROWS``), sorted by query
     within a block, so a query row is built once per distinct query in it.
     A block's scores give its adversarial weights and coefficients, and the
-    same difference rows (distance models) or gathered rows (dot models)
-    give the partials: candidate gradients are scattered per row, query
-    gradients summed per query and mapped back by
-    :func:`scorers.query_rows_backward`. The loss is summed from all scores
+    backward map of its :func:`scorers.query_scores` call gives the partials
+    from the same difference rows (distance models) or gathered rows (dot
+    models): candidate gradients are scattered per row, query gradients
+    summed per query and mapped back by the backward map of its
+    :func:`scorers.query_rows` call. The loss is summed from all scores
     and weights after the pass. A positive's rows always count as touched,
     a negative's only at a nonzero coefficient.
     """
@@ -272,11 +272,11 @@ def softmargin_batch_loss_and_grads(
         starts = np.flatnonzero(first)
         firsts = spo[rows[starts]]
         sides = np.where(head[rows[starts]], 0, 2)
-        q = query_rows(store, firsts, sides)
+        q, rows_backward = query_rows(store, firsts, sides)
         # the ids are checked: "clip" only skips the copy np.take buffers ``out`` through
         qb = np.take(q, np.cumsum(first) - 1, axis=0, out=q_buf[:len(rows)], mode="clip")
         eb = np.take(store.entities, cand[rows], axis=0, out=e_buf[:len(rows)], mode="clip")
-        scores[rows] = query_scores(store, qb, eb, out=qb)
+        scores[rows], scores_backward = query_scores(store, qb, eb, out=qb)
 
         if frozen_weights is None:
             weights[lo:hi] = adversarial_weights(neg_scores[lo:hi], config.adversarial_temperature,
@@ -285,9 +285,8 @@ def softmargin_batch_loss_and_grads(
         coefs[lo:hi] = w * (-0.5) * sigmoid(gamma - scores[lo:hi])
         neg_coefs[lo:hi] = w[:, None] * 0.5 * weights[lo:hi] * sigmoid(neg_scores[lo:hi] - gamma)
 
-        dq, de = query_score_grads(store, qb, eb, coefs[rows], scores[rows])
-        dq = np.add.reduceat(dq, starts, axis=0)
-        d_fixed, d_rel = query_rows_backward(store, firsts, sides, dq)
+        dq, de = scores_backward(coefs[rows])
+        d_fixed, d_rel = rows_backward(np.add.reduceat(dq, starts, axis=0))
         _scatter_rows(ent_acc, ent_slot[cand[rows]], de)
         _scatter_rows(ent_acc, ent_slot[fixed[rows[starts]]], d_fixed)
         _scatter_rows(rel_acc, rel_slot[rel[rows[starts]]], d_rel)

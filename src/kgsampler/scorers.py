@@ -11,7 +11,8 @@ real parts, the last K imaginary parts. ``rotate`` relation rows store K
 phase angles, so the effective rotation coefficient always has modulus 1.
 
 Each model's formula is written once, in :func:`query_rows`, which every
-score goes through; :func:`query_rows_backward` is its gradient map and
+score goes through before :func:`query_scores`. Both return with their
+result a backward map that reuses what their forward computed;
 :func:`query_bounds` gives the rank screen its error-bound terms.
 """
 
@@ -131,7 +132,7 @@ def score_triples(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     check_ids(store, spo)
-    return query_scores(store, query_rows(store, spo, 2), store.entities[spo[:, 2]])
+    return query_scores(store, query_rows(store, spo, 2)[0], store.entities[spo[:, 2]])[0]
 
 
 def score(store: EmbeddingStore, t) -> float:
@@ -144,16 +145,17 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
 
     Returns (d_subject, d_relation, d_object) arrays of shape
     (m, entity width) / (m, relation width). Each triple is one tail-side
-    query of :func:`query_rows` scored against its object: the partials of
-    :func:`query_scores` are mapped back through :func:`query_rows_backward`.
-    The norm-based models use the zero subgradient at an exact match.
+    query of :func:`query_rows` scored against its object: the backward map
+    of :func:`query_scores` gives the partials w.r.t. the query and object
+    rows, and that of :func:`query_rows` maps the query's back to the
+    subject and relation rows. The norm-based models use the zero
+    subgradient at an exact match.
     """
     spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
     check_ids(store, spo)
-    q, e = query_rows(store, spo, 2), store.entities[spo[:, 2]]
-    dq, d_object = query_score_grads(store, q, e, np.ones(len(spo)),
-                                     query_scores(store, q, e, out=q))
-    d_subject, d_relation = query_rows_backward(store, spo, 2, dq)
+    q, rows_backward = query_rows(store, spo, 2)
+    dq, d_object = query_scores(store, q, store.entities[spo[:, 2]], out=q)[1](np.ones(len(spo)))
+    d_subject, d_relation = rows_backward(dq)
     return d_subject, d_relation, d_object
 
 
@@ -186,7 +188,7 @@ def _side(spo: np.ndarray, side):
     return np.where(tail, spo[:, 0], spo[:, 2]), np.where(tail, 1.0, -1.0)[..., None]
 
 
-def query_rows(store: EmbeddingStore, spo: np.ndarray, side) -> np.ndarray:
+def query_rows(store: EmbeddingStore, spo: np.ndarray, side):
     """Query rows for scoring every entity in column ``side`` (0 or 2) of each row of ``spo``.
 
     ``side`` may also give the column per row. For DistMult and ComplEx the
@@ -194,19 +196,35 @@ def query_rows(store: EmbeddingStore, spo: np.ndarray, side) -> np.ndarray:
     ``DISTANCE_MODELS`` it is ``-||q - e||`` (on RotatE's subject side up to
     the rotation's rounding, see :func:`query_bounds`). :func:`query_scores`
     computes both.
+
+    Returns ``(q, backward)``: ``backward(dq)`` maps gradients w.r.t. ``q``
+    to ``(d_fixed, d_relation)``, those w.r.t. the fixed entity row (column
+    ``2 - side``) and relation row of each triple, from the rows (and
+    RotatE's cos/sin) gathered here.
     """
     kind = store.model_kind
     fixed_ids, sign = _side(spo, side)
     fixed = store.entities[fixed_ids]
-    if kind in ("transe", "distmult"):
+    if kind == "transe":   # q = fixed + sign·wr
+        return fixed + sign * store.relations[spo[:, 1]], lambda dq: (dq, sign * dq)
+    if kind == "distmult":
         wr = store.relations[spo[:, 1]]
-        return fixed * wr if kind == "distmult" else fixed + sign * wr
+        return fixed * wr, lambda dq: (dq * wr, dq * fixed)
     p, r = _complex_relations(store, spo[:, 1])
     r = sign * r
     x, y = _halves(fixed)
     # the fixed entity x + iy times p + ir; on the subject side p - ir, which
     # for RotatE rotates the object back
-    return np.concatenate([p * x - r * y, p * y + r * x], axis=1)
+    q = np.concatenate([p * x - r * y, p * y + r * x], axis=1)
+
+    def backward(dq):
+        u, v = _halves(dq)
+        d_fixed = np.concatenate([u * p + v * r, v * p - u * r], axis=1)
+        if kind == "rotate":   # (p, r) = (cos, sign·sin) of the phase
+            return d_fixed, sign * (u * (-x * r - y * p) + v * (x * p - y * r))
+        return d_fixed, np.concatenate([u * x + v * y, sign * (v * x - u * y)], axis=1)
+
+    return q, backward
 
 
 def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
@@ -230,70 +248,42 @@ def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
     return np.concatenate([p * x + r * y, p * y + r * x], axis=1), eps
 
 
-def query_rows_backward(store: EmbeddingStore, spo: np.ndarray, side,
-                        dq: np.ndarray):
-    """Map gradients w.r.t. the query rows of :func:`query_rows` back to their inputs.
-
-    ``dq`` holds one gradient row per row of ``spo``. Returns
-    ``(d_fixed, d_relation)``: the gradients w.r.t. the fixed entity row
-    (column ``2 - side``) and the relation row of each triple.
-    """
-    kind = store.model_kind
-    fixed_ids, sign = _side(spo, side)
-    fixed = store.entities[fixed_ids]
-    if kind == "transe":   # q = fixed + sign·wr
-        return dq, sign * dq
-    if kind == "distmult":
-        return dq * store.relations[spo[:, 1]], dq * fixed
-    p, r = _complex_relations(store, spo[:, 1])
-    r = sign * r
-    x, y = _halves(fixed)
-    u, v = _halves(dq)
-    # q = (px - ry, py + rx), with r the signed odd part
-    d_fixed = np.concatenate([u * p + v * r, v * p - u * r], axis=1)
-    if kind == "rotate":   # (p, r) = (cos, sign·sin) of the phase
-        return d_fixed, sign * (u * (-x * r - y * p) + v * (x * p - y * r))
-    return d_fixed, np.concatenate([u * x + v * y, sign * (v * x - u * y)], axis=1)
-
-
 def query_scores(store: EmbeddingStore, q: np.ndarray, e: np.ndarray,
-                 out: np.ndarray = None) -> np.ndarray:
+                 out: np.ndarray = None):
     """Score of each candidate entity row ``e[i]`` against query row ``q[i]``.
 
     ``-||q - e||`` for the ``DISTANCE_MODELS``, ``q · e`` for the others.
     The distance models write ``q - e`` into ``out`` (shaped like ``q``; it
-    may be ``q``) when one is given, for :func:`query_score_grads` to reuse.
+    may be ``q``) when one is given.
+
+    Returns ``(scores, backward)``: ``backward(coef)`` gives ``(dq, de)``,
+    ``coef[i]`` times the partials of ``scores[i]`` w.r.t. ``q[i]`` and
+    ``e[i]`` (zero where a distance is 0), from the forward's ``q - e`` and
+    norms. It overwrites ``e``, and ``q`` (dot models) or ``out``.
     """
     if store.model_kind in DISTANCE_MODELS:
         d = np.subtract(q, e, out=out)
-        return -np.sqrt(np.einsum("ij,ij->i", d, d))
-    return np.einsum("ij,ij->i", q, e)
+        n = np.sqrt(np.einsum("ij,ij->i", d, d))
 
+        def backward(coef):
+            dq = np.multiply(d, np.divide(-coef, n, out=np.zeros_like(n), where=n > 0)[:, None],
+                             out=d)
+            return dq, np.negative(dq, out=e)
 
-def query_score_grads(store: EmbeddingStore, q: np.ndarray, e: np.ndarray,
-                      coef: np.ndarray, scores: np.ndarray):
-    """``coef[i]`` times the partials of :func:`query_scores` w.r.t. ``q[i]`` and ``e[i]``.
+        return -n, backward
 
-    Reuses the pass ``scores = query_scores(store, q, e, out=q)``: the
-    distance models take ``q - e`` from ``q`` and the norms from
-    ``-scores``. Returns ``(dq, de)``, written over ``q`` and ``e``; the
-    distance models use the zero subgradient where ``q[i] == e[i]``.
-    """
-    if store.model_kind in DISTANCE_MODELS:
-        n = -scores
-        q *= np.divide(-coef, n, out=np.zeros_like(n), where=n > 0)[:, None]
-        return q, np.negative(q, out=e)
-    c = coef[:, None]
-    e *= c
-    q *= c
-    return e, q
+    def backward(coef):
+        c = coef[:, None]
+        return np.multiply(e, c, out=e), np.multiply(q, c, out=q)
+
+    return np.einsum("ij,ij->i", q, e), backward
 
 
 def _score_all(store: EmbeddingStore, t, side: int) -> np.ndarray:
     """Scores of triple ``t`` with column ``side`` replaced by every entity."""
     spo = np.array([t], dtype=np.int64)
     check_ids(store, spo)
-    return query_scores(store, query_rows(store, spo, side), store.entities)
+    return query_scores(store, query_rows(store, spo, side)[0], store.entities)[0]
 
 
 def score_against_all_objects(store: EmbeddingStore, s: int, r: int) -> np.ndarray:

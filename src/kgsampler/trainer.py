@@ -19,7 +19,7 @@ from .graph import KnowledgeGraph
 from .losses import LossConfig, minibatch_loss_and_grads, SparseGrads
 from .samplers import SamplerPolicy, epoch_iterator, sample_minibatch
 from .scorers import EmbeddingStore
-from .stats import expected_degree_of_batch
+from .stats import expected_degree_of_batch, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -251,11 +251,10 @@ class GradientVarianceReport:
         return float(np.median(self.grad_variances[keep]))
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("entity_id,graph_degree,batches_seen,grad_variance\n")
-            for e, d, b, v in zip(self.entity_ids, self.graph_degrees,
-                                  self.batches_seen, self.grad_variances):
-                fh.write(f"{e},{d},{b},{float(v)!r}\n")
+        fields = ("entity_id", "graph_degree", "batches_seen", "grad_variance")
+        columns = (self.entity_ids, self.graph_degrees, self.batches_seen, self.grad_variances)
+        write_csv([dict(zip(fields, row)) for row in zip(*(c.tolist() for c in columns))],
+                  path, fields)
 
 
 def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,

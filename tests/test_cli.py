@@ -131,6 +131,21 @@ class TestMakeToy:
         main(["make-toy", "--kind", "dense", "--out", str(b), "--seed", "4"])
         assert (a / "train.txt").read_text() == (b / "train.txt").read_text()
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        assert main(["make-toy", "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed: seed must be >= 0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        out.write_text("")
+        assert main(["make-toy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert out.read_text() == ""
+
 
 class TestTrainCommand:
     def test_run_directory_contents(self, tmp_path, toy_dataset):
@@ -243,6 +258,13 @@ class TestTrainCommand:
         assert err.startswith("data error: ") and "split 'train' is empty" in err
         assert not os.path.exists(run_dir)
 
+    def test_out_naming_a_file_is_a_data_error(self, tmp_path, toy_dataset, capsys):
+        open(tmp_path / "run", "w").close()
+        code, run_dir = run_training(tmp_path, toy_dataset)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert os.path.getsize(run_dir) == 0
+
     def test_missing_dataset_exits_data_error(self, tmp_path):
         code = main(["train", "--dataset", "no-such-dataset",
                      "--data-root", str(tmp_path)])
@@ -348,6 +370,18 @@ class TestStatsCommand:
         assert captured.out == ""
         assert f"config error: {flag}" in captured.err
         assert not os.path.exists(out)
+
+    def test_out_naming_a_file_is_a_data_error_before_any_output(self, tmp_path, toy_dataset,
+                                                                  capsys):
+        out = tmp_path / "stats"
+        out.write_text("")
+        code = main(["stats", "--dataset", toy_dataset, "--samplers", "sr",
+                     "--batch-sizes", "16", "--num-batches", "30", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ")
+        assert out.read_text() == ""
 
     def test_csvs_equal_the_library_sweep(self, tmp_path, toy_dataset):
         out = str(tmp_path / "stats")

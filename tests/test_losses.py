@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgsampler import losses
+from kgsampler import losses, scorers
 from kgsampler.graph import Triple, from_id_triples, neighbor_entries
 from kgsampler.losses import (
     LossConfig,
@@ -24,8 +24,7 @@ from kgsampler.losses import (
 )
 from kgsampler.samplers import Minibatch, SamplerPolicy, sample_minibatch
 from kgsampler.scorers import (MODEL_KINDS, EmbeddingStore, initialize, query_rows,
-                               query_rows_backward, query_score_grads, query_scores, score,
-                               score_gradient)
+                               query_scores, score, score_gradient)
 from kgsampler.synth import random_graph
 
 from conftest import CHI2_CRIT, chi_square, known_triples
@@ -524,8 +523,8 @@ def two_pass_reference(store, positives, negs, config, entry_weights=None,
     order = np.lexsort((fixed, rel, head))
     scores = np.empty(len(spo))
     for block, side, starts, group in blocks(order):
-        q = query_rows(store, spo[block[starts]], side)
-        scores[block] = query_scores(store, q[group], store.entities[cand[block]])
+        q = query_rows(store, spo[block[starts]], side)[0]
+        scores[block] = query_scores(store, q[group], store.entities[cand[block]])[0]
     neg_scores = scores[m:].reshape(m, n)
     if frozen_weights is None:
         weights = adversarial_weights(neg_scores, config.adversarial_temperature, negs.valid)
@@ -544,12 +543,10 @@ def two_pass_reference(store, positives, negs, config, entry_weights=None,
            "relations": np.zeros_like(store.relations)}
     for block, side, starts, group in blocks(rows):
         firsts = spo[block[starts]]
-        q = query_rows(store, firsts, side)
+        q, rows_backward = query_rows(store, firsts, side)
         qb, eb = q[group], store.entities[cand[block]]
-        dq, de = query_score_grads(store, qb, eb, coefs[block],
-                                   query_scores(store, qb, eb, out=qb))
-        d_fixed, d_rel = query_rows_backward(store, firsts, side,
-                                             np.add.reduceat(dq, starts, axis=0))
+        dq, de = query_scores(store, qb, eb, out=qb)[1](coefs[block])
+        d_fixed, d_rel = rows_backward(np.add.reduceat(dq, starts, axis=0))
         np.add.at(acc["entities"], cand[block], de)
         np.add.at(acc["entities"], firsts[:, 2 - side], d_fixed)
         np.add.at(acc["relations"], firsts[:, 1], d_rel)
@@ -634,6 +631,23 @@ class TestFusedPass:
                              valid=np.ones((6, 7), dtype=bool))
         config = LossConfig(margin=1.0, negatives_per_positive=7)
         self.check(store, positives, negs, config, 16)
+
+
+@pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 14],
+                         ids=["one_block", "blocks_of_2_positives"])
+def test_rotate_trig_once_per_block(block_rows, monkeypatch):
+    """A RotatE loss call takes each block's cos/sin once, for its scores and its gradients."""
+    monkeypatch.setattr(losses, "BLOCK_ROWS", block_rows)
+    calls, rotations = [], scorers._rotations
+    monkeypatch.setattr(scorers, "_rotations", lambda *a: calls.append(a) or rotations(*a))
+    rng = np.random.default_rng(55)
+    g = random_graph(n_entities=40, n_relations=4, n_triples=300, seed=55)
+    store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=56)
+    positives = g.train[rng.choice(len(g.train), 12, replace=False)]
+    negs = corrupt_batch(g, positives, 6, True, rng)
+    softmargin_batch_loss_and_grads(store, positives, negs, LossConfig(negatives_per_positive=6))
+    per = max(1, block_rows // 7)   # positives per block, each with 7 rows
+    assert len(calls) == -(-12 // per)
 
 
 class TestNeighborsLoss:

@@ -11,7 +11,6 @@ from kgsampler.scorers import (
     load_checkpoint,
     query_bounds,
     query_rows,
-    query_rows_backward,
     row_widths,
     save_checkpoint,
     score,
@@ -136,7 +135,7 @@ class TestGradientFiniteDifference:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("side", [0, 2])
     def test_query_backward_matches_central_differences(self, kind, side):
-        """query_rows_backward is the transpose of query_rows' Jacobian, on both sides."""
+        """query_rows' backward map is the transpose of its Jacobian, on both sides."""
         store = random_store(kind, 3, seed=17)
         if kind == "rotate":
             store.relations *= 7.5
@@ -144,13 +143,13 @@ class TestGradientFiniteDifference:
         spo = np.array([[0, 1, 2], [3, 2, 4], [5, 3, 6]])
         rng = np.random.default_rng(18 + side)
         dq = rng.normal(size=(len(spo), store.entities.shape[1]))
-        d_fixed, d_relation = query_rows_backward(store, spo, side, dq)
+        d_fixed, d_relation = query_rows(store, spo, side)[1](dq)
         for i, t in enumerate(spo):
             def projected(row_value, table, row_id, i=i):
                 st = EmbeddingStore(store.model_kind, store.dimension,
                                     store.entities.copy(), store.relations.copy())
                 getattr(st, table)[row_id] = row_value
-                return float(dq[i] @ query_rows(st, spo[i:i + 1], side)[0])
+                return float(dq[i] @ query_rows(st, spo[i:i + 1], side)[0][0])
 
             for table, row_id, analytic in (("entities", t[2 - side], d_fixed[i]),
                                             ("relations", t[1], d_relation[i])):
@@ -166,7 +165,7 @@ class TestVectorizedAgreement:
         store = random_store(kind, 3)
         ew, rw = row_widths(kind, 3)
         spo = np.zeros((0, 3), dtype=np.int64)
-        q = query_rows(store, spo, side)
+        q = query_rows(store, spo, side)[0]
         q_abs, eps = query_bounds(store, spo, side)
         assert q.shape == q_abs.shape == (0, ew)
         assert np.isfinite(eps)
@@ -187,7 +186,7 @@ class TestVectorizedAgreement:
         spo = np.stack([rng.integers(50, size=200), rng.integers(6, size=200),
                         rng.integers(50, size=200)], axis=1)
         q_abs, eps = query_bounds(store, spo, side)
-        assert np.all(np.abs(query_rows(store, spo, side)) <= q_abs)
+        assert np.all(np.abs(query_rows(store, spo, side)[0]) <= q_abs)
         if kind == "rotate":
             assert eps >= 4 * UNIT_ROUNDOFF
         else:
@@ -217,7 +216,7 @@ class TestVectorizedAgreement:
         t = np.array([[s, r, o]])
         planted = {2: 11, 0: 12}   # side -> the candidate put at that side's query point
         for side, e in planted.items():
-            store.entities[e] = query_rows(store, t, side)[0]
+            store.entities[e] = query_rows(store, t, side)[0][0]
         for side, got in ((2, score_against_all_objects(store, s, r)),
                           (0, score_against_all_subjects(store, r, o))):
             rows = np.repeat(t, store.n_entities, axis=0)
@@ -239,13 +238,14 @@ class TestVectorizedAgreement:
                         rng.integers(40, size=300)], axis=1)
         sides = np.where(rng.random(300) < 0.5, 0, 2)
         dq = rng.standard_normal((300, row_widths(kind, 6)[0]))
-        q = query_rows(store, spo, sides)
-        d_fixed, d_rel = query_rows_backward(store, spo, sides, dq)
+        q, backward = query_rows(store, spo, sides)
+        d_fixed, d_rel = backward(dq)
         for side in (0, 2):
             rows = np.flatnonzero(sides == side)
             for part in [rows] + np.array_split(rows, 10):
-                assert np.array_equal(q[part], query_rows(store, spo[part], side))
-                want_fixed, want_rel = query_rows_backward(store, spo[part], side, dq[part])
+                want_q, want_backward = query_rows(store, spo[part], side)
+                assert np.array_equal(q[part], want_q)
+                want_fixed, want_rel = want_backward(dq[part])
                 assert np.array_equal(d_fixed[part], want_fixed)
                 assert np.array_equal(d_rel[part], want_rel)
 
