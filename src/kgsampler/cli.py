@@ -2,8 +2,9 @@
 
 Subcommands: ``train``, ``stats``, ``eval``, ``viz``, ``make-toy``.
 Configuration precedence is built-in defaults, then the config file, then
-command-line overrides. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+``--set`` overrides, then ``train``'s own flags. Every error is raised to
+:func:`main`, which reports it and returns the exit code: 0 success, 1 usage
+error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -163,39 +164,19 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(run_dir, config, dataset_dir):
-    manifest = {
-        "tool_version": __version__,
-        "config": config,
-        "dataset_dir": os.path.abspath(dataset_dir),
-        "dataset_fingerprint": dataset_fingerprint(dataset_dir),
-        "seed": config["train"]["seed"],
-        "started_at": _utcnow(),
-    }
-    _save_manifest(run_dir, manifest)
-    return manifest
-
-
 def _save_manifest(run_dir, manifest) -> None:
     with atomic_open(os.path.join(run_dir, "manifest.json")) as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args.config, args.set or [])
-    for dotted, value in (
-        ("dataset.name", args.dataset),
-        ("dataset.root", args.data_root),
-        ("model.kind", args.model),
-        ("model.dimension", args.dimension),
-        ("sampler.kind", args.sampler),
-        ("sampler.batch_size", args.batch_size),
-        ("train.epochs", args.epochs),
-        ("train.seed", args.seed),
-    ):
-        if value is not None:
-            section, key = dotted.split(".")
-            config[section][key] = value
+    flags = (("dataset.name", args.dataset), ("dataset.root", args.data_root),
+             ("model.kind", args.model), ("model.dimension", args.dimension),
+             ("sampler.kind", args.sampler), ("sampler.batch_size", args.batch_size),
+             ("train.epochs", args.epochs), ("train.seed", args.seed))
+    # the flags are overrides too, applied after --set
+    config = resolve_config(args.config, [*(args.set or []), *(
+        f"{dotted}={value}" for dotted, value in flags if value is not None)])
 
     try:    # bad values are usage errors, found before the dataset is read
         tconf = _train_config(config)
@@ -215,7 +196,15 @@ def cmd_train(args) -> int:
         "runs", f"{config['dataset']['name'] or 'dataset'}-"
                 f"{config['model']['kind']}-{config['sampler']['kind']}-{stamp}")
     os.makedirs(run_dir, exist_ok=True)
-    manifest = write_manifest(run_dir, config, dataset_dir)
+    manifest = {
+        "tool_version": __version__,
+        "config": config,
+        "dataset_dir": os.path.abspath(dataset_dir),
+        "dataset_fingerprint": dataset_fingerprint(dataset_dir),
+        "seed": config["train"]["seed"],
+        "started_at": _utcnow(),
+    }
+    _save_manifest(run_dir, manifest)
     write_dictionaries(g, run_dir)
 
     store = initialize(g.n_entities, g.n_relations, kind, dimension, seed=tconf.seed)
@@ -242,8 +231,7 @@ def cmd_train(args) -> int:
     except NumericalError as exc:
         with atomic_open(os.path.join(run_dir, "failed_batch.json")) as fh:
             fh.write(json.dumps({"epoch": exc.epoch, "batch": exc.batch}).encode("utf-8"))
-        log.error("training aborted: %s", exc)
-        return NUMERICAL_ERROR
+        raise
     finally:
         log_fh.close()
 
@@ -324,15 +312,13 @@ def cmd_eval(args) -> int:
     _require_split(g, args.split, args.dataset)
     try:
         store = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        log.error("cannot load checkpoint: %s", exc)
-        return DATA_ERROR
+    except ValueError as exc:
+        raise DataError(f"cannot load checkpoint: {exc}") from exc
     if store.n_entities != g.n_entities or store.n_relations != g.n_relations:
-        log.error(
-            "checkpoint shape (%d entities, %d relations) does not match dataset "
-            "(%d entities, %d relations)",
-            store.n_entities, store.n_relations, g.n_entities, g.n_relations)
-        return DATA_ERROR
+        raise DataError(
+            f"{args.checkpoint}: checkpoint shape ({store.n_entities} entities, "
+            f"{store.n_relations} relations) does not match dataset {args.dataset} "
+            f"({g.n_entities} entities, {g.n_relations} relations)")
     metrics = evaluate_split(g, store, args.split, args.protocol)
     print(metrics.as_json_line())
     return 0

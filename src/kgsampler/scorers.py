@@ -338,7 +338,9 @@ def load_checkpoint(path: str) -> EmbeddingStore:
         blob = fh.read()
     if blob[:8] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    kind = blob[8:24].rstrip(b"\0").decode("ascii")
+    if len(blob) < 48:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, header is 48)")
+    kind = blob[8:24].rstrip(b"\0").decode("ascii", "replace")
     if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     n_e, n_r, k = struct.unpack("<QQQ", blob[24:48])

@@ -72,6 +72,9 @@ class SparseSgd:
 # An sr b=1024 batch touches 0.99.
 DENSE_ADAM_SHARE = 0.75
 
+# Adam's moment decay rates and denominator offset: b1, b2 and eps below.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class SparseAdam:
     """Adam with lazily updated moments: untouched rows never move or decay.
@@ -82,10 +85,8 @@ class SparseAdam:
     back. Both give the same bits: :meth:`_update` is the one arithmetic.
     """
 
-    def __init__(self, store: EmbeddingStore, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: EmbeddingStore, learning_rate: float):
         self.lr = learning_rate
-        self.b1, self.b2, self.eps = beta1, beta2, eps
         self.state = {}
         for name, arr in (("entities", store.entities), ("relations", store.relations)):
             self.state[name] = {
@@ -101,18 +102,18 @@ class SparseAdam:
         m = b1·m + (1-b1)·G, v = b2·v + (1-b2)·G·G and lr·m̂ / (√v̂ + eps);
         one scratch array holds each product in turn and then the step.
         """
-        tmp = np.multiply(G, 1 - self.b1)
-        m *= self.b1
+        tmp = np.multiply(G, 1 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += tmp
-        np.multiply(G, 1 - self.b2, out=tmp)
+        np.multiply(G, 1 - ADAM_BETA2, out=tmp)
         tmp *= G
-        v *= self.b2
+        v *= ADAM_BETA2
         v += tmp
-        step = np.divide(m, (1.0 - self.b1 ** t)[:, None], out=tmp)
+        step = np.divide(m, (1.0 - ADAM_BETA1 ** t)[:, None], out=tmp)
         step *= self.lr
-        denom = v / (1.0 - self.b2 ** t)[:, None]
+        denom = v / (1.0 - ADAM_BETA2 ** t)[:, None]
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         step /= denom
         return step
 

@@ -9,7 +9,7 @@ from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.graph import load_dataset
 from kgsampler.samplers import SamplerPolicy
-from kgsampler.scorers import load_checkpoint
+from kgsampler.scorers import initialize, load_checkpoint, save_checkpoint
 from kgsampler.stats import (
     averaged_distribution,
     distribution_rows,
@@ -186,12 +186,16 @@ class TestTrainCommand:
         assert code == 1
         assert "loss.negs" in capsys.readouterr().err
 
-    def test_nonfinite_loss_writes_failed_batch(self, tmp_path, toy_dataset, monkeypatch):
+    def test_nonfinite_loss_writes_failed_batch(self, tmp_path, toy_dataset, monkeypatch,
+                                                capsys):
         def nan_loss(g, store, m, config, rng):
             return float("nan"), None
         monkeypatch.setattr(trainer, "minibatch_loss_and_grads", nan_loss)
+        capsys.readouterr()
         code, run_dir = run_training(tmp_path, toy_dataset)
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
         with open(os.path.join(run_dir, "failed_batch.json")) as fh:
             failed = json.load(fh)
         assert set(failed) == {"epoch", "batch"}
@@ -265,6 +269,25 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("data error: ")
         assert os.path.getsize(run_dir) == 0
 
+    def test_flags_apply_after_set_and_write_the_config_set_writes(self, tmp_path, toy_dataset):
+        def run(name, *extra):
+            run_dir = str(tmp_path / name)
+            assert main(["train", "--dataset", toy_dataset, "--model", "distmult",
+                         "--batch-size", "128", "--out", run_dir,
+                         "--set", "loss.negatives=8", *extra]) == 0
+            return run_dir
+
+        one = run("one", "--dimension", "8", "--epochs", "1", "--set", "train.epochs=5")
+        assert len(read_text(os.path.join(one, "train_log.jsonl")).splitlines()) == 1
+        flags = run("flags", "--epochs", "1", "--dimension", "8", "--seed", "3")
+        sets = run("sets", "--epochs", "1", "--set", "model.dimension=8",
+                   "--set", "train.seed=3")
+        configs = [json.loads(read_text(os.path.join(d, "manifest.json")))["config"]
+                   for d in (flags, sets)]
+        # the JSON text, so that an int written as a float or a string shows
+        assert json.dumps(configs[0], sort_keys=True) == json.dumps(configs[1], sort_keys=True)
+        assert configs[0]["model"]["dimension"] == 8 and configs[0]["train"]["seed"] == 3
+
     def test_missing_dataset_exits_data_error(self, tmp_path):
         code = main(["train", "--dataset", "no-such-dataset",
                      "--data-root", str(tmp_path)])
@@ -299,9 +322,29 @@ class TestEvalCommand:
         other = tmp_path / "other"
         main(["make-toy", "--kind", "variance", "--out", str(other), "--seed", "2"])
         code, run_dir = run_training(tmp_path, toy_dataset)
-        code = main(["eval", "--dataset", str(other),
+        capsys.readouterr()
+        # the variance graph holds no test triples: evaluate its train split
+        code = main(["eval", "--dataset", str(other), "--split", "train",
                      "--checkpoint", os.path.join(run_dir, "last.ckpt")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "does not match" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["missing", "garbage", "header_cut"])
+    def test_unreadable_checkpoint_is_a_data_error(self, tmp_path, toy_dataset, capsys, fault):
+        ckpt = tmp_path / "model.ckpt"
+        if fault == "garbage":
+            ckpt.write_bytes(b"\x93garbage bytes\x00" * 8)
+        elif fault == "header_cut":
+            g = load_dataset(toy_dataset)
+            save_checkpoint(initialize(g.n_entities, g.n_relations, "distmult", 8), str(ckpt))
+            ckpt.write_bytes(ckpt.read_bytes()[:20])
+        capsys.readouterr()
+        assert main(["eval", "--dataset", toy_dataset, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(ckpt) in err
+        assert "Traceback" not in err
 
     def test_empty_split_exits_data_error(self, tmp_path, toy_dataset, capsys):
         code, run_dir = run_training(tmp_path, toy_dataset)
@@ -315,8 +358,6 @@ class TestEvalCommand:
         assert err.startswith("data error: ") and "split 'valid' is empty" in err
 
     def test_random_checkpoint_near_random_baseline(self, tmp_path, toy_dataset, capsys):
-        from kgsampler.scorers import initialize, save_checkpoint
-        from kgsampler.graph import load_dataset
         g = load_dataset(toy_dataset)
         store = initialize(g.n_entities, g.n_relations, "distmult", 8, seed=9)
         ckpt = str(tmp_path / "random.ckpt")

@@ -229,8 +229,8 @@ class TestVectorizedAgreement:
     def test_per_row_sides_equal_each_side_bitwise(self, kind):
         """A per-row ``side`` gives every row its own side's bits, forward and backward.
 
-        ~150 rows per side take RotatE's per-distinct-relation trig table,
-        chunks of ~15 rows its per-row trig; both give the same bits.
+        Each side's rows are also compared in 10 chunks of ~15: a row's query
+        and backward bits do not depend on which other rows share the call.
         """
         store = random_store(kind, 6, n_entities=40, n_relations=5, seed=21)
         rng = np.random.default_rng(22)
@@ -412,6 +412,16 @@ class TestCheckpoint:
         assert np.array_equal(loaded.entities, store.entities)
         assert np.array_equal(loaded.relations, store.relations)
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("edit", [lambda blob: blob[:20],
+                                      lambda blob: blob[:8] + b"\xff" * 16 + blob[24:]],
+                             ids=["header_cut", "non_ascii_kind"])
+    def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_store("transe", 3, seed=22), str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="model.ckpt"):
+            load_checkpoint(str(path))
 
     def test_truncated(self, tmp_path):
         store = random_store("transe", 3, seed=22)

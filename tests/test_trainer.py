@@ -82,7 +82,7 @@ class TestSparseAdam:
         rng = np.random.default_rng(3)
         store = initialize(6, 3, "complex", 2, seed=4)
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        opt = SparseAdam(store, lr, b1, b2, eps)
+        opt = SparseAdam(store, lr)
         ref = {name: {"p": arr.copy(), "m": np.zeros_like(arr), "v": np.zeros_like(arr),
                       "t": np.zeros(len(arr), dtype=np.int64)}
                for name, arr in (("entities", store.entities), ("relations", store.relations))}
@@ -126,7 +126,7 @@ def test_dense_and_sparse_adam_steps_equal_the_textbook_formula():
     store = initialize(20, 4, "rotate", 3, seed=12)
     start = store.entities.copy(), store.relations.copy()
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = SparseAdam(store, lr, b1, b2, eps)
+    opt = SparseAdam(store, lr)
     ref = {name: {"p": arr.copy(), "m": np.zeros_like(arr), "v": np.zeros_like(arr),
                   "t": np.zeros(len(arr), dtype=np.int64)}
            for name, arr in (("entities", store.entities), ("relations", store.relations))}
