@@ -209,7 +209,10 @@ def cmd_train(args) -> int:
 
     store = initialize(g.n_entities, g.n_relations, kind, dimension, seed=tconf.seed)
 
-    best = {"mrr": -1.0, "epoch": 0}
+    best = {}    # stays empty, and best_valid null, if no validation runs
+    if not len(g.valid) or tconf.epochs < tconf.eval_every:
+        log.warning("no validation will run (%s): no best.ckpt, and best_valid is null",
+                    "empty valid split" if not len(g.valid) else "train.epochs < train.eval_every")
     log_path = os.path.join(run_dir, "train_log.jsonl")
     log_fh = open(log_path, "w", encoding="utf-8")
 
@@ -220,7 +223,7 @@ def cmd_train(args) -> int:
             valid_s = time.perf_counter() - t0
             log.info("epoch %d valid (%.2f s): %s", epoch, valid_s, metrics.as_json_line())
             record = {**record, "valid": metrics.as_record(), "valid_s": valid_s}
-            if metrics.mrr > best["mrr"]:
+            if not best or metrics.mrr > best["mrr"]:
                 best.update(mrr=metrics.mrr, epoch=epoch)
                 save_checkpoint(current_store, os.path.join(run_dir, "best.ckpt"))
         log_fh.write(json.dumps(record) + "\n")
@@ -237,7 +240,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(store, os.path.join(run_dir, "last.ckpt"))
     manifest["finished_at"] = _utcnow()
-    manifest["best_valid"] = best
+    manifest["best_valid"] = best or None
     _save_manifest(run_dir, manifest)
     print(f"run directory: {run_dir}")
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, _pack, induced_subgraph, uniform_subsets
+from .graph import KnowledgeGraph, _pack, induced_subgraph, sorted_unique, uniform_subsets
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ class Minibatch:
     @property
     def vertex_set(self) -> np.ndarray:
         """Sorted unique entity ids appearing in the positives."""
-        return np.unique(self.positives[:, [0, 2]])
+        return sorted_unique(self.positives[:, [0, 2]])
 
 
 def _random_walk(g: KnowledgeGraph, b: int, rng,

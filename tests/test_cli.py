@@ -148,9 +148,10 @@ class TestMakeToy:
 
 
 class TestTrainCommand:
-    def test_run_directory_contents(self, tmp_path, toy_dataset):
+    def test_run_directory_contents(self, tmp_path, toy_dataset, caplog):
         code, run_dir = run_training(tmp_path, toy_dataset)
         assert code == 0
+        assert "no validation will run" not in caplog.text
         for fname in ("manifest.json", "train_log.jsonl", "last.ckpt", "best.ckpt",
                       "entities.tsv", "relations.tsv"):
             assert os.path.isfile(os.path.join(run_dir, fname)), fname
@@ -169,10 +170,29 @@ class TestTrainCommand:
         assert set(records[1]["valid"]) == {"mrr", "mr", "hits1", "hits3", "hits10",
                                             "count", "protocol"}
         assert records[1]["valid"]["protocol"] == "filtered"
-        assert manifest["best_valid"]["mrr"] == records[1]["valid"]["mrr"]
+        assert manifest["best_valid"] == {"epoch": 2, "mrr": records[1]["valid"]["mrr"]}
         assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
         store = load_checkpoint(os.path.join(run_dir, "last.ckpt"))
         assert store.model_kind == "distmult"
+
+    @pytest.mark.parametrize("kind, epochs, reason", [
+        ("dense", "2", "empty valid split"),
+        ("planted", "1", "train.epochs < train.eval_every"),
+    ])
+    def test_run_without_validation_records_no_best(self, tmp_path, caplog, kind, epochs,
+                                                     reason):
+        dataset = str(tmp_path / kind)
+        assert main(["make-toy", "--kind", kind, "--out", dataset]) == 0
+        code, run_dir = run_training(tmp_path, dataset, ["--epochs", epochs])
+        assert code == 0
+        assert f"no validation will run ({reason}): no best.ckpt" in caplog.text
+        manifest = json.loads(read_text(os.path.join(run_dir, "manifest.json")))
+        assert manifest["best_valid"] is None
+        assert not os.path.exists(os.path.join(run_dir, "best.ckpt"))
+        assert os.path.isfile(os.path.join(run_dir, "last.ckpt"))
+        records = [json.loads(line)
+                   for line in read_text(os.path.join(run_dir, "train_log.jsonl")).splitlines()]
+        assert len(records) == int(epochs) and not any("valid" in r for r in records)
 
     def test_unknown_sampler_lists_kinds(self, tmp_path, toy_dataset, capsys):
         code = main(["train", "--dataset", toy_dataset, "--sampler", "frontier"])

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from kgsampler.graph import (
     DataError,
     Triple,
+    _build_graph,
     from_id_triples,
     induced_subgraph,
     load_dataset,
     neighbor_entries,
     write_dictionaries,
 )
-from kgsampler.synth import random_graph
+from kgsampler.synth import random_graph, write_dataset
 
 from conftest import known_triples, random_id_triples
 
@@ -28,6 +29,17 @@ _MONOTONE_GRAPH = from_id_triples(
 def incident_ids(g, v):
     """Sorted train-triple indices incident to entity v."""
     return g.adj_indices[g.incident([v])[1]]
+
+
+def brute_adjacency(g):
+    """(adj_indptr, adj_indices) of g by np.lexsort over (entity, triple id) pairs."""
+    s, o = g.train[:, 0], g.train[:, 2]
+    ids = np.arange(g.n_train)
+    ents = np.concatenate([s, o[s != o]])
+    tids = np.concatenate([ids, ids[s != o]])
+    order = np.lexsort((tids, ents))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ents, minlength=g.n_entities))])
+    return indptr, tids[order]
 
 
 def write_split(path, rows):
@@ -92,6 +104,66 @@ class TestLoader:
         write_split(tmp_path / "test.txt", [])
         with pytest.raises(DataError, match="train.txt:2"):
             load_dataset(str(tmp_path))
+
+    def test_blank_lines_skipped_and_line_numbers_kept(self, tmp_path):
+        (tmp_path / "train.txt").write_text("a\tr\tb\n\n\nb\tr\tc\n\n")
+        (tmp_path / "valid.txt").write_text("\n\nc\tr\ta\n")
+        write_split(tmp_path / "test.txt", [])
+        g = load_dataset(str(tmp_path))
+        assert g.train.tolist() == [[0, 0, 1], [1, 0, 2]]
+        assert g.valid.tolist() == [[2, 0, 0]]
+        (tmp_path / "test.txt").write_text("a\tr\tc\n\n\nb\tr\n")
+        with pytest.raises(DataError, match="test.txt:4: expected 3 tab-separated columns, got 2"):
+            load_dataset(str(tmp_path))
+
+    def test_four_columns_rejected_with_the_count(self, tmp_path):
+        make_dataset(tmp_path, train=[("a", "r", "b"), ("b", "r", "c", "x")])
+        path = tmp_path / "train.txt"
+        with pytest.raises(DataError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == f"{path}:2: expected 3 tab-separated columns, got 4"
+
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path):
+        rows = [("a", "r", "b"), ("b", "s", "c")]
+        (tmp_path / "lf").mkdir()
+        (tmp_path / "crlf").mkdir()
+        lf = load_dataset(make_dataset(tmp_path / "lf", train=rows, valid=rows[:1]))
+        crlf = tmp_path / "crlf"
+        make_dataset(crlf, train=rows, valid=rows[:1])
+        for name in ("train.txt", "valid.txt"):
+            path = crlf / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        g = load_dataset(str(crlf))
+        assert g.entity_names == lf.entity_names == ["a", "b", "c"]
+        assert g.relation_names == lf.relation_names == ["r", "s"]
+        for name in ("train", "valid", "test"):
+            assert np.array_equal(g.split(name), lf.split(name))
+
+    def test_object_first_seen_in_valid_gets_the_next_id(self, tmp_path):
+        g = load_dataset(make_dataset(
+            tmp_path, train=[("a", "r", "b")], valid=[("b", "r", "c")], test=[("c", "s", "a")]))
+        assert g.entity_names == ["a", "b", "c"]
+        assert g.valid.tolist() == [[1, 0, 2]]
+        assert g.test.tolist() == [[2, 1, 0]]
+
+    def test_round_trip_matches_brute_force_indexes(self, tmp_path):
+        src = random_graph(2000, 20, 20000, holdout_fraction=0.1)
+        write_dataset(src, str(tmp_path))
+        g = load_dataset(str(tmp_path))
+
+        def named(graph, split):
+            return [(graph.entity_names[s], graph.relation_names[r], graph.entity_names[o])
+                    for s, r, o in graph.split(split).tolist()]
+
+        for split in ("train", "valid", "test"):
+            assert named(g, split) == named(src, split)
+        rows = np.concatenate([g.train, g.valid, g.test])
+        E, R = g.n_entities, g.n_relations
+        assert np.array_equal(g.spo_keys, np.unique((rows[:, 0] * R + rows[:, 1]) * E + rows[:, 2]))
+        assert np.array_equal(g.ors_keys, np.unique((rows[:, 2] * R + rows[:, 1]) * E + rows[:, 0]))
+        indptr, indices = brute_adjacency(g)
+        assert np.array_equal(g.adj_indptr, indptr) and np.array_equal(g.adj_indices, indices)
+        assert g.adj_indptr.dtype == g.adj_indices.dtype == g.spo_keys.dtype == np.int64
 
     def test_duplicate_within_split_rejected(self, tmp_path):
         with pytest.raises(DataError, match="duplicate"):
@@ -322,6 +394,17 @@ def test_key_overflow_rejected_before_allocating():
     assert peak < 1 << 20
 
 
+def test_adjacency_key_overflow_rejected_before_reading_rows():
+    # 2³¹ entities pass the triple-key check (2⁶² ≤ 2⁶³), but 2³² + 1 train rows give
+    # adjacency sort keys up to E·n > 2⁶³. The rows are a zero-copy broadcast view, and
+    # the names are given, so a missing check fails on the -1 id, not on 2³¹ names.
+    train = np.broadcast_to(np.array([-1, 0, 0]), (2**32 + 1, 3))
+    empty = np.empty((0, 3), dtype=np.int64)
+    with pytest.raises(DataError, match="entities · train triples > 2⁶³"):
+        _build_graph({"train": train, "valid": empty, "test": empty}, 2**31, 1,
+                     names=(["e0"], ["r0"]))
+
+
 @st.composite
 def id_graphs(draw):
     """Small graphs whose splits share triples and hold self-loops."""
@@ -339,6 +422,8 @@ def test_known_triple_index_matches_brute_force(g):
     ids = range(g.n_entities)
     everything = [(s, r, o) for s in ids for r in range(g.n_relations) for o in ids]
     assert g.contains_triples(everything).tolist() == [t in known for t in everything]
+    indptr, indices = brute_adjacency(g)     # the splits hold self-loops
+    assert np.array_equal(g.adj_indptr, indptr) and np.array_equal(g.adj_indices, indices)
     # rows with an id outside [0, E) or [0, R), some packing to a known triple's key
     E, R = g.n_entities, g.n_relations
     aliases = [row for s, r, o in known for row in ((s, r - 1, o + E), (s - 1, r + R, o))]
