@@ -249,10 +249,9 @@ def softmargin_batch_loss_and_grads(
     cand = np.where(head, spo[:, 0], spo[:, 2])
     rel = spo[:, 1]
     per = max(1, BLOCK_ROWS // (n + 1))   # positives per block
-    owner = np.concatenate([np.arange(m), np.repeat(np.arange(m), n)]) // per
-    order = np.lexsort((fixed, rel, head, owner))
-    keys = np.stack([owner, head, rel, fixed])[:, order]
-    new = np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])   # query starts
+    # one query key per row, ordered as (side, relation, fixed entity): below
+    # 2·R·E, which is at most E²·R <= 2⁶³ (graph._build_graph's bound) for E >= 2
+    key = (head * store.n_relations + rel) * store.n_entities + fixed
 
     weights = (np.empty((m, n)) if frozen_weights is None
                else np.where(negatives.valid, frozen_weights, 0.0))
@@ -267,8 +266,12 @@ def softmargin_batch_loss_and_grads(
     q_buf, e_buf = np.empty((2, min(per, m) * (n + 1), ew))
     for lo in range(0, m, per):
         hi = min(lo + per, m)
-        rows = order[lo * (n + 1):hi * (n + 1)]
-        first = new[lo * (n + 1):hi * (n + 1)]
+        # the block's positives, then their negatives: the stable sort keeps
+        # that order among the rows of one query
+        rows = np.r_[lo:hi, m + lo * n:m + hi * n]
+        rows = rows[np.argsort(key[rows], kind="stable")]
+        k = key[rows]
+        first = np.concatenate([[True], k[1:] != k[:-1]])   # query starts
         starts = np.flatnonzero(first)
         firsts = spo[rows[starts]]
         sides = np.where(head[rows[starts]], 0, 2)

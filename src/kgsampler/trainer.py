@@ -54,35 +54,40 @@ class TrainConfig:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
 
 
-class SparseSgd:
-    def __init__(self, store: EmbeddingStore, learning_rate: float):
-        self.lr = learning_rate
-
-    def step(self, store: EmbeddingStore, grads: SparseGrads):
-        store.entities[grads.entities.ids] -= self.lr * grads.entities.rows
-        store.relations[grads.relations.ids] -= self.lr * grads.relations.rows
-
-
-# Touched-row share above which SparseAdam updates the whole table and then
-# restores the untouched rows: gathering and scattering the touched rows of
-# m, v and the parameters then costs more than the arithmetic on the rest.
-# On a 14,500 x 128 table (one BLAS thread, the step after a first one) the
-# two read equal between 0.7 and 0.8 of the rows touched: sparse 71, 76 and
-# 91 ms against dense 74, 75 and 74 ms at 0.7, 0.8 and 0.9 (medians of 9).
-# An sr b=1024 batch touches 0.99.
-DENSE_ADAM_SHARE = 0.75
+# Rows per chunk of every row-wise update (Adam, SGD, unit-ball projection):
+# a chunk's sorted ids keep its rows close in memory and its temporaries
+# cache-sized, whatever share of the table a batch touches. With 0.99 of a
+# 14,500 x 128 table's rows touched (one BLAS thread, interleaved medians of
+# 12) an Adam step read 27-30 ms at 128 and 256 rows, 30-34, 32-38 and 38-41
+# ms at 384, 512 and 1024, and one whole-table pass 46-52 ms; 256 rows take
+# half the Python iterations of 128. With 0.01 touched a step read 0.7 ms.
+ADAM_CHUNK_ROWS = 256
 
 # Adam's moment decay rates and denominator offset: b1, b2 and eps below.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def _chunks(n: int):
+    """Consecutive slices of ``range(n)``, ``ADAM_CHUNK_ROWS`` long but the last."""
+    return (slice(lo, lo + ADAM_CHUNK_ROWS) for lo in range(0, n, ADAM_CHUNK_ROWS))
+
+
+class SparseSgd:
+    def __init__(self, store: EmbeddingStore, learning_rate: float):
+        self.lr = learning_rate
+
+    def step(self, store: EmbeddingStore, grads: SparseGrads):
+        for params, rowgrads in ((store.entities, grads.entities),
+                                 (store.relations, grads.relations)):
+            for c in _chunks(len(rowgrads)):
+                params[rowgrads.ids[c]] -= self.lr * rowgrads.rows[c]
+
+
 class SparseAdam:
     """Adam with lazily updated moments: untouched rows never move or decay.
 
-    A step updates the touched rows in gathered copies, or, when more than
-    ``DENSE_ADAM_SHARE`` of a table's rows are touched, the whole table in
-    place, after which the untouched rows' moments and parameters are put
-    back. Both give the same bits: :meth:`_update` is the one arithmetic.
+    A step updates the touched rows in gathered copies, one chunk of
+    ``ADAM_CHUNK_ROWS`` at a time, so no temporary grows with the table.
     """
 
     def __init__(self, store: EmbeddingStore, learning_rate: float):
@@ -95,13 +100,17 @@ class SparseAdam:
                 "t": np.zeros(len(arr), dtype=np.int64),
             }
 
-    def _update(self, m, v, G, t):
-        """Advance moment rows ``m``, ``v`` in place by gradient rows ``G`` at step counts ``t``.
+    def _step_rows(self, st, params, ids, G):
+        """Step the distinct rows ``ids`` of ``params`` and of moments ``st`` by gradient rows ``G``.
 
-        Returns the parameter step. The operation order is that of
-        m = b1·m + (1-b1)·G, v = b2·v + (1-b2)·G·G and lr·m̂ / (√v̂ + eps);
-        one scratch array holds each product in turn and then the step.
+        The operation order is that of m = b1·m + (1-b1)·G,
+        v = b2·v + (1-b2)·G·G and p -= lr·m̂ / (√v̂ + eps). At most three
+        row buffers live at once: the scratch product goes once the moments
+        are stored, m turns into the step and v into its denominator.
         """
+        st["t"][ids] += 1
+        t = st["t"][ids]
+        m, v = st["m"][ids], st["v"][ids]
         tmp = np.multiply(G, 1 - ADAM_BETA1)
         m *= ADAM_BETA1
         m += tmp
@@ -109,36 +118,21 @@ class SparseAdam:
         tmp *= G
         v *= ADAM_BETA2
         v += tmp
-        step = np.divide(m, (1.0 - ADAM_BETA1 ** t)[:, None], out=tmp)
+        del tmp
+        st["m"][ids], st["v"][ids] = m, v
+        step = np.divide(m, (1.0 - ADAM_BETA1 ** t)[:, None], out=m)
         step *= self.lr
-        denom = v / (1.0 - ADAM_BETA2 ** t)[:, None]
+        denom = np.divide(v, (1.0 - ADAM_BETA2 ** t)[:, None], out=v)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         step /= denom
-        return step
+        params[ids] -= step
 
     def step(self, store: EmbeddingStore, grads: SparseGrads):
         for name, params, rowgrads in (("entities", store.entities, grads.entities),
                                        ("relations", store.relations, grads.relations)):
-            st = self.state[name]
-            ids, G = rowgrads.ids, rowgrads.rows
-            st["t"][ids] += 1
-            if len(ids) <= DENSE_ADAM_SHARE * len(params):
-                m, v = st["m"][ids], st["v"][ids]
-                step = self._update(m, v, G, st["t"][ids])
-                st["m"][ids], st["v"][ids] = m, v
-                params[ids] -= step
-                continue
-            rest = np.ones(len(params), dtype=bool)
-            rest[ids] = False
-            rest = np.flatnonzero(rest)
-            kept = params[rest], st["m"][rest], st["v"][rest]
-            full = np.zeros(params.shape)
-            full[ids] = G
-            # rows never stepped have t = 0; they are put back below, and
-            # t = 1 keeps 1 - b**t out of zero for them
-            params -= self._update(st["m"], st["v"], full, np.maximum(st["t"], 1))
-            params[rest], st["m"][rest], st["v"][rest] = kept
+            for c in _chunks(len(rowgrads)):
+                self._step_rows(self.state[name], params, rowgrads.ids[c], rowgrads.rows[c])
 
 
 def make_optimizer(store: EmbeddingStore, config: TrainConfig):
@@ -148,10 +142,11 @@ def make_optimizer(store: EmbeddingStore, config: TrainConfig):
 
 
 def _project_to_unit_ball(store: EmbeddingStore, ids: np.ndarray):
-    rows = store.entities[ids]
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    scale = np.where(norms > 1.0, norms, 1.0)
-    store.entities[ids] = rows / scale
+    for c in _chunks(len(ids)):
+        rows = store.entities[ids[c]]
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        scale = np.where(norms > 1.0, norms, 1.0)
+        store.entities[ids[c]] = rows / scale
 
 
 def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,

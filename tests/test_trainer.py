@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,12 +117,13 @@ class TestSparseAdam:
         assert np.array_equal(store.relations[2], untouched.relations[2])
 
 
-def test_dense_and_sparse_adam_steps_equal_the_textbook_formula():
-    """Steps above and below ``DENSE_ADAM_SHARE`` of one table, with never-touched rows.
+def test_chunked_adam_steps_equal_the_textbook_formula(monkeypatch):
+    """Steps over chunks of 3 rows, with rows at t = 0, 1 and 2 and never-touched rows between chunks.
 
-    The dense steps run while some rows are still at t = 0; RuntimeWarning
-    is an error in the tests, so a 0/0 in their bias correction would fail.
+    RuntimeWarning is an error in the tests, so a step that took a bias
+    correction at t = 0 (a 0/0) would fail.
     """
+    monkeypatch.setattr(trainer, "ADAM_CHUNK_ROWS", 3)
     rng = np.random.default_rng(11)
     store = initialize(20, 4, "rotate", 3, seed=12)
     start = store.entities.copy(), store.relations.copy()
@@ -130,16 +132,13 @@ def test_dense_and_sparse_adam_steps_equal_the_textbook_formula():
     ref = {name: {"p": arr.copy(), "m": np.zeros_like(arr), "v": np.zeros_like(arr),
                   "t": np.zeros(len(arr), dtype=np.int64)}
            for name, arr in (("entities", store.entities), ("relations", store.relations))}
-    never = [7, 13]   # entity rows no step touches
+    never = [7, 13]   # entity rows no step touches, between the chunks of the full steps
     touched = [i for i in range(20) if i not in never]
-    # (entity ids, relation ids, whether each table's step is the dense one)
-    steps = ((touched, [0, 1, 2, 3], (True, True)),
-             (touched[:4], [2], (False, False)),
-             (touched[2:], [0, 1, 2, 3], (True, True)),   # entity rows at t = 0, 1 and 2
-             ([5], [1, 3], (False, False)))
-    for ent_ids, rel_ids, dense in steps:
-        assert [len(ids) > trainer.DENSE_ADAM_SHARE * n
-                for ids, n in ((ent_ids, 20), (rel_ids, 4))] == list(dense)
+    steps = ((touched, [0, 1, 2, 3]),
+             (touched[:4], [2]),
+             (touched[2:], [0, 1, 2, 3]),   # entity rows at t = 0, 1 and 2; chunk [2, 3, 4] mixes 2 and 1
+             ([5], [1, 3]))
+    for ent_ids, rel_ids in steps:
         grads = SparseGrads(
             entities=RowGrads(np.array(ent_ids), rng.normal(size=(len(ent_ids), 6))),
             relations=RowGrads(np.array(rel_ids), rng.normal(size=(len(rel_ids), 3))))
@@ -163,6 +162,39 @@ def test_dense_and_sparse_adam_steps_equal_the_textbook_formula():
     state = opt.state["entities"]
     assert not state["m"][never].any() and not state["v"][never].any()
     assert not state["t"][never].any()
+
+
+def test_full_touch_adam_step_allocates_no_table_sized_temporary():
+    """A step touching every row of a 4096 x 64 table peaks below a quarter of the table's bytes."""
+    rng = np.random.default_rng(0)
+    store = EmbeddingStore("distmult", 64, entities=rng.normal(size=(4096, 64)),
+                           relations=rng.normal(size=(2, 64)))
+    grads = SparseGrads(entities=RowGrads(np.arange(4096), rng.normal(size=(4096, 64))),
+                        relations=RowGrads(np.arange(2), rng.normal(size=(2, 64))))
+    opt = SparseAdam(store, 0.01)
+    opt.step(store, grads)
+    tracemalloc.start()
+    try:
+        opt.step(store, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < store.entities.nbytes / 4
+
+
+def test_unit_ball_projection_over_chunks(monkeypatch):
+    """Chunks of 3 rows give each row's own projection bitwise; rows off the id list stay."""
+    monkeypatch.setattr(trainer, "ADAM_CHUNK_ROWS", 3)
+    store = initialize(10, 2, "transe", 4, seed=7)
+    store.entities[::2] *= 100   # norms above 1 on even rows, below on odd ones
+    store.entities[1::2] /= 100
+    ids = np.array([0, 1, 2, 3, 4, 6, 7, 9])
+    before = store.entities.copy()
+    expected = before.copy()
+    expected[ids] /= np.maximum(np.linalg.norm(expected[ids], axis=1, keepdims=True), 1.0)
+    trainer._project_to_unit_ball(store, ids)
+    assert np.array_equal(store.entities, expected)
+    assert np.flatnonzero(np.any(store.entities != before, axis=1)).tolist() == [0, 2, 4, 6]
 
 
 @pytest.mark.parametrize("field, value", [("epochs", -1), ("eval_every", 0), ("seed", -1)])
@@ -302,12 +334,22 @@ class TestTrain:
               epoch_callback=lambda e, s, rec: seen.append(e))
         assert seen == [1, 2, 3]
 
-    def test_sgd_option(self, small_random_graph):
+    def test_sgd_option(self, small_random_graph, monkeypatch):
+        """An SGD step over chunks of 3 rows is p[ids] -= lr·G bitwise and leaves untouched rows."""
+        monkeypatch.setattr(trainer, "ADAM_CHUNK_ROWS", 3)
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
-        before = store.entities.copy()
-        train(g, store, small_config(g, optimizer="sgd", epochs=1))
-        assert not np.array_equal(store.entities, before)
+        config = small_config(g, optimizer="sgd")
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=4, seed=1))
+        _, grads = minibatch_loss_and_grads(g, store, m, config.loss_config,
+                                            np.random.default_rng(0))
+        assert 3 < len(grads.entities) < g.n_entities
+        expected = store.entities.copy(), store.relations.copy()
+        for params, rg in zip(expected, (grads.entities, grads.relations)):
+            params[rg.ids] -= config.learning_rate * rg.rows
+        trainer.make_optimizer(store, config).step(store, grads)
+        assert np.array_equal(store.entities, expected[0])
+        assert np.array_equal(store.relations, expected[1])
 
 
 class TestVarianceProbe:
