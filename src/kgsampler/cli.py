@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -226,6 +227,9 @@ def cmd_train(args) -> int:
             if not best or metrics.mrr > best["mrr"]:
                 best.update(mrr=metrics.mrr, epoch=epoch)
                 save_checkpoint(current_store, os.path.join(run_dir, "best.ckpt"))
+        # read after the validation pass, to cover it; KiB on Linux, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        record = {**record, "peak_rss_mb": peak / (2 ** 20 if sys.platform == "darwin" else 1024)}
         log_fh.write(json.dumps(record) + "\n")
         log_fh.flush()
 

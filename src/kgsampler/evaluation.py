@@ -25,8 +25,8 @@ three steps.
    candidate with ``S - T > B`` scores at least ``T`` and counts against
    the target; one with ``T - S > B`` scores below ``T`` and does not.
    Every other candidate, the near-tie band, and every pair with a
-   non-finite screen or bound, is re-scored with ``score_triples`` in one
-   batched call and counts when its score is ``>= T``. Filtered
+   non-finite screen or bound, is re-scored with ``score_triples``, one
+   call per side, and counts when its score is ``>= T``. Filtered
    candidates and the target itself are excluded first.
 3. **Rank.** ``1 +`` the candidates that count. :func:`rank_triple` is the
    one-triple case.
@@ -51,8 +51,10 @@ PROTOCOLS = ("raw", "filtered")
 
 # Test triples ranked per screen. A block holds about four
 # QUERY_BLOCK x n_entities float64 arrays (the screen of both sides, then
-# one side's screen rows and bounds); 64 ranked fastest among 16-256 on a
-# FB15k-237-shaped graph.
+# one side's screen rows and bounds), and a side's near-tie band at most
+# QUERY_BLOCK x n_entities candidates, re-scored scorers.BLOCK_ROWS at a time:
+# memory is O(QUERY_BLOCK x n_entities) for any store, even one whose scores
+# all tie. 64 ranked fastest among 16-256 on a FB15k-237-shaped graph.
 QUERY_BLOCK = 64
 
 _TINY = np.finfo(np.float64).tiny      # smallest normal float64, 2⁻¹⁰²²
@@ -223,7 +225,6 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
         max(b[1] for b in bounds), entity_sq, entity_norms)
 
     ranks = np.ones((2, n), dtype=np.int64)
-    band_rows, band_owner = [], []
     offsets = (0, len(queries[0]))   # the first query row of each side
     for k, side in enumerate(sides):
         at = offsets[k] + inverses[k]
@@ -237,17 +238,11 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
         above, owner, cand = _refine(screen[at], target,
                                      combine.outer(query_bound[at], entity_bound),
                                      np.concatenate(ex_rows), np.concatenate(ex_cols))
-        ranks[k] += above
+        # the side's near-tie band, re-scored exactly; ties count against the target
         cand_rows = spo[owner]
         cand_rows[:, side] = cand
-        band_rows.append(cand_rows)
-        band_owner.append(k * n + owner)
-
-    # the near-tie band, re-scored exactly in one call; ties count against the target
-    owner = np.concatenate(band_owner)
-    exact = score_triples(store, np.concatenate(band_rows))
-    counts = np.bincount(owner[exact >= target[owner % n]], minlength=2 * n)
-    ranks += counts.reshape(2, n)
+        exact = score_triples(store, cand_rows)
+        ranks[k] += above + np.bincount(owner[exact >= target[owner]], minlength=n)
     return ranks[0], ranks[1]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph, neighbor_entries
 from .samplers import Minibatch
-from .scorers import EmbeddingStore, check_ids, query_rows, query_scores
+from .scorers import BLOCK_ROWS, EmbeddingStore, check_ids, query_rows, query_scores
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +93,6 @@ class SparseGrads:
     relations: RowGrads
     scored_rows: int = 0
     exhausted_negatives: int = 0
-
-
-# Scored rows per block of the loss pass: whole positives, at least one, with
-# all of their negatives, so a block's adversarial weights and coefficients
-# follow from its own scores, and its buffers stay cache-sized. 1024 read
-# fastest of 512-4096 on a b=1024, 64-negative, K=64 RotatE batch.
-BLOCK_ROWS = 1024
 
 
 def _row_slots(n: int, *ids):
@@ -248,7 +241,7 @@ def softmargin_batch_loss_and_grads(
     fixed = np.where(head, spo[:, 2], spo[:, 0])
     cand = np.where(head, spo[:, 0], spo[:, 2])
     rel = spo[:, 1]
-    per = max(1, BLOCK_ROWS // (n + 1))   # positives per block
+    per = max(1, BLOCK_ROWS // (n + 1))   # whole positives per block, at least one
     # one query key per row, ordered as (side, relation, fixed entity): below
     # 2·R·E, which is at most E²·R <= 2⁶³ (graph._build_graph's bound) for E >= 2
     key = (head * store.n_relations + rel) * store.n_entities + fixed

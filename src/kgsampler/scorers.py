@@ -31,6 +31,11 @@ UNIT_ROUNDOFF = 2.0 ** -53               # of float64
 
 _CKPT_MAGIC = b"KGSCKPT1"
 
+# Rows per block of score_triples, score_gradients and the loss pass, so
+# their temporaries stay cache-sized; 1024 read fastest of 512-4096 on a
+# b=1024, 64-negative, K=64 RotatE loss batch.
+BLOCK_ROWS = 1024
+
 
 @dataclass
 class EmbeddingStore:
@@ -123,16 +128,25 @@ def _rotations(store: EmbeddingStore, r: np.ndarray):
     return np.cos(phases)[inv], np.sin(phases)[inv]
 
 
+def _blockwise(store: EmbeddingStore, spo: np.ndarray, fn) -> tuple:
+    """``fn``'s tuple of per-row arrays for the (m, 3) triples ``spo``, by ``BLOCK_ROWS`` rows."""
+    spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
+    check_ids(store, spo)
+    # one empty block when m = 0, so the outputs keep their widths
+    parts = [fn(spo[i:i + BLOCK_ROWS]) for i in range(0, max(len(spo), 1), BLOCK_ROWS)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 def score_triples(store: EmbeddingStore, spo: np.ndarray) -> np.ndarray:
     """Scores for an (m, 3) array of triples.
 
     Each triple is one tail-side query of :func:`query_rows` scored against
     its object by :func:`query_scores`; every row's score keeps its
-    arithmetic order, so scores do not depend on the other rows.
+    arithmetic order, so scores do not depend on the other rows, and
+    :func:`_blockwise` can take them ``BLOCK_ROWS`` at a time.
     """
-    spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
-    check_ids(store, spo)
-    return query_scores(store, query_rows(store, spo, 2)[0], store.entities[spo[:, 2]])[0]
+    return _blockwise(store, spo, lambda b: (
+        query_scores(store, query_rows(store, b, 2)[0], store.entities[b[:, 2]])[0],))[0]
 
 
 def score(store: EmbeddingStore, t) -> float:
@@ -151,12 +165,12 @@ def score_gradients(store: EmbeddingStore, spo: np.ndarray):
     subject and relation rows. The norm-based models use the zero
     subgradient at an exact match.
     """
-    spo = np.asarray(spo, dtype=np.int64).reshape(-1, 3)
-    check_ids(store, spo)
-    q, rows_backward = query_rows(store, spo, 2)
-    dq, d_object = query_scores(store, q, store.entities[spo[:, 2]], out=q)[1](np.ones(len(spo)))
-    d_subject, d_relation = rows_backward(dq)
-    return d_subject, d_relation, d_object
+    def gradients(b):
+        q, rows_backward = query_rows(store, b, 2)
+        dq, d_object = query_scores(store, q, store.entities[b[:, 2]], out=q)[1](np.ones(len(b)))
+        return (*rows_backward(dq), d_object)
+
+    return _blockwise(store, spo, gradients)
 
 
 def score_gradient(store: EmbeddingStore, t) -> ScoreGradient:

@@ -164,6 +164,9 @@ class TestTrainCommand:
         assert len(log_lines) == 2
         records = [json.loads(line) for line in log_lines]
         assert "valid" not in records[0]  # eval_every=2: only epoch 2 is evaluated
+        peaks = [r["peak_rss_mb"] for r in records]
+        assert all(isinstance(p, float) and p > 0.0 for p in peaks)
+        assert peaks[1] >= peaks[0]   # a process's peak never falls
         assert "valid_s" not in records[0]
         assert isinstance(records[1]["valid_s"], float)
         assert 0.0 < records[1]["valid_s"] < 60.0

@@ -180,6 +180,31 @@ class TestExactRanks:
         block_array = evaluation.QUERY_BLOCK * g.n_entities * 8
         assert peak < 5 * block_array
 
+    @pytest.mark.parametrize("kind", ["rotate", "distmult"])
+    def test_tied_store_band_peak_memory(self, kind):
+        """Every entity row equal: every score ties, so each side's band is its whole screen.
+
+        The bands are re-scored a side and ``scorers.BLOCK_ROWS`` rows at a
+        time: the peak stays O(QUERY_BLOCK x E), under 32 MB, where one call
+        for both sides' bands peaked at 383 MB (RotatE) and 148 MB (DistMult).
+        """
+        g = random_graph(3000, 20, 30000, seed=7, holdout_fraction=0.02)
+        store = initialize(g.n_entities, g.n_relations, kind, 64, seed=8)
+        store.entities[:] = store.entities[0]
+        test = g.test[:16]
+        tracemalloc.start()
+        try:
+            got = evaluate_split(g, store, test, "filtered")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        known = known_triples(g)
+        want = [oracle_rank_triple(g, store, t, "filtered", known) for t in test]
+        assert [(res.head_rank, res.tail_rank) for res in
+                (rank_triple(g, store, t) for t in test)] == want
+        assert got == metrics_from_ranks([rank for pair in want for rank in pair], "filtered")
+        assert peak < 32 * 2 ** 20
+
 
 class TestEvaluateSplit:
     def test_perfect_model_metrics(self):

@@ -632,6 +632,40 @@ class TestFusedPass:
         config = LossConfig(margin=1.0, negatives_per_positive=7)
         self.check(store, positives, negs, config, 16)
 
+    def test_query_sums_keep_index_order_bitwise(self):
+        """Each query's gradient sums its rows in index order: positive, then its negatives.
+
+        Partials built from 1e16, 1 and -1e16 make the sum's bits depend on
+        its order, and the 8 queries interleave in the block's key sort, so
+        an unstable sort would reorder rows within a query. DistMult with
+        subject rows (1, 0), candidate rows (0, v) and relation rows (1, 1)
+        scores every row 0: the partials are +-sigmoid(0)/2 times (0, v), and
+        the subject's gradient is its query's sum, as ``np.add.reduceat``
+        forms it, times (1, 1).
+        """
+        m, n = 8, 15
+        rng = np.random.default_rng(57)
+        values = rng.choice([1e16, 1.0, -1e16], size=(m, n + 1))   # positive, then negatives
+        entities = np.zeros((m * (n + 2), 2))
+        entities[:m, 0] = 1.0                        # subjects 0..m-1
+        entities[m:, 1] = values.reshape(-1)         # candidate of row (i, j): m + i(n+1) + j
+        store = EmbeddingStore("distmult", 2, entities, np.ones((3, 2)))
+        cand = m + np.arange(m * (n + 1)).reshape(m, n + 1)
+        rel = rng.integers(3, size=m)
+        positives = np.stack([np.arange(m), rel, cand[:, 0]], axis=1)
+        triples = np.repeat(positives[:, None], n, axis=1)
+        triples[:, :, 2] = cand[:, 1:]
+        negs = NegativeBatch(triples=triples, head_corrupted=np.zeros((m, n), dtype=bool),
+                             valid=np.ones((m, n), dtype=bool))
+        _, grads = softmargin_batch_loss_and_grads(
+            store, positives, negs, LossConfig(margin=0.0, negatives_per_positive=n),
+            frozen_weights=np.ones((m, n)))
+        coef = np.r_[-0.5 * sigmoid(0.0), np.full(n, 0.5 * sigmoid(0.0))]
+        for i in range(m):
+            want = np.add.reduceat(entities[cand[i]] * coef[:, None], [0], axis=0)[0]
+            got = grads.entities.rows[grads.entities.ids.tolist().index(i)]
+            assert got.tobytes() == want.tobytes(), i
+
 
 @pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 14],
                          ids=["one_block", "blocks_of_2_positives"])

@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kgsampler import scorers
 from kgsampler.scorers import (
     MODEL_KINDS,
     UNIT_ROUNDOFF,
@@ -302,6 +304,39 @@ class TestVectorizedAgreement:
         repeated = score_triples(store, np.repeat(spo[:50], 3, axis=0)).reshape(50, 3)
         for j in range(3):
             assert repeated[:, j].tobytes() == batch[:50].tobytes()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_blocks_equal_per_row_loop_bitwise(self, kind, monkeypatch):
+        """With 3-row blocks, 10 rows span four blocks, the last one short."""
+        store = random_store(kind, 6, n_entities=30, n_relations=4, seed=23)
+        rng = np.random.default_rng(24)
+        spo = np.stack([rng.integers(30, size=10), rng.integers(4, size=10),
+                        rng.integers(30, size=10)], axis=1)
+        monkeypatch.setattr(scorers, "BLOCK_ROWS", 3)
+        want = np.concatenate([score_triples(store, row[None]) for row in spo])
+        assert score_triples(store, spo).tobytes() == want.tobytes()
+        alone = [score_gradients(store, row[None]) for row in spo]
+        for got, rows in zip(score_gradients(store, spo), zip(*alone)):
+            assert got.tobytes() == np.concatenate(rows).tobytes()
+
+    def test_score_triples_peak_memory(self):
+        """20,000 rows cost a few block-sized temporaries; one pass over them all took ~80."""
+        store = random_store("rotate", 64, n_entities=500, n_relations=7, seed=25)
+        rng = np.random.default_rng(26)
+        n = 20_000
+        spo = np.stack([rng.integers(500, size=n), rng.integers(7, size=n),
+                        rng.integers(500, size=n)], axis=1)
+        score_triples(store, spo[:10])
+        tracemalloc.start()
+        try:
+            score_triples(store, spo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_array = scorers.BLOCK_ROWS * store.entities.shape[1] * 8
+        assert peak < 6 * block_array
 
 
 class TestModelProperties:
