@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .graph import KnowledgeGraph, Triple, load_dataset
+from .graph import KnowledgeGraph, load_dataset
 from .samplers import Minibatch, SamplerPolicy, sample_minibatch
 from .scorers import EmbeddingStore, initialize
 
 __all__ = [
     "KnowledgeGraph",
-    "Triple",
     "load_dataset",
     "Minibatch",
     "SamplerPolicy",

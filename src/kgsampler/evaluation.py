@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, pack_triples
 from .scorers import (DISTANCE_MODELS, UNIT_ROUNDOFF, EmbeddingStore, query_bounds,
                       query_rows, score_triples)
 
@@ -215,11 +215,12 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
     # One query per distinct fixed pair of each side, all in one GEMM.
     queries, bounds, inverses = [], [], []
     for side in sides:
-        fixed = spo[:, [1, 2] if side == 0 else [0, 1]]
-        _, first, inv = np.unique(fixed, axis=0, return_index=True, return_inverse=True)
+        pairs = pack_triples(*(spo * (np.arange(3) != side)).T,   # candidate column zeroed
+                             store.n_entities, store.n_relations)
+        _, first, inv = np.unique(pairs, return_index=True, return_inverse=True)
         queries.append(query_rows(store, spo[first], side)[0])
         bounds.append(query_bounds(store, spo[first], side))
-        inverses.append(inv.reshape(-1))
+        inverses.append(inv)
     screen, query_bound, entity_bound, combine = _screen(
         store, np.concatenate(queries), np.concatenate([b[0] for b in bounds]),
         max(b[1] for b in bounds), entity_sq, entity_norms)

@@ -5,10 +5,11 @@ object) over dense integer ids. The train split carries the adjacency
 index used by the samplers. All three splits feed one index of known
 triples, used for filtered ranking and filtered negative generation.
 
-A triple packs into the int64 key (s·R + r)·E + o, where E is the entity
-count and R the relation count. The largest key is E²·R − 1, so a graph
-with E²·R > 2⁶³ is rejected with :class:`DataError` before anything sized
-by E or R is built.
+A set of triples is a sorted array of int64 keys (s·R + r)·E + o, where E
+is the entity count and R the relation count. :func:`pack_triples` and
+:func:`unpack_triples` are the only codec between rows and keys. The
+largest key is E²·R − 1, so a graph with E²·R > 2⁶³ is rejected with
+:class:`DataError` before anything sized by E or R is built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -28,12 +28,6 @@ SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 
 class DataError(Exception):
     """Raised for missing, malformed, or inconsistent dataset files."""
-
-
-class Triple(NamedTuple):
-    subject: int
-    relation: int
-    object: int
 
 
 @dataclass
@@ -116,8 +110,8 @@ class KnowledgeGraph:
         r = np.asarray(r, dtype=np.int64).reshape(-1)
         # An out-of-range id would alias another pair's run: give it an empty one.
         in_range = (head >= 0) & (head < self.n_entities) & (r >= 0) & (r < self.n_relations)
-        base = _pack(np.where(in_range, head, 0), np.where(in_range, r, 0), 0,
-                     self.n_entities, self.n_relations)
+        base = pack_triples(np.where(in_range, head, 0), np.where(in_range, r, 0), 0,
+                            self.n_entities, self.n_relations)
         # The run ends at base + E - 1; base + E overflows int64 when E²·R == 2⁶³.
         lo = keys.searchsorted(base)
         hi = np.where(in_range, keys.searchsorted(base + (self.n_entities - 1), side="right"), lo)
@@ -138,7 +132,7 @@ class KnowledgeGraph:
                     & (r < self.n_relations) & (o < self.n_entities))
         if len(self.spo_keys) == 0:
             return np.zeros(in_range.shape, dtype=bool)
-        keys = _pack(s, r, o, self.n_entities, self.n_relations).reshape(-1)
+        keys = pack_triples(s, r, o, self.n_entities, self.n_relations).reshape(-1)
         # searched in sorted order, consecutive lookups walk nearby index entries
         order = np.argsort(keys)
         keys = keys[order]
@@ -148,9 +142,16 @@ class KnowledgeGraph:
         return found.reshape(in_range.shape) & in_range
 
 
-def _pack(head, r, tail, n_entities: int, n_relations: int):
-    """The key (head·R + r)·E + tail; distinct per triple while E²·R ≤ 2⁶³."""
+def pack_triples(head, r, tail, n_entities: int, n_relations: int):
+    """The key (head·R + r)·E + tail: distinct per in-range triple and within int64 while
+    E²·R ≤ 2⁶³; keys sort the way their rows sort lexicographically."""
     return (head * n_relations + r) * n_entities + tail
+
+
+def unpack_triples(keys: ArrayLike, n_entities: int, n_relations: int) -> np.ndarray:
+    """The (n, 3) int64 rows of :func:`pack_triples` keys."""
+    head_r, tail = np.divmod(keys, n_entities)
+    return np.stack([*np.divmod(head_r, n_relations), tail], axis=1)
 
 
 def sorted_unique(keys: ArrayLike) -> np.ndarray:
@@ -244,7 +245,7 @@ def _build_graph(splits: dict, n_entities: int, n_relations: int,
         if len(arr) and (arr.min() < 0 or arr[:, [0, 2]].max() >= n_entities
                          or arr[:, 1].max() >= n_relations):
             raise DataError(f"{source}: {name} triple references an id out of range")
-        packed = _pack(arr[:, 0], arr[:, 1], arr[:, 2], n_entities, n_relations)
+        packed = pack_triples(*arr.T, n_entities, n_relations)
         keys = np.sort(packed)
         same = keys[1:] == keys[:-1]
         if same.any():
@@ -257,7 +258,7 @@ def _build_graph(splits: dict, n_entities: int, n_relations: int,
         split_keys.append(keys)
     spo_keys = sorted_unique(np.concatenate(split_keys))
     rows = np.concatenate(list(splits.values()))
-    ors_keys = sorted_unique(_pack(rows[:, 2], rows[:, 1], rows[:, 0], n_entities, n_relations))
+    ors_keys = sorted_unique(pack_triples(*rows[:, ::-1].T, n_entities, n_relations))
 
     train = splits["train"]
     n_loops = int(np.sum(train[:, 0] == train[:, 2]))

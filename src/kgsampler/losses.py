@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import KnowledgeGraph, neighbor_entries
+from .graph import KnowledgeGraph, neighbor_entries, pack_triples
 from .samplers import Minibatch
 from .scorers import BLOCK_ROWS, EmbeddingStore, check_ids, query_rows, query_scores
 
@@ -242,9 +242,8 @@ def softmargin_batch_loss_and_grads(
     cand = np.where(head, spo[:, 0], spo[:, 2])
     rel = spo[:, 1]
     per = max(1, BLOCK_ROWS // (n + 1))   # whole positives per block, at least one
-    # one query key per row, ordered as (side, relation, fixed entity): below
-    # 2·R·E, which is at most E²·R <= 2⁶³ (graph._build_graph's bound) for E >= 2
-    key = (head * store.n_relations + rel) * store.n_entities + fixed
+    # one query key per row, ordered as (side, relation, fixed entity)
+    key = pack_triples(head, rel, fixed, store.n_entities, store.n_relations)
 
     weights = (np.empty((m, n)) if frozen_weights is None
                else np.where(negatives.valid, frozen_weights, 0.0))

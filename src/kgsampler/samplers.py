@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, _pack, induced_subgraph, sorted_unique, uniform_subsets
+from .graph import (KnowledgeGraph, induced_subgraph, pack_triples, sorted_unique,
+                    uniform_subsets, unpack_triples)
 
 log = logging.getLogger(__name__)
 
@@ -198,9 +199,8 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
                                            policy.extra_neighbor_cap, rng)]
         if len(extra):
             rows = np.concatenate([positives, g.train[extra]])
-            keys = _pack(rows[:, 0], rows[:, 1], rows[:, 2], g.n_entities, g.n_relations)
-            order = np.argsort(keys)
-            positives = rows[order[np.diff(keys[order], prepend=-1) > 0]]   # keys are >= 0
+            keys = pack_triples(*rows.T, g.n_entities, g.n_relations)
+            positives = unpack_triples(sorted_unique(keys), g.n_entities, g.n_relations)
     return Minibatch(positives=positives, restarts=restarts)
 
 

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .graph import KnowledgeGraph, from_id_triples
+from .graph import KnowledgeGraph, from_id_triples, pack_triples, sorted_unique, unpack_triples
 
 
 def planted_toy_graph(n_entities: int = 200, step: int = 7, holdout_fraction: float = 0.10,
@@ -49,16 +49,15 @@ def random_graph(n_entities: int, n_relations: int, n_triples: int,
     if n_triples > max_possible:
         raise ValueError("more triples requested than distinct triples exist")
     rng = np.random.default_rng(seed)
-    rows = np.empty((0, 3), dtype=np.int64)
-    while len(rows) < n_triples:
-        need = n_triples - len(rows)
+    keys = np.empty(0, dtype=np.int64)   # sorted, so in the rows' lexicographic order
+    while len(keys) < n_triples:
+        need = n_triples - len(keys)
         s = rng.integers(0, n_entities, size=2 * need)
         r = rng.integers(0, n_relations, size=2 * need)
         o = rng.integers(0, n_entities, size=2 * need)
-        cand = np.stack([s, r, o], axis=1)
-        cand = cand[cand[:, 0] != cand[:, 2]]
-        rows = np.unique(np.concatenate([rows, cand]), axis=0)
-    rows = rows[rng.permutation(len(rows))[:n_triples]]
+        cand = pack_triples(s, r, o, n_entities, n_relations)[s != o]
+        keys = sorted_unique(np.concatenate([keys, cand]))
+    rows = unpack_triples(keys[rng.permutation(len(keys))[:n_triples]], n_entities, n_relations)
     n_hold = int(round(holdout_fraction * n_triples))
     held, kept = rows[:n_hold], rows[n_hold:]
     half = len(held) // 2

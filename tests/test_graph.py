@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from kgsampler.graph import (
     DataError,
-    Triple,
     _build_graph,
     from_id_triples,
     induced_subgraph,
     load_dataset,
     neighbor_entries,
+    pack_triples,
+    sorted_unique,
+    unpack_triples,
     write_dictionaries,
 )
 from kgsampler.synth import random_graph, write_dataset
@@ -238,20 +240,20 @@ class TestAdjacency:
         assert len(g.adj_indices) == 2 * g.n_train - n_loops
 
 
-def neighbor_triples(g, t: Triple) -> set:
+def neighbor_triples(g, t: tuple) -> set:
     """Train triples sharing an endpoint with t, excluding t itself."""
     entries, weights = neighbor_entries(g, [t], g.n_train, np.random.default_rng(0))
     assert entries[0].tolist() == list(t)
     assert np.all(weights == 1.0 / len(entries))
-    got = [Triple(*map(int, row)) for row in entries[1:]]
+    got = [tuple(map(int, row)) for row in entries[1:]]
     assert len(set(got)) == len(got)
     return set(got)
 
 
-def brute_neighbors(g, t: Triple) -> set:
+def brute_neighbors(g, t: tuple) -> set:
     return {
-        Triple(*map(int, r)) for r in g.train
-        if (r[0] in (t.subject, t.object) or r[2] in (t.subject, t.object))
+        tuple(map(int, r)) for r in g.train
+        if (r[0] in (t[0], t[2]) or r[2] in (t[0], t[2]))
     } - {t}
 
 
@@ -278,39 +280,39 @@ def reference_neighbor_entries(g, positives, cap, rng):
 class TestNeighborTriples:
     def test_single_triple_graph(self):
         g = from_id_triples([(0, 0, 1)], n_entities=2, n_relations=1)
-        assert neighbor_triples(g, Triple(0, 0, 1)) == set()
+        assert neighbor_triples(g, (0, 0, 1)) == set()
 
     def test_chain_middle(self, chain3):
-        got = neighbor_triples(chain3, Triple(1, 0, 2))
-        assert got == {Triple(0, 0, 1), Triple(2, 0, 3)}
+        got = neighbor_triples(chain3, (1, 0, 2))
+        assert got == {(0, 0, 1), (2, 0, 3)}
 
     def test_star_spoke(self, star6):
-        got = neighbor_triples(star6, Triple(0, 0, 1))
-        assert got == {Triple(0, 0, i) for i in range(2, 7)}
+        got = neighbor_triples(star6, (0, 0, 1))
+        assert got == {(0, 0, i) for i in range(2, 7)}
 
     def test_matches_brute_force(self, small_random_graph):
         g = small_random_graph
         for row in g.train[:25]:
-            t = Triple(*map(int, row))
+            t = tuple(map(int, row))
             assert neighbor_triples(g, t) == brute_neighbors(g, t)
 
     def test_self_loop(self):
         g = from_id_triples([(0, 0, 0), (0, 1, 1), (2, 0, 0), (1, 0, 2)],
                             n_entities=3, n_relations=2)
         for row in g.train:
-            t = Triple(*map(int, row))
+            t = tuple(map(int, row))
             assert neighbor_triples(g, t) == brute_neighbors(g, t)
-        assert neighbor_triples(g, Triple(0, 0, 0)) == {Triple(0, 1, 1), Triple(2, 0, 0)}
+        assert neighbor_triples(g, (0, 0, 0)) == {(0, 1, 1), (2, 0, 0)}
 
     def test_parallel_edges_appear_once(self):
         # (0,1,1) and (1,0,0) lie in both of (0,0,1)'s runs
         g = from_id_triples([(0, 0, 1), (0, 1, 1), (1, 0, 0), (2, 0, 1)],
                             n_entities=3, n_relations=2)
         for row in g.train:
-            t = Triple(*map(int, row))
+            t = tuple(map(int, row))
             assert neighbor_triples(g, t) == brute_neighbors(g, t)
-        assert neighbor_triples(g, Triple(0, 0, 1)) == {
-            Triple(0, 1, 1), Triple(1, 0, 0), Triple(2, 0, 1)}
+        assert neighbor_triples(g, (0, 0, 1)) == {
+            (0, 1, 1), (1, 0, 0), (2, 0, 1)}
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("cap", [0, 10**6])
@@ -330,14 +332,14 @@ class TestNeighborTriples:
         g = small_random_graph
         positives, cap = g.train[:25], 3
         entries, weights = neighbor_entries(g, positives, cap, np.random.default_rng(4))
-        index = {Triple(*map(int, row)): i for i, row in enumerate(g.train)}
+        index = {tuple(map(int, row)): i for i, row in enumerate(g.train)}
         at = 0
         for t in positives:
-            t = Triple(*map(int, t))
+            t = tuple(map(int, t))
             full = brute_neighbors(g, t)
             kept = min(len(full), cap)
             assert entries[at].tolist() == list(t)
-            group = [Triple(*map(int, row)) for row in entries[at + 1:at + 1 + kept]]
+            group = [tuple(map(int, row)) for row in entries[at + 1:at + 1 + kept]]
             assert len(set(group)) == kept and set(group) <= full
             assert [index[n] for n in group] == sorted(index[n] for n in group)
             assert np.all(weights[at:at + 1 + kept] == 1.0 / (1 + kept))
@@ -403,6 +405,57 @@ def test_adjacency_key_overflow_rejected_before_reading_rows():
     with pytest.raises(DataError, match="entities · train triples > 2⁶³"):
         _build_graph({"train": train, "valid": empty, "test": empty}, 2**31, 1,
                      names=(["e0"], ["r0"]))
+
+
+def test_keys_round_trip_at_the_int64_edge():
+    E, R = 2**31, 2   # E²·R = 2⁶³: the largest key is 2⁶³ - 1
+    rng = np.random.default_rng(15)
+    rows = np.stack([rng.integers(E, size=50), rng.integers(R, size=50),
+                     rng.integers(E, size=50)], axis=1)
+    rows = np.concatenate([rows, [[0, 0, 0], [E - 1, R - 1, E - 1], [E - 1, 0, 0], [0, R - 1, 0]]])
+    keys = pack_triples(*rows.T, E, R)
+    assert keys.dtype == np.int64 and keys.min() >= 0 and keys.max() == 2**63 - 1
+    got = unpack_triples(keys, E, R)
+    assert got.dtype == np.int64 and np.array_equal(got, rows)
+
+
+@pytest.mark.parametrize("E, R", [(1, 1), (7, 3), (50, 20), (2**31, 2)])
+def test_sorted_keys_give_rows_in_lexicographic_order(E, R):
+    rng = np.random.default_rng(E + R)
+    rows = np.stack([rng.integers(E, size=300), rng.integers(R, size=300),
+                     rng.integers(E, size=300)], axis=1)
+    got = unpack_triples(sorted_unique(pack_triples(*rows.T, E, R)), E, R)
+    assert np.array_equal(got, np.unique(rows, axis=0))
+
+
+def reference_random_graph(n_entities, n_relations, n_triples, seed, holdout_fraction):
+    """The row-wise ``np.unique`` rejection loop, and its round count: (splits, rounds)."""
+    rng = np.random.default_rng(seed)
+    rows, rounds = np.empty((0, 3), dtype=np.int64), 0
+    while len(rows) < n_triples:
+        need, rounds = n_triples - len(rows), rounds + 1
+        s = rng.integers(0, n_entities, size=2 * need)
+        r = rng.integers(0, n_relations, size=2 * need)
+        o = rng.integers(0, n_entities, size=2 * need)
+        cand = np.stack([s, r, o], axis=1)
+        rows = np.unique(np.concatenate([rows, cand[s != o]]), axis=0)
+    rows = rows[rng.permutation(len(rows))[:n_triples]]
+    n_hold = int(round(holdout_fraction * n_triples))
+    held, kept = rows[:n_hold], rows[n_hold:]
+    return (kept, held[:n_hold // 2], held[n_hold // 2:]), rounds
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("holdout", [0.1, 0.35])
+def test_random_graph_equals_row_unique_reference(seed, holdout):
+    # 700 of the 760 distinct loop-free triples: the first round's 1,400 draws
+    # leave ~630, so every seed takes two rounds or more
+    (train, valid, test), rounds = reference_random_graph(20, 2, 700, seed, holdout)
+    assert rounds >= 2
+    g = random_graph(20, 2, 700, seed=seed, holdout_fraction=holdout)
+    for got, want in ((g.train, train), (g.valid, valid), (g.test, test)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert len(g.valid) and len(g.test)
 
 
 @st.composite

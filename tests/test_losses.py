@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsampler import losses, scorers
-from kgsampler.graph import Triple, from_id_triples, neighbor_entries
+from kgsampler.graph import from_id_triples, neighbor_entries
 from kgsampler.losses import (
     LossConfig,
     NegativeBatch,
@@ -37,7 +37,7 @@ def make_batch(rows):
 def corrupt(g, t, n: int, filtered: bool, rng) -> list:
     """Negatives for a single positive, invalid entries dropped."""
     batch = corrupt_batch(g, np.asarray(t).reshape(1, 3), n, filtered, rng)
-    return [Triple(*map(int, row)) for row in batch.triples[0][batch.valid[0]]]
+    return [tuple(map(int, row)) for row in batch.triples[0][batch.valid[0]]]
 
 
 class TestCorrupt:
@@ -665,6 +665,39 @@ class TestFusedPass:
             want = np.add.reduceat(entities[cand[i]] * coef[:, None], [0], axis=0)[0]
             got = grads.entities.rows[grads.entities.ids.tolist().index(i)]
             assert got.tobytes() == want.tobytes(), i
+
+    def test_candidate_scatter_keeps_block_order_bitwise(self):
+        """A candidate drawn by negatives of several queries sums its rows in the
+        block's stable sort order: by (relation, subject), then index within a query.
+
+        DistMult with subject rows from 1e16, 1 and -1e16, relation rows (1, 1)
+        and candidate rows 0 scores every row 0, so each negative's candidate
+        partial is sigmoid(0)/2 times its query row, and the shared candidate's
+        gradient is a sum whose bits depend on its order.
+        """
+        m, n = 12, 6
+        rng = np.random.default_rng(58)
+        shared = m                                   # the candidate many negatives draw
+        entities = np.zeros((m + 1 + m * (n + 1), 2))
+        entities[:m] = rng.choice([1e16, 1.0, -1e16], size=(m, 2))   # subjects 0..m-1
+        store = EmbeddingStore("distmult", 2, entities, np.ones((3, 2)))
+        rel = rng.integers(3, size=m)
+        own = m + 1 + np.arange(m * (n + 1)).reshape(m, n + 1)   # distinct zero rows
+        positives = np.stack([np.arange(m), rel, own[:, 0]], axis=1)
+        triples = np.repeat(positives[:, None], n, axis=1)
+        draws = rng.random((m, n)) < 0.5
+        triples[:, :, 2] = np.where(draws, shared, own[:, 1:])
+        negs = NegativeBatch(triples=triples, head_corrupted=np.zeros((m, n), dtype=bool),
+                             valid=np.ones((m, n), dtype=bool))
+        _, grads = softmargin_batch_loss_and_grads(
+            store, positives, negs, LossConfig(margin=0.0, negatives_per_positive=n),
+            frozen_weights=np.ones((m, n)))
+        want = np.zeros(2)
+        for i in np.lexsort((np.arange(m), rel)):   # the block's queries in key order
+            for _ in range(np.count_nonzero(draws[i])):
+                want += 0.5 * sigmoid(0.0) * entities[i]
+        got = grads.entities.rows[grads.entities.ids.tolist().index(shared)]
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block_rows", [losses.BLOCK_ROWS, 14],
