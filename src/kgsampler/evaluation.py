@@ -11,23 +11,24 @@ Ranks are exact: they equal the ranks a brute-force loop over
 :func:`evaluate_split` ranks blocks of at most ``QUERY_BLOCK`` triples in
 three steps.
 
-1. **Screen.** One query row per distinct ``(s, r)`` (object side) or
-   ``(r, o)`` (subject side) pair of the block, built by
-   :func:`scorers.query_rows`, as ``score_triples``' are, and one GEMM
-   ``Q @ E.T`` of all of them against every entity row. DistMult and
-   ComplEx scores are such dot products. TransE and RotatE scores are
-   distances ``-||x - e||``, screened as ``-sqrt(||x||² + ||e||² - 2 x·e)``;
-   on the subject side RotatE's query is the object rotated back. Each
-   screen value ``S`` comes with a proven bound ``B`` on ``|S - X|``, where
-   ``X`` is the candidate's ``score_triples`` value (from
-   :func:`scorers.query_bounds`; derivation in :func:`_screen`).
-2. **Refine.** With ``T`` the target's own ``score_triples`` value, a
-   candidate with ``S - T > B`` scores at least ``T`` and counts against
-   the target; one with ``T - S > B`` scores below ``T`` and does not.
-   Every other candidate, the near-tie band, and every pair with a
-   non-finite screen or bound, is re-scored with ``score_triples``, one
-   call per side, and counts when its score is ``>= T``. Filtered
-   candidates and the target itself are excluded first.
+1. **Screen.** One query row per triple and side, built by
+   :func:`scorers.query_rows` as ``score_triples``' are (on the subject
+   side RotatE's query is the object rotated back), and one GEMM of all
+   of them against every entity row. DistMult and ComplEx scores are such
+   dot products; TransE and RotatE scores are distances ``-||x - e||``,
+   screened through ``D = ||x||² + ||e||² - 2 x·e``. Each row gets a proven
+   bound ``β`` on the gap between its screen scores and the candidates'
+   ``score_triples`` values, from :func:`scorers.query_bounds` and the
+   largest finite entity norm (derivation in :func:`_screen`).
+2. **Refine.** With ``T`` the target's own ``score_triples`` value, two
+   thresholds per row, ``T ± β`` (squared for ``D``) and rounded outward,
+   decide each candidate: beyond the upper one it scores at least ``T``
+   and counts against the target; beyond the lower one it scores below
+   ``T`` and does not. Every other candidate, the near-tie band, every
+   NaN and every entity of non-finite norm is re-scored with
+   ``score_triples``, ``scorers.BLOCK_ROWS`` at a time, and counts when
+   its score is ``>= T``. Filtered candidates and the target itself are
+   excluded first.
 3. **Rank.** ``1 +`` the candidates that count. :func:`rank_triple` is the
    one-triple case.
 
@@ -42,19 +43,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, pack_triples
-from .scorers import (DISTANCE_MODELS, UNIT_ROUNDOFF, EmbeddingStore, query_bounds,
-                      query_rows, score_triples)
+from .graph import KnowledgeGraph
+from .scorers import (BLOCK_ROWS, DISTANCE_MODELS, UNIT_ROUNDOFF, EmbeddingStore,
+                      query_bounds, query_rows, score_triples)
 
 HITS_KS = (1, 3, 10)
 PROTOCOLS = ("raw", "filtered")
 
-# Test triples ranked per screen. A block holds about four
-# QUERY_BLOCK x n_entities float64 arrays (the screen of both sides, then
-# one side's screen rows and bounds), and a side's near-tie band at most
-# QUERY_BLOCK x n_entities candidates, re-scored scorers.BLOCK_ROWS at a time:
-# memory is O(QUERY_BLOCK x n_entities) for any store, even one whose scores
-# all tie. 64 ranked fastest among 16-256 on a FB15k-237-shaped graph.
+# Test triples ranked per screen. A block holds one 2·QUERY_BLOCK x n_entities
+# float64 screen (both sides) plus two boolean masks of that shape, and its
+# near-tie band at most 2·QUERY_BLOCK x n_entities flat indices, re-scored
+# scorers.BLOCK_ROWS at a time: memory is O(QUERY_BLOCK x n_entities) for any
+# store, even one whose scores all tie. On a FB15k-237-shaped graph 64 and 128
+# ranked fastest among 16-256, within 5% of each other; 64 keeps blocks smaller.
 QUERY_BLOCK = 64
 
 _TINY = np.finfo(np.float64).tiny      # smallest normal float64, 2⁻¹⁰²²
@@ -110,18 +111,23 @@ def _row_sq(x: np.ndarray) -> np.ndarray:
 
 
 def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
-            entity_sq: np.ndarray, entity_norms: np.ndarray) -> tuple:
-    """Screen scores ``S`` of every entity for each query row, and their bounds.
+            target: np.ndarray, entity_sq: np.ndarray, entity_max: float,
+            loose: np.ndarray) -> tuple:
+    """Boolean (rows, entities) masks ``(above, band)``: each entity against each row's target.
 
-    Returns ``(S, query_bound, entity_bound, combine)``: ``S`` is a
-    (queries, entities) array, and ``B = combine.outer(query_bound,
-    entity_bound)`` bounds ``|S - X|`` for the candidate's
-    ``score_triples`` value ``X`` wherever ``B`` is finite.
+    ``q`` holds rows of :func:`scorers.query_rows`, ``q_abs`` and ``eps``
+    their :func:`scorers.query_bounds`, ``target`` each row's target ``T``;
+    the rest comes from :func:`_entity_stats`. A candidate in ``above`` has
+    a ``score_triples`` value ``X >= T``, one in neither ``X < T``; the band
+    holds the rest, every NaN and every entity of non-finite norm.
 
-    ``q`` holds rows of :func:`scorers.query_rows`; ``q_abs`` and ``eps``
-    are their :func:`scorers.query_bounds`.
+    Screen. One GEMM gives every (row, entity) pair a value ``V``. DistMult
+    and ComplEx score ``S = q·e``, and ``V = (-q)·e = -S`` (negation is
+    exact). TransE and RotatE score distances, screened as ``S = -√D⁺`` with
+    ``V = D = ||q||² + ||e||² - 2 q·e`` and D⁺ = max(D, 0); on the subject
+    side RotatE's query is the object rotated back.
 
-    Derivation. Let u = 2⁻⁵³ (``scorers.UNIT_ROUNDOFF``), γₙ = nu / (1 - nu),
+    Bound. Let u = 2⁻⁵³ (``scorers.UNIT_ROUNDOFF``), γₙ = nu / (1 - nu),
     w the entity row width, e a candidate row and x the candidate's score
     in exact real arithmetic on the same float inputs (for RotatE, on the
     cos/sin of ``query_rows``' table). ``X`` scores the candidate's
@@ -145,112 +151,102 @@ def _screen(store: EmbeddingStore, q: np.ndarray, q_abs: np.ndarray, eps: float,
       most eps·(||e||² + ||o||²), since RᵀR = diag(cos² + sin²). Let
       m = ||q_abs|| + ||e||, which bounds ||y|| + ||e|| and d (up to a
       factor 1 + eps). The float query row lies within γ₂·q_abs of y
-      entrywise, and ``D = ||q||² + ||e||² - 2 q·e`` carries at most
-      w + 2 roundings per term, so D is within α = (γ_{w+12} + eps)·m² of
-      d². As |√a - √b| <= √|a - b|, the screen ``-sqrt(max(D, 0))`` is
-      within √α + 2u·m of x. ``score_triples`` forms each entry of
-      q' - o with at most 4 roundings from inputs whose norms m bounds,
-      then squares, sums and takes the root:
-      |X - x| <= γ_{w+4}·(2d + 3m) <= 6γ_{w+6}·m. So
-      |S - X| <= (√(γ_{w+12} + eps) + 7γ_{w+12})·m.
+      entrywise, and D carries at most w + 2 roundings per term, so D is
+      within α = (γ_{w+12} + eps)·m² of d², and as |√a - √b| <= √|a - b|,
+      |S - x| <= √α. ``score_triples`` forms each entry of q' - o with at
+      most 4 roundings from inputs whose norms m bounds, then squares,
+      sums and takes the root: |X - x| <= γ_{w+4}·(2d + 3m) <= 6γ_{w+6}·m.
+      So |S - X| <= (√(γ_{w+12} + eps) + 7γ_{w+12})·m.
 
-    ``B`` is ``SAFETY`` (4) times these bounds, which also covers the
-    rounding of ``q_abs``, of the norms, of ``B`` itself and of the
-    comparisons against it. Norms come from :func:`_norms`: upper bounds
-    that stay so when squares underflow (the w·λ floor also exceeds the
-    absolute error of products that underflow) and that are inf beyond
-    2⁵⁰⁰, so no sum of products can overflow while ``B`` is finite. A
-    non-finite input (inf, nan) makes ``B`` non-finite.
+    β, per row, is ``SAFETY`` (4) times these bounds with ||e|| replaced by
+    ``entity_max``, the largest finite entity norm, so it bounds |S - X|
+    for every entity of its row of finite norm; the factor also covers the
+    rounding of ``q_abs``, of the norms and of β itself. Norms come from
+    :func:`_norms`: upper bounds that stay so when squares underflow (the
+    w·λ floor also exceeds the absolute error of products that underflow)
+    and that are inf beyond 2⁵⁰⁰, so no sum of products can overflow while
+    β is finite.
+
+    Thresholds. S > T + β gives X > T, and S < T - β gives X < T. In V:
+    ``V < lo`` counts and ``V > hi`` does not, with lo = -T - β and
+    hi = β - T for the dot models, and for the distance models
+    lo = (-T - β)², or -inf where -T - β <= 0, and hi = (β - T)² (β - T
+    >= 0, as T <= 0), since √D⁺ < a ⇔ D < a² for a > 0 and √D⁺ > a ⇔
+    D > a² for a >= 0. Each difference and square is rounded to nearest,
+    then moved one ulp outward (``nextafter``), which puts it on the safe
+    side of its exact value, subnormals included; the comparisons
+    themselves are exact. A non-finite β, target or ``V`` fails both
+    comparisons and lands in the band.
     """
     w = q.shape[1]
-    entities = store.entities
     q_norms = _norms(_row_sq(q_abs), w)
-    if store.model_kind in DISTANCE_MODELS:
-        with np.errstate(invalid="ignore", over="ignore"):
-            # -2 scales exactly; S = -sqrt(max(||q||² + ||e||² - 2 q·e, 0))
-            s = (-2.0 * q) @ entities.T
-            s += entity_sq
-            s += _row_sq(q)[:, None]
-            np.maximum(s, 0.0, out=s)
-            np.sqrt(s, out=s)
-            np.negative(s, out=s)
-        c = SAFETY * (np.sqrt(_gamma(w + 12) + eps) + 7 * _gamma(w + 12))
-        return s, c * q_norms, c * entity_norms, np.add
-    c = SAFETY * 2 * _gamma(w + 4)
+    distance = store.model_kind in DISTANCE_MODELS
     with np.errstate(invalid="ignore", over="ignore"):
-        s = q @ entities.T
-    return s, c * q_norms, entity_norms, np.multiply
-
-
-def _refine(screen: np.ndarray, target: np.ndarray, bound: np.ndarray,
-            ex_rows: np.ndarray, ex_cols: np.ndarray) -> tuple:
-    """Split the candidates of one side by their screen, one row per triple.
-
-    ``screen`` (overwritten) and ``bound`` are the triples' screen rows and
-    bounds; the pairs ``(ex_rows, ex_cols)`` are excluded. Returns the
-    count per row of candidates that surely score ``>= target``, and the
-    (row, candidate) pairs of the band, which the screen cannot decide.
-    """
-    with np.errstate(invalid="ignore"):
-        screen -= target[:, None]
-        above = screen > bound
-        np.abs(screen, out=screen)
-        band = ~(screen > bound)   # a nan screen, target or bound lands in the band
-    above[ex_rows, ex_cols] = False
-    band[ex_rows, ex_cols] = False
-    owner, cand = np.divmod(np.flatnonzero(band), band.shape[1])
-    return np.count_nonzero(above, axis=1), owner, cand
+        if distance:
+            v = (-2.0 * q) @ store.entities.T   # -2 scales exactly
+            v += entity_sq
+            v += _row_sq(q)[:, None]
+            beta = SAFETY * (np.sqrt(_gamma(w + 12) + eps) + 7 * _gamma(w + 12)) * (
+                q_norms + entity_max)
+        else:
+            v = (-q) @ store.entities.T
+            beta = SAFETY * 2 * _gamma(w + 4) * q_norms * entity_max
+        lo = np.nextafter(-target - beta, -np.inf)
+        hi = np.nextafter(beta - target, np.inf)
+        if distance:
+            lo = np.where(lo > 0, np.nextafter(lo * lo, -np.inf), -np.inf)
+            hi = np.nextafter(hi * hi, np.inf)
+        above = v < lo[:, None]
+        band = v > hi[:, None]
+    band |= above
+    np.logical_not(band, out=band)
+    above[:, loose] = False
+    band[:, loose] = True
+    return above, band
 
 
 def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filtered: bool,
-                entity_sq: np.ndarray, entity_norms: np.ndarray) -> tuple:
+                stats: tuple) -> tuple:
     """(head ranks, tail ranks) of the rows of ``spo``: screen, refine, rank.
 
-    ``entity_sq``/``entity_norms`` come from :func:`_entity_stats`.
+    ``stats`` is :func:`_entity_stats`.
     """
     n = len(spo)
-    target = score_triples(store, spo)
-    rows = np.arange(n)
-    sides = (0, 2)   # rank the subjects (head), then the objects (tail)
-    # One query per distinct fixed pair of each side, all in one GEMM.
-    queries, bounds, inverses = [], [], []
-    for side in sides:
-        pairs = pack_triples(*(spo * (np.arange(3) != side)).T,   # candidate column zeroed
-                             store.n_entities, store.n_relations)
-        _, first, inv = np.unique(pairs, return_index=True, return_inverse=True)
-        queries.append(query_rows(store, spo[first], side)[0])
-        bounds.append(query_bounds(store, spo[first], side))
-        inverses.append(inv)
-    screen, query_bound, entity_bound, combine = _screen(
-        store, np.concatenate(queries), np.concatenate([b[0] for b in bounds]),
-        max(b[1] for b in bounds), entity_sq, entity_norms)
-
-    ranks = np.ones((2, n), dtype=np.int64)
-    offsets = (0, len(queries[0]))   # the first query row of each side
-    for k, side in enumerate(sides):
-        at = offsets[k] + inverses[k]
-        # exclude the target and, filtered, every known triple's candidate
-        ex_rows, ex_cols = [rows], [spo[:, side]]
-        if filtered:
-            indptr, ids = (g.filter_subjects_batch(spo[:, 1], spo[:, 2]) if side == 0
-                           else g.filter_objects_batch(spo[:, 0], spo[:, 1]))
-            ex_rows.append(np.repeat(rows, np.diff(indptr)))
+    # one query row per triple and side, subjects (head) first, all in one GEMM
+    both, sides = np.tile(spo, (2, 1)), np.repeat([0, 2], n)
+    target = np.tile(score_triples(store, spo), 2)
+    above, band = _screen(store, query_rows(store, both, sides)[0],
+                          *query_bounds(store, both, sides), target, *stats)
+    # exclude the target and, filtered, every known triple's candidate
+    rows = np.arange(2 * n)
+    ex_rows, ex_cols = [rows], [both[rows, sides]]
+    if filtered:
+        for k, (indptr, ids) in enumerate((g.filter_subjects_batch(spo[:, 1], spo[:, 2]),
+                                           g.filter_objects_batch(spo[:, 0], spo[:, 1]))):
+            ex_rows.append(np.repeat(rows[k * n:(k + 1) * n], np.diff(indptr)))
             ex_cols.append(ids)
-        above, owner, cand = _refine(screen[at], target,
-                                     combine.outer(query_bound[at], entity_bound),
-                                     np.concatenate(ex_rows), np.concatenate(ex_cols))
-        # the side's near-tie band, re-scored exactly; ties count against the target
-        cand_rows = spo[owner]
-        cand_rows[:, side] = cand
+    excluded = np.concatenate(ex_rows), np.concatenate(ex_cols)
+    above[excluded] = False
+    band[excluded] = False
+    ranks = 1 + np.count_nonzero(above, axis=1)
+    flat = np.flatnonzero(band)
+    # the near-tie band, re-scored exactly a chunk at a time; ties count against the target
+    for i in range(0, len(flat), BLOCK_ROWS):
+        owner, cand = np.divmod(flat[i:i + BLOCK_ROWS], store.n_entities)
+        cand_rows = both[owner]
+        cand_rows[np.arange(len(owner)), sides[owner]] = cand
         exact = score_triples(store, cand_rows)
-        ranks[k] += above + np.bincount(owner[exact >= target[owner]], minlength=n)
-    return ranks[0], ranks[1]
+        ranks += np.bincount(owner[exact >= target[owner]], minlength=2 * n)
+    return ranks[:n], ranks[n:]
 
 
 def _entity_stats(store: EmbeddingStore) -> tuple:
-    """The entities' squared norms and :func:`_norms`, shared by the blocks of a split."""
+    """Shared by the blocks of a split: the entities' squared norms, their largest
+    finite :func:`_norms` and the ids whose norm is not finite."""
     sq = _row_sq(store.entities)
-    return sq, _norms(sq, store.entities.shape[1])
+    norms = _norms(sq, store.entities.shape[1])
+    finite = np.isfinite(norms)
+    return sq, float(np.max(norms[finite], initial=0.0)), np.flatnonzero(~finite)
 
 
 def rank_triple(g: KnowledgeGraph, store: EmbeddingStore, t, protocol: str = "filtered") -> RankResult:
@@ -258,7 +254,7 @@ def rank_triple(g: KnowledgeGraph, store: EmbeddingStore, t, protocol: str = "fi
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}")
     spo = np.asarray(t, dtype=np.int64).reshape(1, 3)
-    head, tail = _rank_block(g, store, spo, protocol == "filtered", *_entity_stats(store))
+    head, tail = _rank_block(g, store, spo, protocol == "filtered", _entity_stats(store))
     return RankResult(triple=tuple(int(x) for x in spo[0]), head_rank=int(head[0]),
                       tail_rank=int(tail[0]), protocol=protocol)
 
@@ -292,5 +288,5 @@ def evaluate_split(g: KnowledgeGraph, store: EmbeddingStore, split: str = "test"
     for i in range(0, len(triples), QUERY_BLOCK):
         block = triples[i:i + QUERY_BLOCK]
         ranks[i:i + QUERY_BLOCK] = np.stack(
-            _rank_block(g, store, block, protocol == "filtered", *stats), axis=1)
+            _rank_block(g, store, block, protocol == "filtered", stats), axis=1)
     return metrics_from_ranks(ranks.reshape(-1), protocol)

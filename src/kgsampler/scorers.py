@@ -241,8 +241,8 @@ def query_rows(store: EmbeddingStore, spo: np.ndarray, side):
     return q, backward
 
 
-def query_bounds(store: EmbeddingStore, spo: np.ndarray, side: int):
-    """``(q_abs, eps)`` of the rows of :func:`query_rows`, for ``evaluation._screen``'s bound.
+def query_bounds(store: EmbeddingStore, spo: np.ndarray, side):
+    """``(q_abs, eps)`` of :func:`query_rows`' rows (``side`` as there), for ``evaluation._screen``.
 
     ``q_abs`` is each query entry's sums and products taken on absolute
     values. ``eps`` bounds ``|cos² + sin² - 1|`` of RotatE's rotations plus

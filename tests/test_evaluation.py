@@ -165,7 +165,8 @@ class TestExactRanks:
                 assert evaluate_split(g, store, test, protocol) == metrics_from_ranks(flat, protocol)
 
     def test_block_peak_memory(self):
-        """Blocks free their screens: a few QUERY_BLOCK x E arrays at most."""
+        """Blocks free their screens: the two-sided screen (two QUERY_BLOCK x E arrays)
+        plus its boolean masks at most."""
         g = random_graph(4000, 20, 20000, seed=3, holdout_fraction=0.02)
         store = initialize(g.n_entities, g.n_relations, "rotate", 32, seed=6)
         test = g.test[:2 * evaluation.QUERY_BLOCK + 1]   # three blocks
@@ -178,7 +179,7 @@ class TestExactRanks:
         finally:
             tracemalloc.stop()
         block_array = evaluation.QUERY_BLOCK * g.n_entities * 8
-        assert peak < 5 * block_array
+        assert peak < 3 * block_array
 
     @pytest.mark.parametrize("kind", ["rotate", "distmult"])
     def test_tied_store_band_peak_memory(self, kind):
@@ -204,6 +205,76 @@ class TestExactRanks:
                 (rank_triple(g, store, t) for t in test)] == want
         assert got == metrics_from_ranks([rank for pair in want for rank in pair], "filtered")
         assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_small_query_ties_match_oracle(self, kind):
+        """Tail-side query rows of norm ~1e-12 meet an exact copy of every target's object.
+
+        Entity 2i + 1 copies entity 2i, and the subject's row (and TransE's
+        relation row) is near zero, so each screen value is about ||o||²,
+        within a few ulps of the target's squared distance. Only the entity
+        norms' share of the per-row bound keeps the copies in the band: the
+        query norm's alone misplaces some of them.
+        """
+        g = random_graph(400, 4, 4000, seed=14, holdout_fraction=0.1)
+        store = initialize(g.n_entities, g.n_relations, kind, 256, seed=23)
+        store.entities[0] *= 1e-12
+        store.entities[1::2] = store.entities[0::2]
+        if kind == "transe":
+            store.relations[0] = 0.0
+        test = np.array([(0, 0, o) for o in range(2, g.n_entities, 4)])
+        want = [oracle_rank_triple(g, store, t, "raw", set()) for t in test]
+        got = evaluate_split(g, store, test, "raw")
+        assert got == metrics_from_ranks([rank for pair in want for rank in pair], "raw")
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_nonfinite_entity_band_is_its_column(self, kind, monkeypatch):
+        """One entity row holding inf joins the band in its own column only.
+
+        The per-row bound uses the largest finite entity norm, so the band
+        is that column in every (triple, side) row plus the 16 planted
+        copies of each ranked endpoint, not every candidate.
+        """
+        g, store, test = planted_ties(kind, 6)
+        loose = np.setdiff1d(np.arange(g.n_entities), test[:, [0, 2]])[0]
+        store.entities[loose, 3] = np.inf
+        rescored = []
+
+        def counting(store, spo):
+            rescored.append(np.array(spo))
+            return score_triples(store, spo)
+
+        monkeypatch.setattr(evaluation, "score_triples", counting)
+        with np.errstate(invalid="ignore", over="ignore"):
+            head, tail = evaluation._rank_block(g, store, test, False,
+                                                evaluation._entity_stats(store))
+        band = np.concatenate(rescored[1:])   # the first call scores the targets
+        assert len(band) <= 2 * len(test) * (1 + 16)
+        assert np.count_nonzero(band[:, 0] == loose) == len(test)
+        assert np.count_nonzero(band[:, 2] == loose) == len(test)
+        want = [oracle_rank_triple(g, store, t, "raw") for t in test]
+        assert list(zip(head.tolist(), tail.tolist())) == want
+
+
+class TestBlockQueries:
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_shared_pairs_match_oracle(self, kind):
+        """A block whose triples share (s, r) and (r, o) pairs, and repeat, ranks as the oracle."""
+        g = random_graph(n_entities=30, n_relations=2, n_triples=300, seed=12,
+                         holdout_fraction=0.1)
+        store = initialize(g.n_entities, g.n_relations, kind, 6, seed=22)
+        rng = np.random.default_rng(13)
+        block = np.stack([rng.integers(0, 4, 24), rng.integers(0, 2, 24),
+                          rng.integers(0, 4, 24)], axis=1)
+        block = np.concatenate([block, g.test[:8]])
+        assert len(np.unique(block[:, :2], axis=0)) < len(block) // 2
+        assert len(np.unique(block[:, 1:], axis=0)) < len(block) // 2
+        known = known_triples(g)
+        stats = evaluation._entity_stats(store)
+        for protocol in ("raw", "filtered"):
+            head, tail = evaluation._rank_block(g, store, block, protocol == "filtered", stats)
+            want = [oracle_rank_triple(g, store, t, protocol, known) for t in block]
+            assert list(zip(head.tolist(), tail.tolist())) == want, protocol
 
 
 class TestEvaluateSplit:
