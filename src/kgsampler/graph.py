@@ -174,14 +174,21 @@ def concat_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def uniform_subsets(counts: np.ndarray, k: np.ndarray, rng) -> np.ndarray:
     """Positions of a uniform k[i]-subset of each run i, in runs of ``counts`` laid end to end.
 
-    Run i keeps its k[i] positions with the smallest random keys, run by run in
-    key order: one argsort over int64 keys that pack (run index, random bits).
+    Run i keeps its k[i] positions of smallest key (integer k[i] ≤ counts[i]), in position
+    order; int64 keys pack (run index, random bits), one draw per position. They are the
+    positions at or below their run's k[i]-th smallest key, found by one sort. Equal bits
+    there would keep too many; then one argsort of the same keys ranks each run.
     """
     bits = 63 - max(len(counts) - 1, 1).bit_length()
     run = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    by_key = np.argsort((run << bits) | rng.integers(0, 1 << bits, size=len(run)))
-    rank = concat_ranges(np.zeros_like(counts), counts)     # each position's place in its run
-    return by_key[rank < np.repeat(k, counts)]
+    keys = (run << bits) | rng.integers(0, 1 << bits, size=len(run))
+    thr = (np.arange(len(counts), dtype=np.int64) << bits) - 1    # k = 0: below the run
+    thr[k > 0] = np.sort(keys)[(np.cumsum(counts) - counts + k - 1)[k > 0]]
+    picked = np.flatnonzero(keys <= np.repeat(thr, counts))
+    if len(picked) > k.sum():    # a tie at some threshold
+        rank = concat_ranges(np.zeros_like(counts), counts)    # each position's place in its run
+        picked = np.sort(np.argsort(keys)[rank < np.repeat(k, counts)])
+    return picked
 
 
 def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
@@ -342,24 +349,33 @@ def neighbor_entries(g: KnowledgeGraph, positives: np.ndarray, cap: int, rng) ->
     counts = np.bincount(owner, minlength=len(positives))
     kept = np.minimum(counts, cap)
     if (kept < counts).any():
-        ids = ids[np.sort(uniform_subsets(counts, kept, rng))] if cap else ids[:0]
+        ids = ids[uniform_subsets(counts, kept, rng)] if cap else ids[:0]
     return (np.insert(g.train[ids], np.cumsum(kept) - kept, positives, axis=0),
             np.repeat(1.0 / (1.0 + kept), kept + 1))
 
 
-def induced_subgraph(g: KnowledgeGraph, vertices) -> np.ndarray:
-    """All train triples with both endpoints inside the vertex set.
+def induced_ids(g: KnowledgeGraph, vertices) -> np.ndarray:
+    """Sorted ids of the train triples with both endpoints inside the vertex set.
 
-    Returns the (k, 3) array of matching train triples, in train order. A
-    triple is read once, from its subject's adjacency run.
+    Each is read once from the flat train array (a ``take`` on a strided column copies the
+    column): from its object's run by its head, or, a self-loop, by its tail, read only in
+    runs shorter than their vertex's degree.
     """
     inside = np.zeros(g.n_entities, dtype=bool)
     inside[list(vertices) if isinstance(vertices, set) else vertices] = True
     verts = np.flatnonzero(inside)
     counts, slots = g.incident(verts)
-    ids = g.adj_indices[slots]
-    keep = (g.train[ids, 0] == np.repeat(verts, counts)) & inside[g.train[ids, 2]]
-    return g.train[np.sort(ids[keep])]
+    ids, owner, flat = g.adj_indices[slots], np.repeat(verts, counts), g.train.reshape(-1)
+    heads = flat.take(3 * ids)
+    keep = (heads != owner) & inside[heads]
+    loops = np.repeat(g.degrees[verts] > counts, counts) & (heads == owner)
+    keep[loops] = flat.take(3 * ids[loops] + 2) == owner[loops]
+    return np.sort(ids[keep])
+
+
+def induced_subgraph(g: KnowledgeGraph, vertices) -> np.ndarray:
+    """All train triples with both endpoints inside the vertex set, in train order."""
+    return g.train.take(induced_ids(g, vertices), axis=0)
 
 
 def write_dictionaries(g: KnowledgeGraph, directory: str) -> None:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (KnowledgeGraph, induced_subgraph, pack_triples, sorted_unique,
-                    uniform_subsets, unpack_triples)
+from .graph import (KnowledgeGraph, induced_ids, pack_triples, sorted_unique, uniform_subsets,
+                    unpack_triples)
 
 log = logging.getLogger(__name__)
 
@@ -128,19 +128,22 @@ def _random_walk(g: KnowledgeGraph, b: int, rng,
                 visited.append(current)
         lo = indptr[current]
         n = indptr[current + 1] - lo
-        for _ in range(_WALK_TRIES):
-            ti = adj[lo + int(draw() * n)]
-            if not collected[ti]:
-                break
-        else:
-            incident = g.adj_indices[lo:lo + n]
-            open_ids = incident[~np.frombuffer(collected, dtype=bool)[incident]]
-            ti = int(open_ids[int(draw() * len(open_ids))])
+        ti = adj[lo + int(draw() * n)]
+        if collected[ti]:
+            for _ in range(_WALK_TRIES - 1):
+                ti = adj[lo + int(draw() * n)]
+                if not collected[ti]:
+                    break
+            else:
+                incident = g.adj_indices[lo:lo + n]
+                open_ids = incident[~np.frombuffer(collected, dtype=bool)[incident]]
+                ti = int(open_ids[int(draw() * len(open_ids))])
         collected[ti] = 1
         order.append(ti)
         s, o = heads[ti], tails[ti]
         remaining[s] -= 1
-        remaining[o] -= o != s                 # a self-loop holds one slot
+        if o != s:                             # a self-loop holds one slot
+            remaining[o] -= 1
         current = o if current == s else s     # the triple's other endpoint
         if not seen[current]:
             seen[current] = 1
@@ -162,7 +165,7 @@ def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: i
     if fraction == 0.0:
         return np.empty(0, dtype=np.int64)
     counts, slots = g.incident(visited)
-    k = np.minimum(np.ceil(fraction * g.degrees[visited]), np.minimum(counts, cap))
+    k = np.minimum(np.ceil(fraction * g.degrees[visited]), np.minimum(counts, cap)).astype(int)
     return slots[uniform_subsets(counts, k, rng)]
 
 
@@ -188,20 +191,21 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     if b < policy.batch_size:
         log.warning("batch_size %d exceeds train size %d; clamping", policy.batch_size, b)
     if policy.kind == "sr":
-        return Minibatch(positives=g.train[rng.choice(g.n_train, size=b, replace=False)])
+        return Minibatch(positives=g.train.take(rng.choice(g.n_train, b, replace=False), axis=0))
     p = policy.restart_probability if policy.kind == "rwr" else 0.0
     walk, visited, restarts = _random_walk(g, b, rng, p, policy.restart_target, start_entity)
     if policy.kind in ("rw", "rwr"):
-        return Minibatch(positives=g.train[walk], restarts=restarts)
-    positives = induced_subgraph(g, visited)
+        return Minibatch(positives=g.train.take(walk, axis=0), restarts=restarts)
+    ids = induced_ids(g, visited)
     if policy.kind == "rwisg_n":
         extra = g.adj_indices[_extra_slots(g, visited, policy.extra_neighbor_fraction,
                                            policy.extra_neighbor_cap, rng)]
-        if len(extra):
-            rows = np.concatenate([positives, g.train[extra]])
-            keys = pack_triples(*rows.T, g.n_entities, g.n_relations)
+        if len(extra):    # merged as keys read from the flat train array
+            at, flat = 3 * np.concatenate([ids, extra]), g.train.reshape(-1)
+            keys = pack_triples(*(flat.take(at + c) for c in range(3)), g.n_entities, g.n_relations)
             positives = unpack_triples(sorted_unique(keys), g.n_entities, g.n_relations)
-    return Minibatch(positives=positives, restarts=restarts)
+            return Minibatch(positives=positives, restarts=restarts)
+    return Minibatch(positives=g.train.take(ids, axis=0), restarts=restarts)
 
 
 def batches_per_epoch(g: KnowledgeGraph, policy: SamplerPolicy) -> int:

@@ -58,8 +58,9 @@ def minibatch_degree_distribution(m: Minibatch) -> DegreeHistogram:
     """Degree distribution of a single minibatch subgraph (N = 1); a self-loop counts twice."""
     if len(m.positives) == 0:
         raise ValueError("empty minibatch has no degree distribution")
-    degs = np.unique(m.positives[:, [0, 2]].ravel(), return_counts=True)[1]
-    counts = np.bincount(degs)
+    ends = np.sort(m.positives[:, [0, 2]], axis=None)
+    starts = np.flatnonzero(np.concatenate(([True], ends[1:] != ends[:-1], [True])))
+    counts = np.bincount(np.diff(starts))    # how many entities have each degree
     return DegreeHistogram(probabilities=counts / counts.sum(), n_batches=1)
 
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from kgsampler.graph import (
     DataError,
     _build_graph,
+    concat_ranges,
     from_id_triples,
     induced_subgraph,
     load_dataset,
     neighbor_entries,
     pack_triples,
     sorted_unique,
+    uniform_subsets,
     unpack_triples,
     write_dictionaries,
 )
@@ -345,6 +347,68 @@ class TestNeighborTriples:
             assert np.all(weights[at:at + 1 + kept] == 1.0 / (1 + kept))
             at += 1 + kept
         assert at == len(entries)
+
+
+def argsort_subsets(counts, k, rng):
+    """Each run's k positions of smallest key, in key order: one argsort over (run, bits) keys."""
+    bits = 63 - max(len(counts) - 1, 1).bit_length()
+    run = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    by_key = np.argsort((run << bits) | rng.integers(0, 1 << bits, size=len(run)))
+    rank = concat_ranges(np.zeros_like(counts), counts)
+    return by_key[rank < np.repeat(k, counts)]
+
+
+class FewBits:
+    """A generator stub whose ``integers`` draws from only ``levels`` values, so keys tie."""
+
+    def __init__(self, seed, levels):
+        self.rng, self.levels = np.random.default_rng(seed), levels
+
+    def integers(self, low, high, size):
+        return self.rng.integers(low, min(high, low + self.levels), size=size)
+
+
+@st.composite
+def run_layouts(draw):
+    """Run lengths (empty runs included) and a k per run in [0, count], k = 0 and k = count too."""
+    counts = draw(st.lists(st.integers(0, 12), max_size=15))
+    k = [draw(st.sampled_from([0, c, draw(st.integers(0, c))])) for c in counts]
+    return np.array(counts, dtype=np.int64), np.array(k, dtype=np.int64)
+
+
+class TestUniformSubsets:
+    @settings(max_examples=200, deadline=None)
+    @given(layout=run_layouts(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_argsort_construction(self, layout, seed):
+        counts, k = layout
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.sort(argsort_subsets(counts, k, want_rng))
+        got = uniform_subsets(counts, k, got_rng)
+        assert np.array_equal(got, want) and got.dtype == np.int64
+        # one integer per position is drawn, no more: the streams go on alike
+        assert got_rng.integers(0, 2 ** 62) == want_rng.integers(0, 2 ** 62)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layout=run_layouts(), seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(1, 3))
+    def test_ties_at_a_threshold_fall_back_to_the_argsort(self, layout, seed, levels):
+        counts, k = layout
+        got = uniform_subsets(counts, k, FewBits(seed, levels))
+        assert np.array_equal(got, np.sort(argsort_subsets(counts, k, FewBits(seed, levels))))
+        assert np.array_equal(np.bincount(np.repeat(np.arange(len(counts)), counts)[got],
+                                          minlength=len(counts)), k)
+
+    def test_equal_bits_take_the_fallback(self):
+        # every key of a run ties, so the thresholds alone would keep whole runs
+        counts, k = np.array([5, 0, 4, 3]), np.array([2, 0, 4, 1])
+        got = uniform_subsets(counts, k, FewBits(0, 1))
+        assert len(got) == k.sum()
+        assert np.array_equal(got, np.sort(argsort_subsets(counts, k, FewBits(0, 1))))
+
+    def test_positions_come_back_sorted(self):
+        counts = np.random.default_rng(3).integers(0, 50, size=300)
+        k = counts // 2
+        got = uniform_subsets(counts, k, np.random.default_rng(3))
+        assert len(got) == k.sum() and np.all(np.diff(got) > 0)
 
 
 class TestInducedSubgraph:

@@ -14,6 +14,7 @@ from kgsampler.stats import (
     ed_vs_batchsize_sweep,
     expected_degree,
     minibatch_degree_distribution,
+    sweep_row,
     write_csv,
 )
 from kgsampler.synth import random_graph
@@ -56,6 +57,19 @@ class TestMinibatchDistribution:
             n_vertices = sum(naive.values())
             for d, c in naive.items():
                 assert h.probabilities[d] == pytest.approx(c / n_vertices, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2), st.integers(0, 12)),
+                         min_size=1, max_size=60),
+           loops=st.lists(st.integers(0, 12), max_size=5))
+    def test_equals_the_unique_count_bitwise(self, rows, loops):
+        # repeated entities, repeated rows and self-loops, against the np.unique construction
+        positives = np.array(rows + [(v, 0, v) for v in loops], dtype=np.int64)
+        degs = np.unique(positives[:, [0, 2]].ravel(), return_counts=True)[1]
+        counts = np.bincount(degs)
+        want = counts / counts.sum()
+        got = minibatch_degree_distribution(batch(positives)).probabilities
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestAveragedDistribution:
@@ -132,6 +146,14 @@ class TestSweep:
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
         with pytest.raises(ValueError):
             ed_vs_batchsize_sweep(g, [SamplerPolicy()], [10], batches_per_point=5)
+
+    def test_sweep_row_keys_are_the_csv_fields(self):
+        # perfbench's traced sweep compares its own rows with the library's using `!=`,
+        # so a key that only one side writes fails every traced sweep unit
+        g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
+        policy = SamplerPolicy(kind="rw", batch_size=20, seed=0)
+        hists = [minibatch_degree_distribution(sample_minibatch(g, policy)) for _ in range(3)]
+        assert set(sweep_row(policy, hists)) == set(SWEEP_FIELDS)
 
     def test_csv_schemas(self, tmp_path):
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
