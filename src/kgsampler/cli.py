@@ -191,6 +191,8 @@ def cmd_train(args) -> int:
     dataset_dir = resolve_dataset_dir(config)
     g = load_dataset(dataset_dir)
     _require_split(g, "train", dataset_dir)
+    if g.n_entities < 2:    # the loss corrupts a triple by swapping in another entity
+        raise DataError(f"{dataset_dir}: {g.n_entities} entity, but corruption needs at least 2")
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = args.out or os.path.join(

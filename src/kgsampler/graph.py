@@ -75,15 +75,15 @@ class KnowledgeGraph:
             raise KeyError(f"unknown split {name!r}; expected train/valid/test")
 
     def incident(self, vertices: ArrayLike) -> tuple:
-        """Incidence runs of ``vertices``, laid end to end, as ``(counts, slots)``.
+        """Incidence runs of ``vertices``, laid end to end, as ``(counts, ids)``.
 
-        Run i holds the ``counts[i]`` positions in ``adj_indices`` of the train
-        triples incident to ``vertices[i]``, in triple-id order.
+        Run i holds the ids of the ``counts[i]`` train triples incident to
+        ``vertices[i]``, in triple-id order; a self-loop appears once in its run.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         lo = self.adj_indptr[vertices]
         counts = self.adj_indptr[vertices + 1] - lo
-        return counts, concat_ranges(lo, counts)
+        return counts, self.adj_indices[concat_ranges(lo, counts)]
 
     def filter_objects(self, s: int, r: int) -> np.ndarray:
         """Sorted ids of all known objects o with (s, r, o) in train+valid+test."""
@@ -340,10 +340,9 @@ def neighbor_entries(g: KnowledgeGraph, positives: np.ndarray, cap: int, rng) ->
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     ends = positives[:, [0, 2]].ravel()      # runs 2i and 2i + 1 belong to positive i
-    counts, slots = g.incident(ends)
-    keys = sorted_unique(np.repeat(np.arange(len(ends)) // 2 * g.n_train, counts)
-                         + g.adj_indices[slots])    # one per (positive, triple)
-    owner, ids = np.divmod(keys, g.n_train)
+    counts, ids = g.incident(ends)
+    keys = sorted_unique(np.repeat(np.arange(len(ends)) // 2 * g.n_train, counts) + ids)
+    owner, ids = np.divmod(keys, g.n_train)    # one per (positive, triple)
     other = (g.train[ids] != positives[owner]).any(axis=1)
     owner, ids = owner[other], ids[other]
     counts = np.bincount(owner, minlength=len(positives))
@@ -354,28 +353,22 @@ def neighbor_entries(g: KnowledgeGraph, positives: np.ndarray, cap: int, rng) ->
             np.repeat(1.0 / (1.0 + kept), kept + 1))
 
 
-def induced_ids(g: KnowledgeGraph, vertices) -> np.ndarray:
-    """Sorted ids of the train triples with both endpoints inside the vertex set.
+def induced_ids(g: KnowledgeGraph, vertices, counts, ids) -> np.ndarray:
+    """Sorted ids of the train triples with both endpoints among ``vertices``.
 
-    Each is read once from the flat train array (a ``take`` on a strided column copies the
-    column): from its object's run by its head, or, a self-loop, by its tail, read only in
-    runs shorter than their vertex's degree.
+    ``counts, ids`` are ``g.incident(vertices)``; the vertices may come in any order and
+    repeat. Each triple is read from the flat train array (a ``take`` on a strided column
+    copies the column) and kept in its object's run by its head, or, a self-loop, by its
+    tail, read only in runs shorter than their vertex's degree.
     """
     inside = np.zeros(g.n_entities, dtype=bool)
-    inside[list(vertices) if isinstance(vertices, set) else vertices] = True
-    verts = np.flatnonzero(inside)
-    counts, slots = g.incident(verts)
-    ids, owner, flat = g.adj_indices[slots], np.repeat(verts, counts), g.train.reshape(-1)
+    inside[vertices] = True
+    owner, flat = np.repeat(vertices, counts), g.train.reshape(-1)
     heads = flat.take(3 * ids)
     keep = (heads != owner) & inside[heads]
-    loops = np.repeat(g.degrees[verts] > counts, counts) & (heads == owner)
+    loops = np.repeat(g.degrees[vertices] > counts, counts) & (heads == owner)
     keep[loops] = flat.take(3 * ids[loops] + 2) == owner[loops]
-    return np.sort(ids[keep])
-
-
-def induced_subgraph(g: KnowledgeGraph, vertices) -> np.ndarray:
-    """All train triples with both endpoints inside the vertex set, in train order."""
-    return g.train.take(induced_ids(g, vertices), axis=0)
+    return sorted_unique(ids[keep])
 
 
 def write_dictionaries(g: KnowledgeGraph, directory: str) -> None:

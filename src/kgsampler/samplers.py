@@ -70,7 +70,9 @@ class SamplerPolicy:
 class Minibatch:
     """A sampled set of positive training triples."""
 
-    positives: np.ndarray          # (m, 3) int64, in collection order, no duplicates
+    # (m, 3) int64, no duplicates: in draw order (sr), collection order (rw, rwr), train-id
+    # order (rwisg, and rwisg_n without extras) or (s, r, o) order (rwisg_n with extras)
+    positives: np.ndarray
     restarts: int = 0              # fresh-restart count of the underlying walk
 
     def __len__(self):
@@ -155,18 +157,17 @@ def _random_walk(g: KnowledgeGraph, b: int, rng,
     return np.asarray(order, dtype=np.int64), np.asarray(visited, dtype=np.int64), restarts
 
 
-def _extra_slots(g: KnowledgeGraph, visited: np.ndarray, fraction: float, cap: int,
-                 rng) -> np.ndarray:
-    """Adjacency slots of ``rwisg_n``'s extra triples: a uniform k-subset per run.
+def _extra_ids(g: KnowledgeGraph, visited: np.ndarray, counts: np.ndarray, ids: np.ndarray,
+               fraction: float, cap: int, rng) -> np.ndarray:
+    """Ids of ``rwisg_n``'s extra triples, from the runs ``counts, ids`` of ``g.incident(visited)``.
 
-    Visited vertex v gets k = min(ceil(fraction * degree(v)), cap, run length)
-    slots of its adjacency run, drawn by :func:`graph.uniform_subsets`.
+    Visited vertex v gets a uniform subset of k = min(ceil(fraction * degree(v)), cap, run
+    length) triples of its run, drawn by :func:`graph.uniform_subsets`.
     """
     if fraction == 0.0:
-        return np.empty(0, dtype=np.int64)
-    counts, slots = g.incident(visited)
+        return ids[:0]
     k = np.minimum(np.ceil(fraction * g.degrees[visited]), np.minimum(counts, cap)).astype(int)
-    return slots[uniform_subsets(counts, k, rng)]
+    return ids[uniform_subsets(counts, k, rng)]
 
 
 def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
@@ -196,10 +197,11 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     walk, visited, restarts = _random_walk(g, b, rng, p, policy.restart_target, start_entity)
     if policy.kind in ("rw", "rwr"):
         return Minibatch(positives=g.train.take(walk, axis=0), restarts=restarts)
-    ids = induced_ids(g, visited)
+    counts, runs = g.incident(visited)    # read once, for the induced rule and the extras
+    ids = induced_ids(g, visited, counts, runs)
     if policy.kind == "rwisg_n":
-        extra = g.adj_indices[_extra_slots(g, visited, policy.extra_neighbor_fraction,
-                                           policy.extra_neighbor_cap, rng)]
+        extra = _extra_ids(g, visited, counts, runs, policy.extra_neighbor_fraction,
+                           policy.extra_neighbor_cap, rng)
         if len(extra):    # merged as keys read from the flat train array
             at, flat = 3 * np.concatenate([ids, extra]), g.train.reshape(-1)
             keys = pack_triples(*(flat.take(at + c) for c in range(3)), g.n_entities, g.n_relations)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgsampler.graph import from_id_triples
+from kgsampler.graph import from_id_triples, induced_ids
 
 
 @pytest.fixture
@@ -42,6 +42,12 @@ CHI2_CRIT = {9: 27.88, 19: 43.82, 29: 58.30}
 def known_triples(g):
     """Brute-force set of every (s, r, o) in train, valid and test."""
     return {tuple(int(x) for x in row) for split in (g.train, g.valid, g.test) for row in split}
+
+
+def induced_rows(g, vertices):
+    """Train rows induced by ``vertices`` (any iterable of entity ids), in train order."""
+    vertices = np.fromiter(vertices, dtype=np.int64)
+    return g.train.take(induced_ids(g, vertices, *g.incident(vertices)), axis=0)
 
 
 def random_id_triples(rng, n_entities, n_relations, n_triples):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.graph import load_dataset
-from kgsampler.samplers import SamplerPolicy
+from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy
 from kgsampler.scorers import initialize, load_checkpoint, save_checkpoint
 from kgsampler.stats import (
     averaged_distribution,
@@ -18,9 +19,24 @@ from kgsampler.stats import (
 )
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
 def read_text(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def readme_record_keys():
+    """The ``train_log.jsonl`` keys the README lists: every epoch's, and an evaluation epoch's
+    extra ones."""
+    text = " ".join(read_text(README).split())
+    every = text.split("holds one JSON record per epoch (")[1].split("); on evaluation epochs")[0]
+    extra = text.split("on evaluation epochs it also carries")[1].split(". Checkpoints")[0]
+
+    def names(part):    # the restarts entry names the `sr` sampler
+        return set(re.findall(r"`(\w+)`", part)) - set(SAMPLER_KINDS)
+    return names(every), names(extra)
 
 
 @pytest.fixture
@@ -284,6 +300,28 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "split 'train' is empty" in err
         assert not os.path.exists(run_dir)
+
+    def test_one_entity_dataset_is_a_data_error(self, tmp_path, capsys):
+        dataset = tmp_path / "one"
+        dataset.mkdir()
+        (dataset / "train.txt").write_text("a\tr\ta\n")
+        (dataset / "valid.txt").write_text("")
+        (dataset / "test.txt").write_text("")
+        code, run_dir = run_training(tmp_path, str(dataset))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "1 entity, but corruption needs at least 2" in err
+        assert not os.path.exists(run_dir)
+
+    def test_epoch_record_keys_are_the_readme_list(self, tmp_path, toy_dataset):
+        code, run_dir = run_training(tmp_path, toy_dataset)    # only epoch 2 validates
+        assert code == 0
+        records = [json.loads(line)
+                   for line in read_text(os.path.join(run_dir, "train_log.jsonl")).splitlines()]
+        every, extra = readme_record_keys()
+        assert extra == {"valid", "valid_s"}
+        assert set(records[0]) == every
+        assert set(records[1]) == every | extra
 
     def test_out_naming_a_file_is_a_data_error(self, tmp_path, toy_dataset, capsys):
         open(tmp_path / "run", "w").close()

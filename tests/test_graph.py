@@ -10,7 +10,6 @@ from kgsampler.graph import (
     _build_graph,
     concat_ranges,
     from_id_triples,
-    induced_subgraph,
     load_dataset,
     neighbor_entries,
     pack_triples,
@@ -21,7 +20,7 @@ from kgsampler.graph import (
 )
 from kgsampler.synth import random_graph, write_dataset
 
-from conftest import known_triples, random_id_triples
+from conftest import induced_rows, known_triples, random_id_triples
 
 
 _MONOTONE_GRAPH = from_id_triples(
@@ -32,7 +31,7 @@ _MONOTONE_GRAPH = from_id_triples(
 
 def incident_ids(g, v):
     """Sorted train-triple indices incident to entity v."""
-    return g.adj_indices[g.incident([v])[1]]
+    return g.incident([v])[1]
 
 
 def brute_adjacency(g):
@@ -229,12 +228,12 @@ class TestAdjacency:
     def test_runs_laid_end_to_end(self, small_random_graph):
         g = small_random_graph
         verts = np.array([3, 0, 3, g.n_entities - 1, 7])
-        counts, slots = g.incident(verts)
+        counts, ids = g.incident(verts)
         assert np.array_equal(counts, g.adj_indptr[verts + 1] - g.adj_indptr[verts])
-        want = np.concatenate([np.arange(g.adj_indptr[v], g.adj_indptr[v + 1]) for v in verts])
-        assert np.array_equal(slots, want) and slots.dtype == np.int64
-        counts, slots = g.incident(np.empty(0, dtype=np.int64))
-        assert len(counts) == 0 and len(slots) == 0
+        want = np.concatenate([g.adj_indices[g.adj_indptr[v]:g.adj_indptr[v + 1]] for v in verts])
+        assert np.array_equal(ids, want) and ids.dtype == np.int64
+        counts, ids = g.incident(np.empty(0, dtype=np.int64))
+        assert len(counts) == 0 and len(ids) == 0
 
     def test_total_length(self, small_random_graph):
         g = small_random_graph
@@ -413,14 +412,14 @@ class TestUniformSubsets:
 
 class TestInducedSubgraph:
     def test_empty_vertices(self, triangle):
-        assert len(induced_subgraph(triangle, set())) == 0
+        assert len(induced_rows(triangle, set())) == 0
 
     def test_all_vertices_identity(self, triangle):
-        got = induced_subgraph(triangle, {0, 1, 2})
+        got = induced_rows(triangle, {0, 1, 2})
         assert np.array_equal(got, triangle.train)
 
     def test_triangle_pair(self, triangle):
-        got = induced_subgraph(triangle, {0, 1})
+        got = induced_rows(triangle, {0, 1})
         assert got.tolist() == [[0, 0, 1]]
 
     @settings(max_examples=30, deadline=None)
@@ -429,8 +428,8 @@ class TestInducedSubgraph:
         g = _MONOTONE_GRAPH
         v2 = data.draw(st.sets(st.integers(0, g.n_entities - 1)))
         v1 = data.draw(st.sets(st.sampled_from(sorted(v2)))) if v2 else set()
-        t1 = {tuple(r) for r in induced_subgraph(g, v1)}
-        t2 = {tuple(r) for r in induced_subgraph(g, v2)}
+        t1 = {tuple(r) for r in induced_rows(g, v1)}
+        t2 = {tuple(r) for r in induced_rows(g, v2)}
         assert t1 <= t2
 
 

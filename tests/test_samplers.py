@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsampler import samplers
-from kgsampler.graph import from_id_triples, induced_subgraph
+from kgsampler.graph import KnowledgeGraph, from_id_triples
 from kgsampler.samplers import (
     SamplerPolicy,
     batches_per_epoch,
@@ -18,7 +18,7 @@ from kgsampler.samplers import (
 )
 from kgsampler.synth import random_graph
 
-from conftest import CHI2_CRIT, chi_square
+from conftest import CHI2_CRIT, chi_square, induced_rows
 
 
 def as_set(positives):
@@ -240,7 +240,7 @@ class TestInducedSubgraphSamplers:
     def test_closed_under_induction(self, small_random_graph):
         g = small_random_graph
         m = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=25, seed=31))
-        again = induced_subgraph(g, set(m.vertex_set.tolist()))
+        again = induced_rows(g, m.vertex_set)
         assert as_set(m.positives) == as_set(again)
 
     @settings(max_examples=60, deadline=None)
@@ -257,7 +257,15 @@ class TestInducedSubgraphSamplers:
         mask = np.zeros(g.n_entities, dtype=bool)
         mask[list(verts)] = True
         full_scan = g.train[mask[g.train[:, 0]] & mask[g.train[:, 2]]]
-        assert np.array_equal(induced_subgraph(g, verts), full_scan)
+        assert np.array_equal(induced_rows(g, verts), full_scan)
+
+    @pytest.mark.parametrize("kind", ["rwisg", "rwisg_n"])
+    def test_one_incidence_read_per_batch(self, small_random_graph, monkeypatch, kind):
+        calls, incident = [], KnowledgeGraph.incident
+        monkeypatch.setattr(KnowledgeGraph, "incident",
+                            lambda g, verts: calls.append(len(verts)) or incident(g, verts))
+        batches = list(epoch_iterator(small_random_graph, SamplerPolicy(kind=kind, batch_size=20)))
+        assert len(calls) == len(batches) == 5
 
     def test_rwisg_n_zero_fraction_equals_rwisg(self, small_random_graph):
         g = small_random_graph
@@ -290,15 +298,19 @@ class TestExtraNeighbors:
         triples = [(0, 0, i) for i in range(1, 9)] + [(0, 1, 0), (3, 1, 3), (2, 0, 5), (5, 1, 2)]
         g = from_id_triples(triples, n_entities=11, n_relations=2)
         visited = np.array([0, 3, 2, 10, 5, 1], dtype=np.int64)   # 10 is isolated
-        slots = samplers._extra_slots(g, visited, fraction, cap, np.random.default_rng(0))
-        assert len(np.unique(slots)) == len(slots)
+        counts, ids = g.incident(visited)
+        # ids 0, 1, ... in place of the runs' triple ids give each draw's run position
+        at = samplers._extra_ids(g, visited, counts, np.arange(len(ids)), fraction, cap,
+                                 np.random.default_rng(0))
+        assert np.array_equal(samplers._extra_ids(g, visited, counts, ids, fraction, cap,
+                                                  np.random.default_rng(0)), ids[at])
+        assert len(np.unique(at)) == len(at)
         total = 0
-        for v in visited:
-            lo, hi = g.adj_indptr[v], g.adj_indptr[v + 1]
-            want = min(math.ceil(fraction * g.degrees[v]), cap, hi - lo)
-            assert np.count_nonzero((slots >= lo) & (slots < hi)) == want
+        for v, lo, n in zip(visited, np.cumsum(counts) - counts, counts):
+            want = min(math.ceil(fraction * g.degrees[v]), cap, n)
+            assert np.count_nonzero((at >= lo) & (at < lo + n)) == want
             total += want
-        assert len(slots) == total
+        assert len(at) == total
 
     def test_subsets_are_uniform(self, star6):
         # the hub has degree 6, so fraction 0.5 draws 3 of its 6 spokes
@@ -306,8 +318,8 @@ class TestExtraNeighbors:
         counts = dict.fromkeys(itertools.combinations(range(6), 3), 0)
         rng = np.random.default_rng(1)
         for _ in range(2000):
-            slots = samplers._extra_slots(star6, hub, 0.5, 32, rng)
-            counts[tuple(sorted(slots.tolist()))] += 1
+            ids = samplers._extra_ids(star6, hub, *star6.incident(hub), 0.5, 32, rng)
+            counts[tuple(sorted(ids.tolist()))] += 1
         assert chi_square(list(counts.values())) < CHI2_CRIT[19]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -320,7 +332,7 @@ class TestExtraNeighbors:
         m = sample_minibatch(g, policy)
         rng = np.random.default_rng(seed)
         _, visited, _ = samplers._random_walk(g, 15, rng)
-        drawn = g.train[g.adj_indices[samplers._extra_slots(g, visited, 0.3, 3, rng)]]
+        drawn = g.train[samplers._extra_ids(g, visited, *g.incident(visited), 0.3, 3, rng)]
         inside = set(visited.tolist())
         induced = {t for t in as_set(g.train) if t[0] in inside and t[2] in inside}
         assert m.positives.tolist() == [list(t) for t in sorted(induced | as_set(drawn))]

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from kgsampler import trainer
 from kgsampler.graph import from_id_triples
 from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
-from kgsampler.samplers import SamplerPolicy, epoch_iterator, sample_minibatch
+from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy, epoch_iterator, sample_minibatch
 from kgsampler.scorers import EmbeddingStore, initialize
 from kgsampler.stats import expected_degree_of_batch
 from kgsampler.synth import planted_toy_graph, random_graph
@@ -232,6 +233,24 @@ class TestTrain:
         for _ in range(2):
             store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=2)
             train(g, store, small_config(g, epochs=2))
+            stores.append(store)
+        assert np.array_equal(stores[0].entities, stores[1].entities)
+        assert np.array_equal(stores[0].relations, stores[1].relations)
+
+    @pytest.mark.parametrize("kind, neighbors", [    # sr, plain loss: test_bitwise_deterministic
+        (kind, neighbors) for kind in SAMPLER_KINDS for neighbors in (False, True)
+        if kind != "sr" or neighbors])
+    def test_bitwise_deterministic_per_sampler(self, small_random_graph, kind, neighbors):
+        """Two runs give equal bits under every sampler, with the plain loss and the neighbor
+        loss at cap 2; no digest is pinned, as float bits may differ between CPUs."""
+        g = small_random_graph
+        config = small_config(g, sampler_policy=SamplerPolicy(kind=kind, batch_size=16, seed=0))
+        config = replace(config, loss_config=replace(
+            config.loss_config, neighbors_loss_enabled=neighbors, neighbor_cap=2))
+        stores = []
+        for _ in range(2):
+            store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=2)
+            train(g, store, config)
             stores.append(store)
         assert np.array_equal(stores[0].entities, stores[1].entities)
         assert np.array_equal(stores[0].relations, stores[1].relations)
