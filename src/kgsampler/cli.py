@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .evaluation import evaluate_split
-from .graph import DataError, load_dataset, write_dictionaries
+from .graph import DataError, KnowledgeGraph, load_dataset, write_dictionaries
 from .losses import LossConfig
 from .samplers import SAMPLER_KINDS, SamplerPolicy, sample_minibatch, to_dot
 from .scorers import MODEL_KINDS, atomic_open, initialize, load_checkpoint, save_checkpoint
@@ -111,11 +111,14 @@ def resolve_config(config_file=None, overrides=()):
 
     if config_file:
         parser = configparser.ConfigParser()
-        if not parser.read(config_file):
-            raise ConfigError(f"cannot read config file {config_file}")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                apply(section, key, raw)
+        try:    # undecodable bytes, a missing header, a duplicate key or a bad %(name)s
+            if not parser.read(config_file):
+                raise ConfigError(f"cannot read config file {config_file}")
+            for section in parser.sections():
+                for key, raw in parser.items(section):
+                    apply(section, key, raw)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{config_file}: {exc}") from exc
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
@@ -159,6 +162,18 @@ def dataset_fingerprint(directory: str) -> dict:
                 h.update(chunk)
         out[fname] = {"size": os.path.getsize(path), "sha256": h.hexdigest()}
     return out
+
+
+def id_space_digest(g: KnowledgeGraph) -> bytes:
+    """sha256 over the entity names, then the relation names, in id order.
+
+    Ids follow first-seen file order, so a dataset whose lines moved gets
+    another digest. The two counts come first and each name ends in a
+    newline, which no name holds, so no two id spaces share the hashed bytes.
+    """
+    text = f"{g.n_entities} {g.n_relations}\n" + "".join(
+        f"{name}\n" for name in (*g.entity_names, *g.relation_names))
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 def _utcnow() -> str:
@@ -211,6 +226,7 @@ def cmd_train(args) -> int:
     write_dictionaries(g, run_dir)
 
     store = initialize(g.n_entities, g.n_relations, kind, dimension, seed=tconf.seed)
+    store.id_space = id_space_digest(g)    # checkpoints name the ids their rows belong to
 
     best = {}    # stays empty, and best_valid null, if no validation runs
     if not len(g.valid) or tconf.epochs < tconf.eval_every:
@@ -328,6 +344,15 @@ def cmd_eval(args) -> int:
             f"{args.checkpoint}: checkpoint shape ({store.n_entities} entities, "
             f"{store.n_relations} relations) does not match dataset {args.dataset} "
             f"({g.n_entities} entities, {g.n_relations} relations)")
+    digest = id_space_digest(g)
+    if store.id_space is None:
+        log.warning("%s: a KGSCKPT1 checkpoint names no id space, so its ids cannot be "
+                    "checked against the dataset's", args.checkpoint)
+    elif store.id_space != digest:
+        raise DataError(
+            f"{args.checkpoint}: checkpoint id space {store.id_space.hex()} does not match "
+            f"dataset {args.dataset} ({digest.hex()}): ids follow first-seen line order, and "
+            f"the run's entities.tsv and relations.tsv list the checkpoint's")
     metrics = evaluate_split(g, store, args.split, args.protocol)
     print(metrics.as_json_line())
     return 0

@@ -8,8 +8,9 @@ as ranked above it.
 
 Ranks are exact: they equal the ranks a brute-force loop over
 :func:`scorers.score_triples` gives, whatever the BLAS or its threading.
-:func:`evaluate_split` ranks blocks of at most ``QUERY_BLOCK`` triples in
-three steps.
+:func:`rank_split` gives the product, a split's exact head and tail ranks;
+:func:`evaluate_split` and :func:`rank_triple` derive from it. It ranks
+blocks of at most ``QUERY_BLOCK`` triples in three steps.
 
 1. **Screen.** One query row per triple and side, built by
    :func:`scorers.query_rows` as ``score_triples``' are (on the subject
@@ -29,8 +30,7 @@ three steps.
    ``score_triples``, ``scorers.BLOCK_ROWS`` at a time, and counts when
    its score is ``>= T``. Filtered candidates and the target itself are
    excluded first.
-3. **Rank.** ``1 +`` the candidates that count. :func:`rank_triple` is the
-   one-triple case.
+3. **Rank.** ``1 +`` the candidates that count.
 
 Exactness rests on ``score_triples`` scoring each row independently of
 the other rows in the call, which the tests pin bitwise.
@@ -249,14 +249,26 @@ def _entity_stats(store: EmbeddingStore) -> tuple:
     return sq, float(np.max(norms[finite], initial=0.0)), np.flatnonzero(~finite)
 
 
-def rank_triple(g: KnowledgeGraph, store: EmbeddingStore, t, protocol: str = "filtered") -> RankResult:
-    """Filtered or raw head/tail ranks of one triple."""
+def rank_split(g: KnowledgeGraph, store: EmbeddingStore, split="test",
+               protocol: str = "filtered") -> np.ndarray:
+    """(n, 2) int64 head, tail ranks of ``split`` (a name or id rows), in split order."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}")
+    triples = g.split(split) if isinstance(split, str) else split
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    stats = _entity_stats(store)
+    ranks = np.empty((len(triples), 2), dtype=np.int64)
+    for i in range(0, len(triples), QUERY_BLOCK):
+        ranks[i:i + QUERY_BLOCK] = np.stack(_rank_block(
+            g, store, triples[i:i + QUERY_BLOCK], protocol == "filtered", stats), axis=1)
+    return ranks
+
+
+def rank_triple(g: KnowledgeGraph, store: EmbeddingStore, t, protocol: str = "filtered") -> RankResult:
+    """Filtered or raw head/tail ranks of one triple: :func:`rank_split` of one row."""
     spo = np.asarray(t, dtype=np.int64).reshape(1, 3)
-    head, tail = _rank_block(g, store, spo, protocol == "filtered", _entity_stats(store))
-    return RankResult(triple=tuple(int(x) for x in spo[0]), head_rank=int(head[0]),
-                      tail_rank=int(tail[0]), protocol=protocol)
+    head, tail = rank_split(g, store, spo, protocol)[0].tolist()
+    return RankResult(tuple(spo[0].tolist()), head, tail, protocol)
 
 
 def metrics_from_ranks(ranks, protocol: str) -> Metrics:
@@ -272,21 +284,8 @@ def metrics_from_ranks(ranks, protocol: str) -> Metrics:
 
 def evaluate_split(g: KnowledgeGraph, store: EmbeddingStore, split: str = "test",
                    protocol: str = "filtered") -> Metrics:
-    """Rank every triple of a split in both directions and aggregate.
-
-    Triples are ranked in blocks of ``QUERY_BLOCK``; the ranks are listed
-    head, tail per triple, in split order.
-    """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}")
-    triples = g.split(split) if isinstance(split, str) else np.asarray(split)
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    if len(triples) == 0:
+    """Metrics of :func:`rank_split`'s ranks, listed head, tail per triple in split order."""
+    ranks = rank_split(g, store, split, protocol)
+    if len(ranks) == 0:
         raise ValueError("cannot evaluate an empty split")
-    stats = _entity_stats(store)
-    ranks = np.empty((len(triples), 2), dtype=np.int64)
-    for i in range(0, len(triples), QUERY_BLOCK):
-        block = triples[i:i + QUERY_BLOCK]
-        ranks[i:i + QUERY_BLOCK] = np.stack(
-            _rank_block(g, store, block, protocol == "filtered", stats), axis=1)
     return metrics_from_ranks(ranks.reshape(-1), protocol)

@@ -29,7 +29,8 @@ MODEL_KINDS = ("transe", "distmult", "complex", "rotate")
 DISTANCE_MODELS = ("transe", "rotate")   # scores are -||query - candidate||
 UNIT_ROUNDOFF = 2.0 ** -53               # of float64
 
-_CKPT_MAGIC = b"KGSCKPT1"
+# Header length per checkpoint format: KGSCKPT2 appends the 32-byte id_space digest.
+_CKPT_MAGICS = {b"KGSCKPT1": 48, b"KGSCKPT2": 80}
 
 # Rows per block of score_triples, score_gradients and the loss pass, so
 # their temporaries stay cache-sized; 1024 read fastest of 512-4096 on a
@@ -45,6 +46,8 @@ class EmbeddingStore:
     dimension: int                 # K; complex models use 2K-wide entity rows
     entities: np.ndarray
     relations: np.ndarray
+    # sha256 of the names the rows belong to (cli.id_space_digest); None if unknown
+    id_space: bytes | None = None
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
@@ -52,6 +55,8 @@ class EmbeddingStore:
         ew, rw = row_widths(self.model_kind, self.dimension)
         if self.entities.shape[1] != ew or self.relations.shape[1] != rw:
             raise ValueError("embedding matrix widths do not match model kind")
+        if self.id_space is not None and len(self.id_space) != 32:
+            raise ValueError("id_space must be a 32-byte sha256 digest")
 
     @property
     def n_entities(self) -> int:
@@ -334,13 +339,15 @@ def atomic_open(path: str):
 def save_checkpoint(store: EmbeddingStore, path: str) -> None:
     """Binary checkpoint: header plus row-major little-endian float64 matrices.
 
-    The file is replaced atomically, so a crash mid-write leaves the
-    previous checkpoint intact.
+    The header is ``KGSCKPT2`` and ends in the store's ``id_space`` digest,
+    or ``KGSCKPT1`` without it when the store has none. The file is replaced
+    atomically, so a crash mid-write leaves the previous checkpoint intact.
     """
     kind_bytes = store.model_kind.encode("ascii").ljust(16, b"\0")
-    header = _CKPT_MAGIC + kind_bytes + struct.pack(
+    magic = b"KGSCKPT1" if store.id_space is None else b"KGSCKPT2"
+    header = magic + kind_bytes + struct.pack(
         "<QQQ", store.n_entities, store.n_relations, store.dimension
-    )
+    ) + (store.id_space or b"")
     with atomic_open(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(store.entities, dtype="<f8").tobytes())
@@ -348,21 +355,24 @@ def save_checkpoint(store: EmbeddingStore, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> EmbeddingStore:
+    """A ``KGSCKPT1`` or ``KGSCKPT2`` checkpoint; ``id_space`` is None for the former."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:8] != _CKPT_MAGIC:
+    start = _CKPT_MAGICS.get(blob[:8])
+    if start is None:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    if len(blob) < 48:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, header is 48)")
+    if len(blob) < start:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, header is {start})")
     kind = blob[8:24].rstrip(b"\0").decode("ascii", "replace")
     if kind not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     n_e, n_r, k = struct.unpack("<QQQ", blob[24:48])
     ew, rw = row_widths(kind, k)
-    need = 48 + 8 * (n_e * ew + n_r * rw)
+    need = start + 8 * (n_e * ew + n_r * rw)
     if len(blob) != need:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, expected {need})")
-    ent_end = 48 + 8 * n_e * ew
-    entities = np.frombuffer(blob[48:ent_end], dtype="<f8").reshape(n_e, ew).copy()
+        fault = "truncated checkpoint" if len(blob) < need else "checkpoint with trailing bytes"
+        raise ValueError(f"{path}: {fault} ({len(blob)} bytes, expected {need})")
+    ent_end = start + 8 * n_e * ew
+    entities = np.frombuffer(blob[start:ent_end], dtype="<f8").reshape(n_e, ew).copy()
     relations = np.frombuffer(blob[ent_end:], dtype="<f8").reshape(n_r, rw).copy()
-    return EmbeddingStore(kind, k, entities, relations)
+    return EmbeddingStore(kind, k, entities, relations, blob[48:start] or None)

@@ -2,12 +2,14 @@ import csv
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
+from kgsampler.cli import id_space_digest
 from kgsampler.graph import load_dataset
 from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy
 from kgsampler.scorers import initialize, load_checkpoint, save_checkpoint
@@ -134,6 +136,26 @@ class TestConfigResolution:
         loss = cli._train_config(resolve_config(str(ini))).loss_config
         assert loss.negatives_per_positive == 8
         assert loss.neighbors_loss_enabled is True
+
+
+    @pytest.mark.parametrize("text", [
+        b"epochs = 7\n",                            # no section header
+        b"[train]\nepochs = 7\nepochs = 8\n",       # a duplicate key
+        b"[train]\nepochs = %(missing)s\n",         # a bad interpolation
+        b"[train]\nepochs = \xff\xfe\n",             # bytes that do not decode
+    ], ids=["no_section_header", "duplicate_key", "bad_interpolation", "undecodable"])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, toy_dataset, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        with pytest.raises(ConfigError, match="run.ini"):
+            resolve_config(str(ini))
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(ini), "--dataset", toy_dataset,
+                     "--out", str(run_dir), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not run_dir.exists()
 
 
 class TestMakeToy:
@@ -429,6 +451,62 @@ class TestEvalCommand:
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         expected = (np.log(g.n_entities) + 0.5772) / g.n_entities
         assert record["mrr"] < 10 * expected
+
+
+    def test_id_space_digest_follows_the_ids(self, tmp_path):
+        """Equal for the same files; another digest when moved lines move the ids,
+        or when a name moves between the entity and the relation lists."""
+        def digest(name, train):
+            (tmp_path / name).mkdir()
+            for split, rows in (("train", train), ("valid", []), ("test", [])):
+                (tmp_path / name / f"{split}.txt").write_text(
+                    "".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+            return id_space_digest(load_dataset(str(tmp_path / name)))
+
+        rows = [("alice", "knows", "bob"), ("bob", "likes", "carol")]
+        first = digest("a", rows)
+        assert len(first) == 32 and digest("b", rows) == first
+        assert digest("moved", rows[::-1]) != first
+        # names a, b, c in order, split 2 + 1 and 1 + 2
+        assert digest("ab_c", [("a", "c", "b")]) != digest("a_bc", [("a", "b", "a"),
+                                                                  ("a", "c", "a")])
+
+    def test_moved_ids_are_a_data_error(self, tmp_path, toy_dataset, capsys):
+        """The same triples with train.txt's lines shuffled give entities other ids."""
+        code, run_dir = run_training(tmp_path, toy_dataset)
+        assert code == 0
+        ckpt = os.path.join(run_dir, "last.ckpt")
+        moved = tmp_path / "moved"
+        shutil.copytree(toy_dataset, moved)
+        lines = (moved / "train.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(lines))
+        (moved / "train.txt").write_text("".join(lines[i] for i in order), encoding="utf-8")
+        g, h = load_dataset(toy_dataset), load_dataset(str(moved))
+        assert (g.n_entities, g.n_relations) == (h.n_entities, h.n_relations)
+        assert g.entity_names != h.entity_names
+        capsys.readouterr()
+        assert main(["eval", "--dataset", str(moved), "--checkpoint", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert id_space_digest(g).hex() in err and id_space_digest(h).hex() in err
+        assert load_checkpoint(ckpt).id_space == id_space_digest(g)
+
+    def test_kgsckpt1_checkpoint_still_evaluates(self, tmp_path, toy_dataset, capsys, caplog):
+        """A checkpoint in the header format without the id-space digest loads, with a warning."""
+        assert run_training(tmp_path, toy_dataset)[0] == 0
+        new = tmp_path / "run" / "last.ckpt"
+        blob = new.read_bytes()
+        assert blob[:8] == b"KGSCKPT2"
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(b"KGSCKPT1" + blob[8:48] + blob[80:])   # the 48-byte header
+        records = []
+        for ckpt in (str(new), str(old)):
+            capsys.readouterr()
+            caplog.clear()
+            assert main(["eval", "--dataset", toy_dataset, "--checkpoint", ckpt]) == 0
+            records.append(capsys.readouterr().out)
+        assert records[0] == records[1]
+        assert "cannot be checked" in caplog.text and str(old) in caplog.text
 
 
 class TestStatsCommand:

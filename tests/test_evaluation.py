@@ -277,6 +277,74 @@ class TestBlockQueries:
             assert list(zip(head.tolist(), tail.tolist())) == want, protocol
 
 
+class TestRankSplit:
+    """``rank_split`` is the one rank path: its rows are the oracle's ranks, in split order."""
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_matches_brute_force_oracle_across_blocks(self, kind, monkeypatch):
+        g = random_graph(n_entities=50, n_relations=4, n_triples=300, seed=3,
+                         holdout_fraction=0.2)
+        store = initialize(g.n_entities, g.n_relations, kind, 6, seed=17)
+        monkeypatch.setattr(evaluation, "QUERY_BLOCK", 7)   # ragged blocks of a 60-row split
+        known = known_triples(g)
+        for protocol in ("raw", "filtered"):
+            got = evaluation.rank_split(g, store, "test", protocol)
+            assert got.dtype == np.int64 and got.shape == (len(g.test), 2)
+            want = [oracle_rank_triple(g, store, t, protocol, known) for t in g.test]
+            assert [tuple(row) for row in got.tolist()] == want, protocol
+            assert np.array_equal(evaluation.rank_split(g, store, g.test, protocol), got)
+            assert evaluate_split(g, store, "test", protocol) == metrics_from_ranks(
+                got.reshape(-1), protocol)
+
+    @pytest.mark.parametrize("variant", ["plain", "nonfinite"])
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_planted_ties_match_oracle(self, kind, variant):
+        g, store, test = planted_ties(kind, 6, nonfinite=variant == "nonfinite")
+        known = known_triples(g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for protocol in ("raw", "filtered"):
+                got = evaluation.rank_split(g, store, test, protocol).tolist()
+                want = [oracle_rank_triple(g, store, t, protocol, known) for t in test]
+                assert [tuple(row) for row in got] == want, protocol
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_tied_store_matches_oracle(self, kind):
+        """Every entity row equal, so every candidate ties and sits in the band."""
+        g = random_graph(600, 8, 6000, seed=7, holdout_fraction=0.02)
+        store = initialize(g.n_entities, g.n_relations, kind, 16, seed=8)
+        store.entities[:] = store.entities[0]
+        test = g.test[:12]
+        known = known_triples(g)
+        for protocol in ("raw", "filtered"):
+            got = evaluation.rank_split(g, store, test, protocol).tolist()
+            want = [oracle_rank_triple(g, store, t, protocol, known) for t in test]
+            assert [tuple(row) for row in got] == want, protocol
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex", "rotate"])
+    def test_rank_triple_is_its_one_row_case(self, kind):
+        g = random_graph(n_entities=40, n_relations=3, n_triples=200, seed=6,
+                         holdout_fraction=0.2)
+        store = initialize(g.n_entities, g.n_relations, kind, 4, seed=20)
+        for protocol in ("raw", "filtered"):
+            for t in g.test[:10]:
+                head, tail = evaluation.rank_split(g, store, [t], protocol)[0].tolist()
+                res = rank_triple(g, store, t, protocol)
+                assert res == evaluation.RankResult(tuple(t.tolist()), head, tail, protocol)
+                assert all(type(x) is int for x in (*res.triple, res.head_rank, res.tail_rank))
+
+    def test_empty_split_has_no_rows(self):
+        g = from_id_triples([(0, 0, 1)], n_entities=2, n_relations=1)
+        store = initialize(2, 1, "transe", 2, seed=0)
+        ranks = evaluation.rank_split(g, store, "test")
+        assert ranks.shape == (0, 2) and ranks.dtype == np.int64
+
+    def test_unknown_protocol(self):
+        g = from_id_triples([(0, 0, 1)], n_entities=2, n_relations=1, test=[(0, 0, 1)])
+        store = initialize(2, 1, "transe", 2, seed=0)
+        with pytest.raises(ValueError, match="protocol"):
+            evaluation.rank_split(g, store, "test", "bogus")
+
+
 class TestEvaluateSplit:
     def test_perfect_model_metrics(self):
         g = from_id_triples([(0, 0, 1)], n_entities=2, n_relations=1,

@@ -465,3 +465,38 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(str(path))
+
+    def test_trailing_bytes_are_not_called_truncated(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_store("transe", 3, seed=22), str(path))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            load_checkpoint(str(path))
+        assert "truncated" not in str(err.value)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_id_space_round_trip(self, tmp_path, kind):
+        """A store that names its id space writes KGSCKPT2 and loads it back; one that
+        does not writes the 48-byte KGSCKPT1 header."""
+        store = random_store(kind, 4, seed=25)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(store, str(path))
+        v1 = path.read_bytes()
+        assert v1[:8] == b"KGSCKPT1" and load_checkpoint(str(path)).id_space is None
+        store.id_space = bytes(range(32))
+        save_checkpoint(store, str(path))
+        v2 = path.read_bytes()
+        assert v2[:8] == b"KGSCKPT2" and v2[48:80] == store.id_space
+        assert v2[8:48] == v1[8:48] and v2[80:] == v1[48:]
+        loaded = load_checkpoint(str(path))
+        assert loaded.id_space == store.id_space
+        assert np.array_equal(loaded.entities, store.entities)
+        assert np.array_equal(loaded.relations, store.relations)
+        path.write_bytes(v2[:60])
+        with pytest.raises(ValueError, match="truncated checkpoint .*header is 80"):
+            load_checkpoint(str(path))
+
+    def test_id_space_must_be_a_sha256_digest(self):
+        store = random_store("distmult", 2, seed=26)
+        with pytest.raises(ValueError, match="id_space"):
+            EmbeddingStore("distmult", 2, store.entities, store.relations, b"short")
