@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .evaluation import evaluate_split
-from .graph import DataError, KnowledgeGraph, load_dataset, write_dictionaries
+from .graph import SPLIT_FILES, DataError, KnowledgeGraph, load_dataset, write_dictionaries
 from .losses import LossConfig
 from .samplers import SAMPLER_KINDS, SamplerPolicy, sample_minibatch, to_dot
 from .scorers import MODEL_KINDS, atomic_open, initialize, load_checkpoint, save_checkpoint
@@ -69,6 +69,16 @@ DEFAULTS = {
        for section, cls in _SECTIONS.items()},
 }
 
+# train's own flags, each the last override of one key; typed as the key's default
+TRAIN_FLAGS = {"--dataset": "dataset.name", "--data-root": "dataset.root",
+               "--model": "model.kind", "--dimension": "model.dimension",
+               "--sampler": "sampler.kind", "--batch-size": "sampler.batch_size",
+               "--epochs": "train.epochs", "--seed": "train.seed"}
+_FLAG_CHOICES = {"model.kind": MODEL_KINDS, "sampler.kind": SAMPLER_KINDS}
+
+TOY_GRAPHS = {"planted": planted_toy_graph, "dense": dense_sampler_graph,
+              "variance": variance_probe_graph}
+
 
 class ConfigError(Exception):
     pass
@@ -100,6 +110,18 @@ def _coerce(section, key, raw, default):
     return str(raw)
 
 
+def _ini_fault(exc) -> str:
+    """configparser's complaint on one line, led by its line number when it has one,
+    without the file name and the quoted raw line of configparser's own message."""
+    if isinstance(exc, (configparser.DuplicateSectionError, configparser.DuplicateOptionError)):
+        return f"line {exc.lineno}: {type(exc)(*exc.args[:-2])}"    # rebuilt without the source
+    if isinstance(exc, configparser.ParsingError):    # a missing section header is one
+        if hasattr(exc, "lineno"):    # its message's first line says what is wrong
+            return f"line {exc.lineno}: {str(exc).splitlines()[0]}"
+        return f"line {exc.errors[0][0]}: neither a [section] header nor a key = value line"
+    return str(exc)
+
+
 def resolve_config(config_file=None, overrides=()):
     """defaults < config file < overrides; unknown keys are errors."""
     config = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
@@ -118,7 +140,7 @@ def resolve_config(config_file=None, overrides=()):
                 for key, raw in parser.items(section):
                     apply(section, key, raw)
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{config_file}: {exc}") from exc
+            raise ConfigError(f"{config_file}: {_ini_fault(exc)}") from exc
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
@@ -186,13 +208,10 @@ def _save_manifest(run_dir, manifest) -> None:
 
 
 def cmd_train(args) -> int:
-    flags = (("dataset.name", args.dataset), ("dataset.root", args.data_root),
-             ("model.kind", args.model), ("model.dimension", args.dimension),
-             ("sampler.kind", args.sampler), ("sampler.batch_size", args.batch_size),
-             ("train.epochs", args.epochs), ("train.seed", args.seed))
     # the flags are overrides too, applied after --set
-    config = resolve_config(args.config, [*(args.set or []), *(
-        f"{dotted}={value}" for dotted, value in flags if value is not None)])
+    flags = [f"{dotted}={value}" for flag, dotted in TRAIN_FLAGS.items()
+             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None]
+    config = resolve_config(args.config, [*(args.set or []), *flags])
 
     try:    # bad values are usage errors, found before the dataset is read
         tconf = _train_config(config)
@@ -375,12 +394,7 @@ def cmd_viz(args) -> int:
 def cmd_make_toy(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed: seed must be >= 0")
-    makers = {
-        "planted": planted_toy_graph,
-        "dense": dense_sampler_graph,
-        "variance": variance_probe_graph,
-    }
-    g = makers[args.kind](seed=args.seed)
+    g = TOY_GRAPHS[args.kind](seed=args.seed)
     write_dataset(g, args.out)
     print(f"wrote {args.kind} graph to {args.out} "
           f"({g.n_entities} entities, {len(g.train)} train triples)")
@@ -400,14 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train embeddings")
     p.add_argument("--config", default=None, help="INI config file")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--data-root", default=None)
-    p.add_argument("--model", choices=MODEL_KINDS, default=None)
-    p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--sampler", choices=SAMPLER_KINDS, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for flag, dotted in TRAIN_FLAGS.items():
+        section, key = dotted.split(".")
+        p.add_argument(flag, type=type(DEFAULTS[section][key]), choices=_FLAG_CHOICES.get(dotted))
     p.add_argument("--out", default=None, help="run directory")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override any config value")
@@ -426,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="rank a split against a checkpoint")
     add_dataset_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_FILES, default="test")
     p.add_argument("--protocol", choices=("raw", "filtered"), default="filtered")
     p.set_defaults(fn=cmd_eval)
 
@@ -439,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_viz)
 
     p = sub.add_parser("make-toy", help="generate a bundled synthetic dataset")
-    p.add_argument("--kind", choices=("planted", "dense", "variance"), default="planted")
+    p.add_argument("--kind", choices=TOY_GRAPHS, default="planted")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_make_toy)

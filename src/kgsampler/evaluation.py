@@ -221,9 +221,9 @@ def _rank_block(g: KnowledgeGraph, store: EmbeddingStore, spo: np.ndarray, filte
     rows = np.arange(2 * n)
     ex_rows, ex_cols = [rows], [both[rows, sides]]
     if filtered:
-        for k, (indptr, ids) in enumerate((g.filter_subjects_batch(spo[:, 1], spo[:, 2]),
+        for k, (counts, ids) in enumerate((g.filter_subjects_batch(spo[:, 1], spo[:, 2]),
                                            g.filter_objects_batch(spo[:, 0], spo[:, 1]))):
-            ex_rows.append(np.repeat(rows[k * n:(k + 1) * n], np.diff(indptr)))
+            ex_rows.append(np.repeat(rows[k * n:(k + 1) * n], counts))
             ex_cols.append(ids)
     excluded = np.concatenate(ex_rows), np.concatenate(ex_cols)
     above[excluded] = False

@@ -69,10 +69,9 @@ class KnowledgeGraph:
         return len(self.train)
 
     def split(self, name: str) -> np.ndarray:
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
+        if name not in SPLIT_FILES:
             raise KeyError(f"unknown split {name!r}; expected train/valid/test")
+        return getattr(self, name)
 
     def incident(self, vertices: ArrayLike) -> tuple:
         """Incidence runs of ``vertices``, laid end to end, as ``(counts, ids)``.
@@ -94,14 +93,14 @@ class KnowledgeGraph:
         return self.filter_subjects_batch([r], [o])[1]
 
     def filter_objects_batch(self, s: ArrayLike, r: ArrayLike) -> tuple:
-        """Known objects of every pair (s[i], r[i]), as ``(indptr, ids)``.
+        """Known objects of every pair (s[i], r[i]), laid end to end, as ``(counts, ids)``.
 
-        The objects of pair i are ``ids[indptr[i]:indptr[i + 1]]``, sorted.
+        Run i holds the ``counts[i]`` objects of pair i, sorted, as in :meth:`incident`.
         """
         return self._key_runs(self.spo_keys, s, r)
 
     def filter_subjects_batch(self, r: ArrayLike, o: ArrayLike) -> tuple:
-        """Known subjects of every pair (r[i], o[i]), as ``(indptr, ids)``."""
+        """Known subjects of every pair (r[i], o[i]), as ``(counts, ids)``."""
         return self._key_runs(self.ors_keys, o, r)
 
     def _key_runs(self, keys: np.ndarray, head: ArrayLike, r: ArrayLike) -> tuple:
@@ -116,9 +115,7 @@ class KnowledgeGraph:
         lo = keys.searchsorted(base)
         hi = np.where(in_range, keys.searchsorted(base + (self.n_entities - 1), side="right"), lo)
         counts = hi - lo
-        indptr = np.zeros(len(head) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, keys[concat_ranges(lo, counts)] - np.repeat(base, counts)
+        return counts, keys[concat_ranges(lo, counts)] - np.repeat(base, counts)
 
     def contains_triples(self, spo: np.ndarray) -> np.ndarray:
         """Vectorized test: is each (s, r, o) row a known triple of train + valid + test?

@@ -29,8 +29,10 @@ MODEL_KINDS = ("transe", "distmult", "complex", "rotate")
 DISTANCE_MODELS = ("transe", "rotate")   # scores are -||query - candidate||
 UNIT_ROUNDOFF = 2.0 ** -53               # of float64
 
-# Header length per checkpoint format: KGSCKPT2 appends the 32-byte id_space digest.
-_CKPT_MAGICS = {b"KGSCKPT1": 48, b"KGSCKPT2": 80}
+# Checkpoint header: magic, NUL-padded ASCII model kind, entity and relation counts, K.
+# KGSCKPT2 follows it with the 32-byte id_space digest.
+_CKPT_HEADER = struct.Struct("<8s16sQQQ")
+_CKPT_DIGEST_BYTES = {b"KGSCKPT1": 0, b"KGSCKPT2": 32}
 
 # Rows per block of score_triples, score_gradients and the loss pass, so
 # their temporaries stay cache-sized; 1024 read fastest of 512-4096 on a
@@ -343,36 +345,37 @@ def save_checkpoint(store: EmbeddingStore, path: str) -> None:
     or ``KGSCKPT1`` without it when the store has none. The file is replaced
     atomically, so a crash mid-write leaves the previous checkpoint intact.
     """
-    kind_bytes = store.model_kind.encode("ascii").ljust(16, b"\0")
     magic = b"KGSCKPT1" if store.id_space is None else b"KGSCKPT2"
-    header = magic + kind_bytes + struct.pack(
-        "<QQQ", store.n_entities, store.n_relations, store.dimension
-    ) + (store.id_space or b"")
     with atomic_open(path) as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(store.entities, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(store.relations, dtype="<f8").tobytes())
+        fh.write(_CKPT_HEADER.pack(magic, store.model_kind.encode("ascii"), store.n_entities,
+                                   store.n_relations, store.dimension) + (store.id_space or b""))
+        for table in (store.entities, store.relations):
+            fh.write(np.ascontiguousarray(table, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> EmbeddingStore:
-    """A ``KGSCKPT1`` or ``KGSCKPT2`` checkpoint; ``id_space`` is None for the former."""
+    """A ``KGSCKPT1`` or ``KGSCKPT2`` checkpoint (``id_space`` None for the former); the
+    file's size is checked before the tables are read straight into their arrays."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    start = _CKPT_MAGICS.get(blob[:8])
-    if start is None:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    if len(blob) < start:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, header is {start})")
-    kind = blob[8:24].rstrip(b"\0").decode("ascii", "replace")
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
-    n_e, n_r, k = struct.unpack("<QQQ", blob[24:48])
-    ew, rw = row_widths(kind, k)
-    need = start + 8 * (n_e * ew + n_r * rw)
-    if len(blob) != need:
-        fault = "truncated checkpoint" if len(blob) < need else "checkpoint with trailing bytes"
-        raise ValueError(f"{path}: {fault} ({len(blob)} bytes, expected {need})")
-    ent_end = start + 8 * n_e * ew
-    entities = np.frombuffer(blob[start:ent_end], dtype="<f8").reshape(n_e, ew).copy()
-    relations = np.frombuffer(blob[ent_end:], dtype="<f8").reshape(n_r, rw).copy()
-    return EmbeddingStore(kind, k, entities, relations, blob[48:start] or None)
+        size = os.fstat(fh.fileno()).st_size
+        # a file shorter than the header is padded to unpack; only its magic is read before its size
+        magic, kind, n_e, n_r, k = _CKPT_HEADER.unpack(
+            fh.read(_CKPT_HEADER.size).ljust(_CKPT_HEADER.size, b"\0"))
+        if magic not in _CKPT_DIGEST_BYTES:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        start = _CKPT_HEADER.size + _CKPT_DIGEST_BYTES[magic]
+        if size < start:
+            raise ValueError(f"{path}: truncated checkpoint ({size} bytes, header is {start})")
+        id_space = fh.read(_CKPT_DIGEST_BYTES[magic]) or None
+        kind = kind.rstrip(b"\0").decode("ascii", "replace")
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"{path}: unknown model kind {kind!r}")
+        ew, rw = row_widths(kind, k)
+        need = start + 8 * (n_e * ew + n_r * rw)
+        if size != need:
+            fault = "truncated checkpoint" if size < need else "checkpoint with trailing bytes"
+            raise ValueError(f"{path}: {fault} ({size} bytes, expected {need})")
+        # a file that shrank since its size was read comes up short and does not reshape
+        entities = np.fromfile(fh, "<f8", n_e * ew).reshape(n_e, ew)
+        relations = np.fromfile(fh, "<f8", n_r * rw).reshape(n_r, rw)
+    return EmbeddingStore(kind, k, entities, relations, id_space)

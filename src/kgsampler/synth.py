@@ -6,7 +6,18 @@ import os
 
 import numpy as np
 
-from .graph import KnowledgeGraph, from_id_triples, pack_triples, sorted_unique, unpack_triples
+from .graph import (SPLIT_FILES, KnowledgeGraph, from_id_triples, pack_triples, sorted_unique,
+                    unpack_triples)
+
+
+def _holdout_graph(rows: np.ndarray, n_entities: int, n_relations: int,
+                   holdout_fraction: float) -> KnowledgeGraph:
+    """A graph of the shuffled (n, 3) ``rows``: the first round(fraction · n) are held out,
+    their first half as valid and the rest as test, and the remaining rows train."""
+    n_hold = int(round(holdout_fraction * len(rows)))
+    half = n_hold // 2
+    return from_id_triples(rows[n_hold:], n_entities, n_relations,
+                           valid=rows[:half], test=rows[half:n_hold])
 
 
 def planted_toy_graph(n_entities: int = 200, step: int = 7, holdout_fraction: float = 0.10,
@@ -22,24 +33,11 @@ def planted_toy_graph(n_entities: int = 200, step: int = 7, holdout_fraction: fl
     if n_entities % 2:
         raise ValueError("need an even entity count for the antipode relation")
     n = n_entities
-    triples = []
-    for i in range(n):
-        triples.append((i, 0, (i + n // 2) % n))
-        triples.append((i, 1, (i + step) % n))
-        triples.append((i, 2, (i + 2 * step) % n))
+    # rows (i, 0, i + n/2), (i, 1, i + step), (i, 2, i + 2·step) mod n, for each i in turn
+    head, r = np.repeat(np.arange(n), 3), np.tile(np.arange(3), n)
+    triples = np.stack([head, r, (head + np.array([n // 2, step, 2 * step])[r]) % n], axis=1)
     rng = np.random.default_rng(seed)
-    triples = np.asarray(triples, dtype=np.int64)
-    order = rng.permutation(len(triples))
-    n_hold = int(round(holdout_fraction * len(triples)))
-    held, kept = order[:n_hold], order[n_hold:]
-    half = len(held) // 2
-    return from_id_triples(
-        train=triples[kept],
-        n_entities=n,
-        n_relations=3,
-        valid=triples[held[:half]],
-        test=triples[held[half:]],
-    )
+    return _holdout_graph(triples[rng.permutation(len(triples))], n, 3, holdout_fraction)
 
 
 def random_graph(n_entities: int, n_relations: int, n_triples: int,
@@ -58,16 +56,7 @@ def random_graph(n_entities: int, n_relations: int, n_triples: int,
         cand = pack_triples(s, r, o, n_entities, n_relations)[s != o]
         keys = sorted_unique(np.concatenate([keys, cand]))
     rows = unpack_triples(keys[rng.permutation(len(keys))[:n_triples]], n_entities, n_relations)
-    n_hold = int(round(holdout_fraction * n_triples))
-    held, kept = rows[:n_hold], rows[n_hold:]
-    half = len(held) // 2
-    return from_id_triples(
-        train=kept,
-        n_entities=n_entities,
-        n_relations=n_relations,
-        valid=held[:half],
-        test=held[half:],
-    )
+    return _holdout_graph(rows, n_entities, n_relations, holdout_fraction)
 
 
 def dense_sampler_graph(seed: int = 0) -> KnowledgeGraph:
@@ -83,7 +72,7 @@ def variance_probe_graph(seed: int = 0) -> KnowledgeGraph:
 def write_dataset(g: KnowledgeGraph, directory: str) -> None:
     """Write a graph as tab-separated train/valid/test triple files."""
     os.makedirs(directory, exist_ok=True)
-    for name, arr in (("train.txt", g.train), ("valid.txt", g.valid), ("test.txt", g.test)):
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            for s, r, o in arr:
+    for split, fname in SPLIT_FILES.items():
+        with open(os.path.join(directory, fname), "w", encoding="utf-8") as fh:
+            for s, r, o in g.split(split):
                 fh.write(f"{g.entity_names[s]}\t{g.relation_names[r]}\t{g.entity_names[o]}\n")

@@ -138,13 +138,13 @@ class TestConfigResolution:
         assert loss.neighbors_loss_enabled is True
 
 
-    @pytest.mark.parametrize("text", [
-        b"epochs = 7\n",                            # no section header
-        b"[train]\nepochs = 7\nepochs = 8\n",       # a duplicate key
-        b"[train]\nepochs = %(missing)s\n",         # a bad interpolation
-        b"[train]\nepochs = \xff\xfe\n",             # bytes that do not decode
+    @pytest.mark.parametrize("text, line", [
+        (b"epochs = 7\n", 1),                          # no section header
+        (b"[train]\nepochs = 7\nepochs = 8\n", 3),     # a duplicate key
+        (b"[train]\nepochs = %(missing)s\n", None),   # a bad interpolation
+        (b"[train]\nepochs = \xff\xfe\n", None),       # bytes that do not decode
     ], ids=["no_section_header", "duplicate_key", "bad_interpolation", "undecodable"])
-    def test_malformed_ini_is_a_config_error(self, tmp_path, toy_dataset, capsys, text):
+    def test_malformed_ini_is_a_config_error(self, tmp_path, toy_dataset, capsys, text, line):
         ini = tmp_path / "run.ini"
         ini.write_bytes(text)
         with pytest.raises(ConfigError, match="run.ini"):
@@ -156,6 +156,11 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not run_dir.exists()
+        # one line that names the file once, then its line number if configparser has one,
+        # and does not quote the raw line
+        assert err.endswith("\n") and err.count("\n") == 1 and err.count("run.ini") == 1
+        assert err.startswith(f"config error: {ini}: " + (f"line {line}: " if line else ""))
+        assert "epochs = " not in err
 
 
 class TestMakeToy:
@@ -353,23 +358,35 @@ class TestTrainCommand:
         assert os.path.getsize(run_dir) == 0
 
     def test_flags_apply_after_set_and_write_the_config_set_writes(self, tmp_path, toy_dataset):
-        def run(name, *extra):
+        def run(name, *args):
             run_dir = str(tmp_path / name)
-            assert main(["train", "--dataset", toy_dataset, "--model", "distmult",
-                         "--batch-size", "128", "--out", run_dir,
-                         "--set", "loss.negatives=8", *extra]) == 0
+            assert main(["train", *args, "--out", run_dir, "--set", "loss.negatives=8"]) == 0
             return run_dir
 
-        one = run("one", "--dimension", "8", "--epochs", "1", "--set", "train.epochs=5")
+        one = run("one", "--dataset", toy_dataset, "--model", "distmult", "--batch-size", "128",
+                  "--dimension", "8", "--epochs", "1", "--set", "train.epochs=5")
         assert len(read_text(os.path.join(one, "train_log.jsonl")).splitlines()) == 1
-        flags = run("flags", "--epochs", "1", "--dimension", "8", "--seed", "3")
-        sets = run("sets", "--epochs", "1", "--set", "model.dimension=8",
-                   "--set", "train.seed=3")
+        # every one of the eight flags, each away from its default, against the same
+        # values as --set; --data-root with a bare --dataset name
+        settings = {"--dataset": ("dataset.name", os.path.basename(toy_dataset)),
+                    "--data-root": ("dataset.root", os.path.dirname(toy_dataset)),
+                    "--model": ("model.kind", "transe"), "--dimension": ("model.dimension", "6"),
+                    "--sampler": ("sampler.kind", "rw"),
+                    "--batch-size": ("sampler.batch_size", "64"),
+                    "--epochs": ("train.epochs", "1"), "--seed": ("train.seed", "5")}
+        assert sorted(settings) == sorted(cli.TRAIN_FLAGS)
+        flags = run("flags", *[arg for flag, (_, value) in settings.items()
+                               for arg in (flag, value)])
+        sets = run("sets", *[arg for dotted, value in settings.values()
+                             for arg in ("--set", f"{dotted}={value}")])
         configs = [json.loads(read_text(os.path.join(d, "manifest.json")))["config"]
                    for d in (flags, sets)]
         # the JSON text, so that an int written as a float or a string shows
         assert json.dumps(configs[0], sort_keys=True) == json.dumps(configs[1], sort_keys=True)
-        assert configs[0]["model"]["dimension"] == 8 and configs[0]["train"]["seed"] == 3
+        for dotted, value in settings.values():
+            section, key = dotted.split(".")
+            got = configs[0][section][key]
+            assert str(got) == value and got != cli.DEFAULTS[section][key]
 
     def test_missing_dataset_exits_data_error(self, tmp_path):
         code = main(["train", "--dataset", "no-such-dataset",

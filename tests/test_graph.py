@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,13 @@ from kgsampler.graph import (
     unpack_triples,
     write_dictionaries,
 )
-from kgsampler.synth import random_graph, write_dataset
+from kgsampler.synth import (
+    dense_sampler_graph,
+    planted_toy_graph,
+    random_graph,
+    variance_probe_graph,
+    write_dataset,
+)
 
 from conftest import induced_rows, known_triples, random_id_triples
 
@@ -508,6 +515,35 @@ def reference_random_graph(n_entities, n_relations, n_triples, seed, holdout_fra
     return (kept, held[:n_hold // 2], held[n_hold // 2:]), rounds
 
 
+def split_digest(g):
+    """sha256 over the entity and relation counts, then each split's little-endian int64 rows."""
+    h = hashlib.sha256(b"%d %d;" % (g.n_entities, g.n_relations))
+    for split in (g.train, g.valid, g.test):
+        h.update(np.ascontiguousarray(split, dtype="<i8").tobytes() + b";")
+    return h.hexdigest()
+
+
+# The recorded splits of the bundled generators. A change that moves these bits changes
+# every synthetic dataset, and the benchmark's reference numbers with them: it must say
+# so and re-record them.
+SYNTH_DIGESTS = {
+    "planted": (lambda: planted_toy_graph(seed=0),
+                "62eec4d96bed2781328c336b3a09ab64c1b280693654f1a14e144ff9513b9d89"),
+    "dense": (dense_sampler_graph,
+              "30498df47a1de761394cf343fb8d9719dd859e0fe329d1fab71e2978291eda38"),
+    "variance": (variance_probe_graph,
+                 "089e08bfba65be214548257f71e0572df40d1fd92271b886655e1bf750a9f241"),
+    "random_holdout": (lambda: random_graph(300, 4, 2000, seed=5, holdout_fraction=0.1),
+                       "a2e6b2e45392de864b3531a0da48b2ab60cdc48fd9e9991e08f3ce31ac087be1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_DIGESTS))
+def test_synthetic_splits_equal_the_recorded_digests(name):
+    make, digest = SYNTH_DIGESTS[name]
+    assert split_digest(make()) == digest
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("holdout", [0.1, 0.35])
 def test_random_graph_equals_row_unique_reference(seed, holdout):
@@ -559,17 +595,18 @@ def test_known_triple_index_matches_brute_force(g):
     pairs += [(s - 1, r + R) for s, r, o in known] + [(s + 1, r - R) for s, r, o in known]
     pairs += [(-1, 0), (0, -1), (E, 0), (0, R), (E, R)]
     heads, rels = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    obj_ptr, objs = g.filter_objects_batch(heads, rels)
-    subj_ptr, subjs = g.filter_subjects_batch(rels, heads)
-    assert objs.dtype == subjs.dtype == np.int64
-    assert len(obj_ptr) == len(subj_ptr) == len(pairs) + 1
-    for i, (a, r) in enumerate(pairs):
-        assert objs[obj_ptr[i]:obj_ptr[i + 1]].tolist() == sorted(
-            o for s, q, o in known if (s, q) == (a, r))
-        assert subjs[subj_ptr[i]:subj_ptr[i + 1]].tolist() == sorted(
-            s for s, q, o in known if (q, o) == (r, a))
-    for ptr, found in (g.filter_objects_batch([], []), g.filter_subjects_batch([], [])):
-        assert ptr.tolist() == [0] and len(found) == 0
+    obj_counts, objs = g.filter_objects_batch(heads, rels)
+    subj_counts, subjs = g.filter_subjects_batch(rels, heads)
+    assert objs.dtype == subjs.dtype == obj_counts.dtype == subj_counts.dtype == np.int64
+    want_objs = [sorted(o for s, q, o in known if (s, q) == (a, r)) for a, r in pairs]
+    want_subjs = [sorted(s for s, q, o in known if (q, o) == (r, a)) for a, r in pairs]
+    # the runs laid end to end, pair by pair, each run's length its pair's count
+    assert obj_counts.tolist() == [len(run) for run in want_objs]
+    assert subj_counts.tolist() == [len(run) for run in want_subjs]
+    assert objs.tolist() == [o for run in want_objs for o in run]
+    assert subjs.tolist() == [s for run in want_subjs for s in run]
+    for counts, found in (g.filter_objects_batch([], []), g.filter_subjects_batch([], [])):
+        assert len(counts) == len(found) == 0
 
 
 def test_contains_triples_unsorted_keys_with_duplicates():

@@ -496,6 +496,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated checkpoint .*header is 80"):
             load_checkpoint(str(path))
 
+    def test_save_and_load_hold_no_second_copy_of_the_tables(self, tmp_path):
+        """Under tracemalloc, a save peaks below a tenth of the tables' bytes and a load,
+        which returns the tables, below 1.1 times them."""
+        rng = np.random.default_rng(27)
+        store = EmbeddingStore("distmult", 64, rng.normal(size=(4096, 64)),
+                               rng.normal(size=(16, 64)), bytes(range(32)))
+        tables = store.entities.nbytes + store.relations.nbytes
+        path = str(tmp_path / "model.ckpt")
+        peaks = []
+        for call in (lambda: save_checkpoint(store, path), lambda: load_checkpoint(path)):
+            tracemalloc.start()
+            try:
+                loaded = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1 * tables and peaks[1] < 1.1 * tables
+        assert np.array_equal(loaded.entities, store.entities)
+        assert np.array_equal(loaded.relations, store.relations)
+
     def test_id_space_must_be_a_sha256_digest(self):
         store = random_store("distmult", 2, seed=26)
         with pytest.raises(ValueError, match="id_space"):
