@@ -13,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -94,12 +95,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _coerce(section, key, raw, default):
     if isinstance(default, bool):
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"invalid boolean for {section}.{key}: {raw!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
+        except KeyError:
+            raise ConfigError(f"invalid boolean for {section}.{key}: {raw!r}") from None
     try:
         if isinstance(default, int) and not isinstance(default, bool):
             return int(raw)
@@ -232,7 +231,17 @@ def cmd_train(args) -> int:
     run_dir = args.out or os.path.join(
         "runs", f"{config['dataset']['name'] or 'dataset'}-"
                 f"{config['model']['kind']}-{config['sampler']['kind']}-{stamp}")
-    os.makedirs(run_dir, exist_ok=True)
+    if args.out:
+        os.makedirs(run_dir, exist_ok=True)
+    else:    # a new directory: a run started in the same second gets a -2, -3, ... suffix
+        base = run_dir
+        os.makedirs(os.path.dirname(base), exist_ok=True)
+        for n in itertools.count(2):
+            try:
+                os.mkdir(run_dir)
+                break
+            except FileExistsError:
+                run_dir = f"{base}-{n}"
     manifest = {
         "tool_version": __version__,
         "config": config,

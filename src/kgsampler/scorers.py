@@ -322,8 +322,9 @@ def atomic_open(path: str):
     """Binary file handle whose contents replace ``path`` only once complete.
 
     Writes go to ``path + ".tmp"`` in the same directory, which is synced
-    and then renamed over ``path``; if the block raises, ``path`` keeps its
-    previous contents and the temp file is removed.
+    and then renamed over ``path``, and the directory is synced so that the
+    rename itself survives a power loss; if the block raises, ``path`` keeps
+    its previous contents and the temp file is removed.
     """
     tmp = f"{path}.tmp"
     fh = open(tmp, "wb")
@@ -336,6 +337,11 @@ def atomic_open(path: str):
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save_checkpoint(store: EmbeddingStore, path: str) -> None:

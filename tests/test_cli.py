@@ -12,7 +12,7 @@ from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.cli import id_space_digest
 from kgsampler.graph import load_dataset
 from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy
-from kgsampler.scorers import initialize, load_checkpoint, save_checkpoint
+from kgsampler.scorers import MODEL_KINDS, initialize, load_checkpoint, save_checkpoint
 from kgsampler.stats import (
     averaged_distribution,
     distribution_rows,
@@ -46,6 +46,11 @@ def toy_dataset(tmp_path):
     out = tmp_path / "toy"
     assert main(["make-toy", "--kind", "planted", "--out", str(out), "--seed", "1"]) == 0
     return str(out)
+
+
+# the eight spellings a boolean config value may take, in any case and padding
+BOOLEAN_SPELLINGS = {"1": True, "yes": True, "true": True, "on": True,
+                     "0": False, "no": False, "false": False, "off": False}
 
 
 def run_training(tmp_path, toy_dataset, extra=()):
@@ -83,11 +88,20 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="sampler.bogus"):
             resolve_config(None, ["sampler.bogus=1"])
 
-    def test_bool_coercion(self):
-        config = resolve_config(None, ["loss.neighbors_loss=true"])
-        assert config["loss"]["neighbors_loss"] is True
-        with pytest.raises(ConfigError):
-            resolve_config(None, ["loss.neighbors_loss=maybe"])
+    @pytest.mark.parametrize("raw, value", [
+        *[pytest.param(form, value, id=name) for spelling, value in BOOLEAN_SPELLINGS.items()
+          for name, form in {spelling: spelling, spelling.upper(): spelling.upper(),
+                             f"padded-{spelling}": f" {spelling}\t"}.items()],
+        pytest.param("maybe", None, id="maybe"),
+    ])
+    def test_bool_coercion(self, raw, value):
+        overrides = [f"loss.neighbors_loss={raw}"]
+        if value is None:
+            message = f"invalid boolean for loss.neighbors_loss: {raw!r}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                resolve_config(None, overrides)
+        else:
+            assert resolve_config(None, overrides)["loss"]["neighbors_loss"] is value
 
     def test_defaults_pin_the_schema(self):
         """Keys come from the dataclass fields: a field that gains or loses a default shows here."""
@@ -220,6 +234,52 @@ class TestTrainCommand:
         assert not [f for f in os.listdir(run_dir) if f.endswith(".tmp")]
         store = load_checkpoint(os.path.join(run_dir, "last.ckpt"))
         assert store.model_kind == "distmult"
+
+    @pytest.mark.parametrize("extra, expected", [
+        # the loss's query backward is per model
+        *[pytest.param(["--model", kind], {"model.kind": kind}, id=kind) for kind in MODEL_KINDS],
+        # a walk sampler that reads the visited entities' incidence runs for two rules
+        pytest.param(["--sampler", "rwisg_n"], {"sampler.kind": "rwisg_n"}, id="rwisg_n"),
+        # a cap of 2 truncates most of the toy graph's neighbor sets
+        pytest.param(["--set", "loss.neighbors_loss=true", "--set", "loss.neighbor_cap=2"],
+                     {"loss.neighbors_loss": True, "loss.neighbor_cap": 2}, id="neighbors_loss"),
+        # the SGD step and the unit-ball projection, each over chunks of the touched rows
+        pytest.param(["--set", "train.optimizer=sgd"], {"train.optimizer": "sgd"}, id="sgd"),
+        pytest.param(["--set", "train.normalize_entities=true"],
+                     {"train.normalize_entities": True}, id="normalize_entities"),
+        # an INI file's renamed loss key and a train key
+        pytest.param(["--config", "run.ini"],
+                     {"loss.neighbors_loss": True, "train.learning_rate": 0.01}, id="config_file"),
+    ])
+    def test_one_epoch_trains(self, tmp_path, toy_dataset, monkeypatch, extra, expected):
+        monkeypatch.chdir(tmp_path)    # --config names a file here
+        (tmp_path / "run.ini").write_text("[loss]\nneighbors_loss = yes\n"
+                                          "[train]\nlearning_rate = 0.01\n")
+        code, run_dir = run_training(tmp_path, toy_dataset, [*extra, "--epochs", "1"])
+        assert code == 0
+        records = [json.loads(line)
+                   for line in read_text(os.path.join(run_dir, "train_log.jsonl")).splitlines()]
+        assert len(records) == 1 and np.isfinite(records[0]["mean_loss"])
+        assert os.path.getsize(os.path.join(run_dir, "last.ckpt")) > 0
+        config = json.loads(read_text(os.path.join(run_dir, "manifest.json")))["config"]
+        for dotted, value in expected.items():
+            section, key = dotted.split(".")
+            assert config[section][key] == value and type(config[section][key]) is type(value)
+
+    def test_runs_started_in_one_second_get_their_own_directories(self, tmp_path, toy_dataset,
+                                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)    # the default run directories go under ./runs
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-120000")
+        for seed in ("1", "2", "3"):
+            assert main(["train", "--dataset", os.path.basename(toy_dataset),
+                         "--data-root", str(tmp_path), "--model", "distmult",
+                         "--dimension", "8", "--epochs", "1", "--seed", seed]) == 0
+        base = os.path.join("runs", "toy-distmult-sr-20260101-120000")
+        run_dirs = [base, f"{base}-2", f"{base}-3"]
+        assert capsys.readouterr().out.splitlines() == [f"run directory: {d}" for d in run_dirs]
+        assert sorted(os.listdir("runs")) == [os.path.basename(d) for d in run_dirs]
+        seeds = [json.loads(read_text(os.path.join(d, "manifest.json")))["seed"] for d in run_dirs]
+        assert seeds == [1, 2, 3]
 
     @pytest.mark.parametrize("kind, epochs, reason", [
         ("dense", "2", "empty valid split"),
@@ -527,11 +587,17 @@ class TestEvalCommand:
 
 
 class TestStatsCommand:
-    def test_summary(self, toy_dataset, capsys):
-        assert main(["stats", "--dataset", toy_dataset, "--summary"]) == 0
+    @pytest.mark.parametrize("kind, lines", [
+        ("planted", ["entities:   200", "relations:  3"]),
+        ("variance", ["train:      6000"]),    # the key-based random graph generator's
+    ], ids=["planted", "variance"])
+    def test_summary(self, tmp_path, capsys, kind, lines):
+        dataset = str(tmp_path / kind)
+        assert main(["make-toy", "--kind", kind, "--out", dataset, "--seed", "1"]) == 0
+        assert main(["stats", "--dataset", dataset, "--summary"]) == 0
         out = capsys.readouterr().out
-        assert "entities:   200" in out
-        assert "relations:  3" in out
+        for line in lines:
+            assert line in out
 
     def test_csv_outputs(self, tmp_path, toy_dataset):
         out = str(tmp_path / "stats")

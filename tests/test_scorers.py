@@ -1,4 +1,5 @@
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -424,6 +425,19 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(str(path))
+
+    def test_rename_is_synced_through_the_directory(self, tmp_path, monkeypatch):
+        """After the replace, the directory is synced, so the rename survives a power loss."""
+        path = tmp_path / "model.ckpt"
+        synced = []    # (a directory?, the checkpoint in place?) per fsync
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", spy)
+        save_checkpoint(random_store("transe", 3, seed=25), str(path))
+        assert synced == [(False, False), (True, True)]
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
