@@ -17,7 +17,6 @@ import itertools
 import json
 import logging
 import os
-import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -229,7 +228,7 @@ def cmd_train(args) -> int:
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = args.out or os.path.join(
-        "runs", f"{config['dataset']['name'] or 'dataset'}-"
+        "runs", f"{os.path.basename(os.path.abspath(dataset_dir))}-"
                 f"{config['model']['kind']}-{config['sampler']['kind']}-{stamp}")
     if args.out:
         os.makedirs(run_dir, exist_ok=True)
@@ -264,18 +263,9 @@ def cmd_train(args) -> int:
     log_fh = open(log_path, "w", encoding="utf-8")
 
     def on_epoch(epoch, current_store, record):
-        if epoch % tconf.eval_every == 0 and len(g.valid):
-            t0 = time.perf_counter()
-            metrics = evaluate_split(g, current_store, "valid", "filtered")
-            valid_s = time.perf_counter() - t0
-            log.info("epoch %d valid (%.2f s): %s", epoch, valid_s, metrics.as_json_line())
-            record = {**record, "valid": metrics.as_record(), "valid_s": valid_s}
-            if not best or metrics.mrr > best["mrr"]:
-                best.update(mrr=metrics.mrr, epoch=epoch)
-                save_checkpoint(current_store, os.path.join(run_dir, "best.ckpt"))
-        # read after the validation pass, to cover it; KiB on Linux, bytes on macOS
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        record = {**record, "peak_rss_mb": peak / (2 ** 20 if sys.platform == "darwin" else 1024)}
+        if "valid" in record and (not best or record["valid"]["mrr"] > best["mrr"]):
+            best.update(mrr=record["valid"]["mrr"], epoch=epoch)
+            save_checkpoint(current_store, os.path.join(run_dir, "best.ckpt"))
         log_fh.write(json.dumps(record) + "\n")
         log_fh.flush()
 

@@ -193,25 +193,29 @@ def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
     if not os.path.isfile(path):
         raise DataError(f"missing split file: {path}")
     ids = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3:
-                if cols == [""]:    # a blank line
-                    continue
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, "
-                                f"got {len(cols)}")
-            s_name, r_name, o_name = cols
-            s = entity_ids.get(s_name)
-            if s is None:
-                s = entity_ids[s_name] = len(entity_ids)
-            r = relation_ids.get(r_name)
-            if r is None:
-                r = relation_ids[r_name] = len(relation_ids)
-            o = entity_ids.get(o_name)
-            if o is None:
-                o = entity_ids[o_name] = len(entity_ids)
-            ids += s, r, o
+    try:    # a leading byte-order mark is not part of the first name
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                cols = line.rstrip("\n").split("\t")
+                if len(cols) != 3:
+                    if cols == [""]:    # a blank line
+                        continue
+                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, "
+                                    f"got {len(cols)}")
+                s_name, r_name, o_name = cols
+                s = entity_ids.get(s_name)
+                if s is None:
+                    s = entity_ids[s_name] = len(entity_ids)
+                r = relation_ids.get(r_name)
+                if r is None:
+                    r = relation_ids[r_name] = len(relation_ids)
+                o = entity_ids.get(o_name)
+                if o is None:
+                    o = entity_ids[o_name] = len(entity_ids)
+                ids += s, r, o
+    except UnicodeDecodeError as exc:    # the decoder reads in chunks: no exact line
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}, "
+                        f"byte {exc.object[exc.start:exc.end]!r})") from exc
     return np.array(ids, dtype=np.int64).reshape(-1, 3)
 
 

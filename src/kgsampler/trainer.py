@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import evaluate_split
 from .graph import KnowledgeGraph
 from .losses import LossConfig, minibatch_loss_and_grads, SparseGrads
 from .samplers import SamplerPolicy, epoch_iterator, sample_minibatch
@@ -151,18 +154,19 @@ def _project_to_unit_ball(store: EmbeddingStore, ids: np.ndarray):
 
 def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
           epoch_callback=None):
-    """Run the training loop; returns the store and per-epoch log records.
+    """Run the training loop; returns the store and the per-epoch records.
 
     Each epoch draws its batches from the configured sampling policy,
     corrupts them, and applies one optimizer step per batch touching only
-    the rows that received gradient. The logged ``mean_loss`` is the epoch
-    loss per positive triple. Each record also counts the epoch's positives,
-    its smallest and largest batch; summed over batches, the scored rows
-    (positives plus valid negatives), the negatives that filtered corruption
-    could not draw, the entity and relation rows that received gradient and
-    the walk restarts; and the mean E[D] of the batches. A non-finite loss
-    aborts with the offending batch attached to the raised
-    :class:`NumericalError`.
+    the rows that received gradient. A record holds ``mean_loss``, the loss
+    per positive triple; the epoch's positives, smallest and largest batch;
+    summed over batches, the scored rows (positives plus valid negatives),
+    the negatives filtered corruption could not draw, the entity and
+    relation rows that received gradient and the walk restarts; the mean
+    E[D] of the batches; every ``eval_every`` epochs, if the valid split is
+    non-empty, its filtered metrics and their seconds; and the peak RSS.
+    ``epoch_callback`` gets each record as made. A non-finite loss aborts
+    with the offending batch attached to the raised :class:`NumericalError`.
     """
     optimizer = make_optimizer(store, config)
     ss = np.random.SeedSequence(config.seed)
@@ -215,6 +219,15 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
         records.append(record)
         log.info("epoch %d: mean loss %.6f (%d batches, %.2fs)",
                  epoch, record["mean_loss"], record["batches"], record["wall_time_s"])
+        if epoch % config.eval_every == 0 and len(g.valid):
+            t0 = time.perf_counter()
+            metrics = evaluate_split(g, store, "valid", "filtered")
+            record["valid"], record["valid_s"] = metrics.as_record(), time.perf_counter() - t0
+            log.info("epoch %d valid (%.2f s): %s", epoch, record["valid_s"],
+                     metrics.as_json_line())
+        # read after the validation pass, to cover it; KiB on Linux, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        record["peak_rss_mb"] = peak / (2 ** 20 if sys.platform == "darwin" else 1024)
         if epoch_callback is not None:
             epoch_callback(epoch, store, record)
     return store, records

@@ -1,7 +1,13 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
 from kgsampler.graph import from_id_triples, induced_ids
+from kgsampler.samplers import SAMPLER_KINDS
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 @pytest.fixture
@@ -37,6 +43,19 @@ def chi_square(counts) -> float:
 
 # Upper 0.1% points of the chi-square distribution with 9, 19 and 29 degrees of freedom.
 CHI2_CRIT = {9: 27.88, 19: 43.82, 29: 58.30}
+
+
+def readme_record_keys():
+    """The epoch record keys the README lists: every epoch's, and an evaluation epoch's
+    extra ones."""
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    every = text.split("holds one JSON record per epoch (")[1].split("); on evaluation epochs")[0]
+    extra = text.split("on evaluation epochs it also carries")[1].split(". Checkpoints")[0]
+
+    def names(part):    # the restarts entry names the `sr` sampler
+        return set(re.findall(r"`(\w+)`", part)) - set(SAMPLER_KINDS)
+    return names(every), names(extra)
 
 
 def known_triples(g):

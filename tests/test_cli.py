@@ -11,7 +11,7 @@ from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.cli import id_space_digest
 from kgsampler.graph import load_dataset
-from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy
+from kgsampler.samplers import SamplerPolicy
 from kgsampler.scorers import MODEL_KINDS, initialize, load_checkpoint, save_checkpoint
 from kgsampler.stats import (
     averaged_distribution,
@@ -20,25 +20,12 @@ from kgsampler.stats import (
     sweep_points,
 )
 
-
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+from conftest import readme_record_keys
 
 
 def read_text(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def readme_record_keys():
-    """The ``train_log.jsonl`` keys the README lists: every epoch's, and an evaluation epoch's
-    extra ones."""
-    text = " ".join(read_text(README).split())
-    every = text.split("holds one JSON record per epoch (")[1].split("); on evaluation epochs")[0]
-    extra = text.split("on evaluation epochs it also carries")[1].split(". Checkpoints")[0]
-
-    def names(part):    # the restarts entry names the `sr` sampler
-        return set(re.findall(r"`(\w+)`", part)) - set(SAMPLER_KINDS)
-    return names(every), names(extra)
 
 
 @pytest.fixture
@@ -280,6 +267,23 @@ class TestTrainCommand:
         assert sorted(os.listdir("runs")) == [os.path.basename(d) for d in run_dirs]
         seeds = [json.loads(read_text(os.path.join(d, "manifest.json")))["seed"] for d in run_dirs]
         assert seeds == [1, 2, 3]
+
+    @pytest.mark.parametrize("dataset", ["absolute", "sub/toy", "sub/toy/"])
+    def test_default_run_directory_is_named_for_the_dataset_base_name(self, tmp_path,
+                                                                       monkeypatch, capsys,
+                                                                       dataset):
+        work = tmp_path / "work"
+        assert main(["make-toy", "--kind", "planted", "--out", str(work / "sub" / "toy")]) == 0
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-120000")
+        if dataset == "absolute":
+            dataset = str(work / "sub" / "toy")
+        assert main(["train", "--dataset", dataset, "--model", "distmult",
+                     "--dimension", "8", "--epochs", "1"]) == 0
+        run_dir = os.path.join("runs", "toy-distmult-sr-20260101-120000")
+        assert capsys.readouterr().out.splitlines()[-1] == f"run directory: {run_dir}"
+        assert os.listdir("runs") == [os.path.basename(run_dir)]
+        assert os.path.isfile(os.path.join(run_dir, "last.ckpt"))
 
     @pytest.mark.parametrize("kind, epochs, reason", [
         ("dense", "2", "empty valid split"),
@@ -645,6 +649,16 @@ class TestStatsCommand:
         assert captured.out == ""
         assert captured.err.startswith("data error: ")
         assert out.read_text() == ""
+
+    def test_undecodable_byte_is_a_data_error(self, toy_dataset, capsys):
+        path = os.path.join(toy_dataset, "valid.txt")
+        with open(path, "ab") as fh:
+            fh.write("caf\u00e9\tr\tb\n".encode("latin-1"))
+        assert main(["stats", "--dataset", toy_dataset, "--summary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: {path}: not UTF-8 text "
+                                "(invalid continuation byte, byte b'\\xe9')\n")
 
     def test_csvs_equal_the_library_sweep(self, tmp_path, toy_dataset):
         out = str(tmp_path / "stats")

@@ -149,6 +149,22 @@ class TestLoader:
         for name in ("train", "valid", "test"):
             assert np.array_equal(g.split(name), lf.split(name))
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        rows = [("a", "r", "b"), ("b", "r", "a")]
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        plain = load_dataset(make_dataset(tmp_path / "plain", train=rows, valid=rows[:1]))
+        bom = tmp_path / "bom"
+        make_dataset(bom, train=rows, valid=rows[:1])
+        for name in ("train.txt", "valid.txt"):
+            path = bom / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        g = load_dataset(str(bom))
+        assert g.entity_names == plain.entity_names == ["a", "b"]
+        assert g.relation_names == plain.relation_names == ["r"]
+        for name in ("train", "valid", "test"):
+            assert np.array_equal(g.split(name), plain.split(name))
+
     def test_object_first_seen_in_valid_gets_the_next_id(self, tmp_path):
         g = load_dataset(make_dataset(
             tmp_path, train=[("a", "r", "b")], valid=[("b", "r", "c")], test=[("c", "s", "a")]))

@@ -20,6 +20,8 @@ from kgsampler.trainer import (
     train,
 )
 
+from conftest import readme_record_keys
+
 
 def store_digest(store):
     h = hashlib.sha256()
@@ -352,6 +354,41 @@ class TestTrain:
         train(g, store, small_config(g, epochs=3),
               epoch_callback=lambda e, s, rec: seen.append(e))
         assert seen == [1, 2, 3]
+
+    def test_records_carry_validation_on_eval_epochs(self, small_random_graph):
+        """A library call validates on its config's eval_every: only epoch 2 of 3 holds
+        valid and valid_s, every epoch holds peak_rss_mb, and the keys are the README's."""
+        g = small_random_graph
+        store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
+        seen = []
+        _, records = train(g, store, small_config(g, epochs=3, eval_every=2),
+                           epoch_callback=lambda e, s, rec: seen.append(rec))
+        assert all(a is b for a, b in zip(seen, records, strict=True))
+        every, extra = readme_record_keys()
+        assert [set(r) for r in records] == [every, every | extra, every]
+        assert records[1]["valid"]["count"] == 2 * len(g.valid)
+        assert records[1]["valid_s"] >= 0 and all(r["peak_rss_mb"] > 0 for r in records)
+
+    @pytest.mark.parametrize("kind", ["sr", "rwisg"])
+    def test_validation_leaves_training_bitwise_unchanged(self, small_random_graph, kind):
+        """Validation draws no random numbers and writes no row: a run that validates every
+        epoch ends with the bits, and the records, of one that never validates."""
+        g = small_random_graph
+        runs = []
+        for eval_every in (1, 4):
+            store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=2)
+            config = small_config(g, epochs=3, eval_every=eval_every,
+                                  sampler_policy=SamplerPolicy(kind=kind, batch_size=16, seed=0))
+            _, records = train(g, store, config)
+            runs.append((store, records))
+        (validated, with_valid), (plain, without_valid) = runs
+        assert all("valid" in r for r in with_valid)
+        assert not any("valid" in r for r in without_valid)
+        assert np.array_equal(validated.entities, plain.entities)
+        assert np.array_equal(validated.relations, plain.relations)
+        timing = {"valid", "valid_s", "wall_time_s", "peak_rss_mb"}
+        assert ([{k: v for k, v in r.items() if k not in timing} for r in with_valid]
+                == [{k: v for k, v in r.items() if k not in timing} for r in without_valid])
 
     def test_sgd_option(self, small_random_graph, monkeypatch):
         """An SGD step over chunks of 3 rows is p[ids] -= lr·G bitwise and leaves untouched rows."""
