@@ -29,7 +29,8 @@ from .evaluation import evaluate_split
 from .graph import SPLIT_FILES, DataError, KnowledgeGraph, load_dataset, write_dictionaries
 from .losses import LossConfig
 from .samplers import SAMPLER_KINDS, SamplerPolicy, sample_minibatch, to_dot
-from .scorers import MODEL_KINDS, atomic_open, initialize, load_checkpoint, save_checkpoint
+from .scorers import (MODEL_KINDS, atomic_open, initialize, load_checkpoint, row_widths,
+                      save_checkpoint)
 from .stats import (
     DISTRIBUTION_FIELDS,
     SWEEP_FIELDS,
@@ -50,7 +51,7 @@ USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
 # [sampler], [loss] and [train] hold the fields of these classes that have a
 # plain default, under the field's name unless _KEY_NAMES renames it. The
-# sampler's seed is not a key: it comes from train.seed.
+# sampler's seed is not a key: training draws its batches from SeedSequence(train.seed).
 _SECTIONS = {"sampler": SamplerPolicy, "loss": LossConfig, "train": TrainConfig}
 _KEY_NAMES = {"negatives_per_positive": "negatives", "neighbors_loss_enabled": "neighbors_loss"}
 
@@ -153,21 +154,23 @@ def _train_config(config) -> TrainConfig:
         cls = _SECTIONS[section]
         return cls(**{name: config[section][key] for key, name, _ in _fields(cls)}, **extra)
 
-    return build("train", sampler_policy=build("sampler", seed=config["train"]["seed"]),
-                 loss_config=build("loss"))
+    return build("train", sampler_policy=build("sampler"), loss_config=build("loss"))
 
 
-def resolve_dataset_dir(config) -> str:
-    name = config["dataset"]["name"]
+def open_dataset(name: str, root: str | None, split: str | None = None):
+    """(directory, graph) of dataset ``name``, a directory path or a directory under
+    ``root`` (default $KGSAMPLER_DATA_ROOT, then ./data). A ``split`` that holds no
+    triples is a DataError naming the directory."""
     if not name:
         raise ConfigError("no dataset given (set dataset.name or pass --dataset)")
-    if os.path.isdir(name):
-        return name
-    root = config["dataset"]["root"] or os.environ.get(DATA_ROOT_ENV, "data")
-    path = os.path.join(root, name)
-    if not os.path.isdir(path):
-        raise DataError(f"dataset directory not found: {path}")
-    return path
+    directory = name if os.path.isdir(name) else os.path.join(
+        root or os.environ.get(DATA_ROOT_ENV, "data"), name)
+    if not os.path.isdir(directory):
+        raise DataError(f"dataset directory not found: {directory}")
+    g = load_dataset(directory)
+    if split is not None and len(g.split(split)) == 0:
+        raise DataError(f"{directory}: split {split!r} is empty")
+    return directory, g
 
 
 def dataset_fingerprint(directory: str) -> dict:
@@ -211,18 +214,13 @@ def cmd_train(args) -> int:
              if (value := getattr(args, flag[2:].replace("-", "_"))) is not None]
     config = resolve_config(args.config, [*(args.set or []), *flags])
 
+    kind, dimension = config["model"]["kind"], config["model"]["dimension"]
     try:    # bad values are usage errors, found before the dataset is read
         tconf = _train_config(config)
+        row_widths(kind, dimension)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    kind, dimension = config["model"]["kind"], config["model"]["dimension"]
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    if dimension < 1:
-        raise ConfigError("model.dimension must be >= 1")
-    dataset_dir = resolve_dataset_dir(config)
-    g = load_dataset(dataset_dir)
-    _require_split(g, "train", dataset_dir)
+    dataset_dir, g = open_dataset(config["dataset"]["name"], config["dataset"]["root"], "train")
     if g.n_entities < 2:    # the loss corrupts a triple by swapping in another entity
         raise DataError(f"{dataset_dir}: {g.n_entities} entity, but corruption needs at least 2")
 
@@ -286,18 +284,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_graph(args):
-    """The dataset named by ``--dataset`` and ``--data-root``."""
-    return load_dataset(resolve_dataset_dir(
-        {"dataset": {"name": args.dataset, "root": args.data_root or ""}}))
-
-
-def _require_split(g, split: str, dataset: str):
-    """Raise DataError if ``split`` of ``g`` holds no triples."""
-    if len(g.split(split)) == 0:
-        raise DataError(f"{dataset}: split {split!r} is empty")
-
-
 @contextmanager
 def _flag_error(flag: str):
     """Re-raise a ValueError from the value of ``flag`` as a ConfigError naming it."""
@@ -308,7 +294,7 @@ def _flag_error(flag: str):
 
 
 def cmd_stats(args) -> int:
-    g = _load_graph(args)
+    _, g = open_dataset(args.dataset, args.data_root, None if args.summary else "train")
 
     if args.summary:
         degs = g.degrees
@@ -317,10 +303,10 @@ def cmd_stats(args) -> int:
         print(f"train:      {len(g.train)}")
         print(f"valid:      {len(g.valid)}")
         print(f"test:       {len(g.test)}")
-        print(f"avg degree: {degs.mean():.1f}")
-        print(f"median degree: {np.median(degs):.0f}")
+        if len(degs):    # a dataset with no entities has no degree statistics
+            print(f"avg degree: {degs.mean():.1f}")
+            print(f"median degree: {np.median(degs):.0f}")
         return 0
-    _require_split(g, "train", args.dataset)
 
     # every argument is checked before the first line of output
     with _flag_error("--seed"):
@@ -351,8 +337,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g = _load_graph(args)
-    _require_split(g, args.split, args.dataset)
+    _, g = open_dataset(args.dataset, args.data_root, args.split)
     try:
         store = load_checkpoint(args.checkpoint)
     except ValueError as exc:
@@ -381,8 +366,7 @@ def cmd_viz(args) -> int:
         policy = SamplerPolicy(kind=args.sampler, seed=args.seed)
     with _flag_error("--batch-size"):
         policy = dataclasses.replace(policy, batch_size=args.batch_size)
-    g = _load_graph(args)
-    _require_split(g, "train", args.dataset)
+    _, g = open_dataset(args.dataset, args.data_root, "train")
     m = sample_minibatch(g, policy)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(to_dot(m, g))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -188,9 +188,8 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     if start_entity is not None and not 0 <= start_entity < g.n_entities:
         raise ValueError(f"start_entity {start_entity} is not an entity id in [0, {g.n_entities})")
     rng = np.random.default_rng(policy.seed) if rng is None else rng
-    b = min(policy.batch_size, g.n_train)
-    if b < policy.batch_size:
-        log.warning("batch_size %d exceeds train size %d; clamping", policy.batch_size, b)
+    policy = fit_batch_size(g, policy)
+    b = policy.batch_size
     if policy.kind == "sr":
         return Minibatch(positives=g.train.take(rng.choice(g.n_train, b, replace=False), axis=0))
     p = policy.restart_probability if policy.kind == "rwr" else 0.0
@@ -210,9 +209,16 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
     return Minibatch(positives=g.train.take(ids, axis=0), restarts=restarts)
 
 
+def fit_batch_size(g: KnowledgeGraph, policy: SamplerPolicy) -> SamplerPolicy:
+    """``policy``, or, with one warning, a copy whose batch size is cut to ``g.n_train``."""
+    if policy.batch_size <= g.n_train or g.n_train == 0:    # an empty split has no size to cut to
+        return policy
+    log.warning("batch_size %d exceeds train size %d; clamping", policy.batch_size, g.n_train)
+    return replace(policy, batch_size=g.n_train)
+
+
 def batches_per_epoch(g: KnowledgeGraph, policy: SamplerPolicy) -> int:
-    b = min(policy.batch_size, max(g.n_train, 1))
-    return -(-g.n_train // b)
+    return -(-g.n_train // policy.batch_size)
 
 
 def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng=None):
@@ -224,9 +230,10 @@ def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng=None):
     count. Deterministic given the policy seed (or the supplied rng).
     """
     rng = np.random.default_rng(policy.seed) if rng is None else rng
+    policy = fit_batch_size(g, policy)    # once per epoch, so one warning per epoch
     n_batches = batches_per_epoch(g, policy)
     if policy.kind == "sr":
-        b = min(policy.batch_size, g.n_train)
+        b = policy.batch_size
         perm = rng.permutation(g.n_train)
         for i in range(n_batches):
             ids = perm[i * b:(i + 1) * b]

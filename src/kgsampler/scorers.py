@@ -52,8 +52,6 @@ class EmbeddingStore:
     id_space: bytes | None = None
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
         ew, rw = row_widths(self.model_kind, self.dimension)
         if self.entities.shape[1] != ew or self.relations.shape[1] != rw:
             raise ValueError("embedding matrix widths do not match model kind")
@@ -79,24 +77,27 @@ class ScoreGradient:
 
 
 def row_widths(model_kind: str, k: int) -> tuple:
-    """(entity row width, relation row width) for a model of dimension k."""
+    """(entity row width, relation row width) for a model of dimension k; the one check
+    of a model's shape, so an unknown kind or a k below 1 is a ValueError."""
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
+    if k < 1:
+        raise ValueError(f"model dimension must be >= 1, got {k}")
     if model_kind in ("transe", "distmult"):
         return k, k
     if model_kind == "complex":
         return 2 * k, 2 * k
-    if model_kind == "rotate":
-        return 2 * k, k
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    return 2 * k, k    # rotate: complex entity rows, one phase per dimension
 
 
 def initialize(n_entities: int, n_relations: int, model_kind: str, k: int,
                seed: int = 0) -> EmbeddingStore:
     """Uniform init on [-6/sqrt(K), 6/sqrt(K)]; rotation phases on [-pi, pi]."""
-    if n_entities <= 0 or n_relations <= 0 or k <= 0:
+    ew, rw = row_widths(model_kind, k)
+    if n_entities <= 0 or n_relations <= 0:
         raise ValueError("sizes must be positive")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(k)
-    ew, rw = row_widths(model_kind, k)
     entities = rng.uniform(-bound, bound, size=(n_entities, ew))
     if model_kind == "rotate":
         relations = rng.uniform(-np.pi, np.pi, size=(n_relations, rw))
@@ -374,9 +375,10 @@ def load_checkpoint(path: str) -> EmbeddingStore:
             raise ValueError(f"{path}: truncated checkpoint ({size} bytes, header is {start})")
         id_space = fh.read(_CKPT_DIGEST_BYTES[magic]) or None
         kind = kind.rstrip(b"\0").decode("ascii", "replace")
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"{path}: unknown model kind {kind!r}")
-        ew, rw = row_widths(kind, k)
+        try:
+            ew, rw = row_widths(kind, k)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         need = start + 8 * (n_e * ew + n_r * rw)
         if size != need:
             fault = "truncated checkpoint" if size < need else "checkpoint with trailing bytes"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .samplers import Minibatch, SamplerPolicy, sample_minibatch
+from .samplers import Minibatch, SamplerPolicy, fit_batch_size, sample_minibatch
 
 NORMALIZATION_TOL = 1e-9
 
@@ -94,16 +94,18 @@ def sweep_points(g: KnowledgeGraph, policies, batch_sizes, batches_per_point: in
     The arguments are checked on the call, before any batch is drawn. Points
     run policy-major. Each draws ``batches_per_point`` independent batches
     from its own generator, the next child spawned from
-    ``SeedSequence(seed)``.
+    ``SeedSequence(seed)``. A batch size above the train split is cut to it,
+    with one warning per point, and the point still names the requested size.
     """
     grid = [dataclasses.replace(policy, batch_size=b) for policy in policies for b in batch_sizes]
     if batches_per_point < 30:
         raise ValueError(f"got {batches_per_point} batches per point; a usable standard "
                          "error needs at least 30")
     children = np.random.SeedSequence(seed).spawn(len(grid))
-    return ((pol, [minibatch_degree_distribution(sample_minibatch(g, pol, rng=rng))
+    fitted = (fit_batch_size(g, pol) for pol in grid)    # each as its point runs
+    return ((pol, [minibatch_degree_distribution(sample_minibatch(g, fit, rng=rng))
                    for _ in range(batches_per_point)])
-            for pol, rng in zip(grid, map(np.random.default_rng, children)))
+            for pol, fit, rng in zip(grid, fitted, map(np.random.default_rng, children)))
 
 
 def sweep_row(policy: SamplerPolicy, histograms) -> dict:

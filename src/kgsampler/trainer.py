@@ -20,7 +20,7 @@ import numpy as np
 from .evaluation import evaluate_split
 from .graph import KnowledgeGraph
 from .losses import LossConfig, minibatch_loss_and_grads, SparseGrads
-from .samplers import SamplerPolicy, epoch_iterator, sample_minibatch
+from .samplers import SamplerPolicy, epoch_iterator, fit_batch_size, sample_minibatch
 from .scorers import EmbeddingStore
 from .stats import expected_degree_of_batch, write_csv
 
@@ -281,6 +281,7 @@ def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,
     if num_batches < 2:
         raise ValueError("need at least two batches to estimate a variance")
     sample_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    policy = fit_batch_size(g, config.sampler_policy)    # once, so one warning per probe
     # Welford accumulators per entity: (count, running mean, sum of squared
     # deviations). Welford keeps the variance exactly zero for identical
     # per-batch gradients.
@@ -292,7 +293,7 @@ def gradient_variance_probe(g: KnowledgeGraph, store: EmbeddingStore,
         if sample_batch is not None:
             m = sample_batch()
         else:
-            m = sample_minibatch(g, config.sampler_policy, rng=sample_rng)
+            m = sample_minibatch(g, policy, rng=sample_rng)
         # content-addressed rng: identical batches get identical negatives
         digest = hashlib.blake2b(m.positives.tobytes(), digest_size=8).digest()
         corrupt_rng = np.random.default_rng(

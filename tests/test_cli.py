@@ -10,7 +10,7 @@ import pytest
 from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.cli import id_space_digest
-from kgsampler.graph import load_dataset
+from kgsampler.graph import SPLIT_FILES, load_dataset
 from kgsampler.samplers import SamplerPolicy
 from kgsampler.scorers import MODEL_KINDS, initialize, load_checkpoint, save_checkpoint
 from kgsampler.stats import (
@@ -129,7 +129,7 @@ class TestConfigResolution:
     def test_default_config_builds_the_default_train_config(self):
         assert cli._train_config(resolve_config()) == trainer.TrainConfig()
         seeded = cli._train_config(resolve_config(None, ["train.seed=5"]))
-        assert seeded == trainer.TrainConfig(seed=5, sampler_policy=SamplerPolicy(seed=5))
+        assert seeded == trainer.TrainConfig(seed=5)
 
     def test_renamed_loss_keys_reach_the_loss_config(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -572,6 +572,23 @@ class TestEvalCommand:
         assert id_space_digest(g).hex() in err and id_space_digest(h).hex() in err
         assert load_checkpoint(ckpt).id_space == id_space_digest(g)
 
+    def test_zero_dimension_checkpoint_is_a_data_error(self, tmp_path, toy_dataset, capsys):
+        """A KGSCKPT2 header with K = 0 and the dataset's id space: a file of 80 bytes whose
+        size matches its header, but whose zero-width tables cannot rank anything."""
+        g = load_dataset(toy_dataset)
+        store = initialize(g.n_entities, g.n_relations, "distmult", 8)
+        store.id_space = id_space_digest(g)
+        ckpt = tmp_path / "k0.ckpt"
+        save_checkpoint(store, str(ckpt))
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:40] + bytes(8) + blob[48:80])    # K = 0, and no table bytes
+        capsys.readouterr()
+        assert main(["eval", "--dataset", toy_dataset, "--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == (f"data error: cannot load checkpoint: {ckpt}: "
+                                "model dimension must be >= 1, got 0\n")
+
     def test_kgsckpt1_checkpoint_still_evaluates(self, tmp_path, toy_dataset, capsys, caplog):
         """A checkpoint in the header format without the id-space digest loads, with a warning."""
         assert run_training(tmp_path, toy_dataset)[0] == 0
@@ -602,6 +619,17 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         for line in lines:
             assert line in out
+
+    def test_summary_of_a_dataset_with_no_triples(self, tmp_path, capsys):
+        """No entity has a degree, so the audit prints counts only, and numpy warns of nothing."""
+        dataset = tmp_path / "empty"
+        dataset.mkdir()
+        for fname in SPLIT_FILES.values():
+            (dataset / fname).write_text("")
+        assert main(["stats", "--dataset", str(dataset), "--summary"]) == 0
+        out = capsys.readouterr().out
+        assert "entities:   0" in out and "train:      0" in out
+        assert "degree" not in out
 
     def test_csv_outputs(self, tmp_path, toy_dataset):
         out = str(tmp_path / "stats")
@@ -709,6 +737,25 @@ class TestEmptyTrainSplit:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "Traceback" not in err
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("split, command", [
+    ("train", ["stats", "--batch-sizes", "4", "--num-batches", "30"]),
+    ("train", ["viz", "--sampler", "rw", "--batch-size", "4", "--output", "batch.dot"]),
+    ("valid", ["eval", "--split", "valid", "--checkpoint", "model.ckpt"]),
+], ids=["stats", "viz", "eval"])
+def test_empty_split_names_the_dataset_directory(tmp_path, toy_dataset, capsys, monkeypatch,
+                                                 split, command):
+    """A dataset given by name under --data-root is reported as <root>/<name>."""
+    open(os.path.join(toy_dataset, SPLIT_FILES[split]), "w").close()
+    root, name = os.path.split(toy_dataset)
+    cwd = tmp_path / "elsewhere"    # holds no directory called `name`
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([command[0], "--dataset", name, "--data-root", root, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.listdir(".") == []
+    assert captured.err == f"data error: {toy_dataset}: split '{split}' is empty\n"
 
 
 class TestVizCommand:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from kgsampler import samplers
 from kgsampler.graph import KnowledgeGraph, from_id_triples
 from kgsampler.samplers import (
+    SAMPLER_KINDS,
     SamplerPolicy,
     batches_per_epoch,
     epoch_iterator,
@@ -344,6 +346,28 @@ class TestEpochIterator:
         policy = SamplerPolicy(kind="sr", batch_size=10, seed=0)
         assert batches_per_epoch(g, policy) == 10
         assert len(list(epoch_iterator(g, policy))) == 10
+
+    @pytest.mark.parametrize("size", ["below", "equal", "above"])
+    def test_batch_count_is_the_ceiling(self, size):
+        g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)
+        b = {"below": g.n_train // 3, "equal": g.n_train, "above": 10 * g.n_train}[size]
+        assert batches_per_epoch(g, SamplerPolicy(batch_size=b)) == math.ceil(g.n_train / b)
+
+    def test_empty_train_split_has_no_batches(self):
+        g = from_id_triples(np.zeros((0, 3), dtype=np.int64), 3, 1, valid=[(0, 0, 1)])
+        for kind in ("sr", "rw"):
+            policy = SamplerPolicy(kind=kind, batch_size=5)
+            assert batches_per_epoch(g, policy) == 0
+            assert list(epoch_iterator(g, policy)) == []
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_oversized_batch_warns_once_per_epoch(self, caplog, kind):
+        g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)
+        policy = SamplerPolicy(kind=kind, batch_size=10 * g.n_train, seed=2)
+        with caplog.at_level(logging.WARNING, logger="kgsampler.samplers"):
+            assert len(list(epoch_iterator(g, policy))) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"batch_size {10 * g.n_train} exceeds train size {g.n_train}; clamping"]
 
     def test_batch_count_rounds_up(self):
         g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)

@@ -407,6 +407,18 @@ class TestInitialize:
         assert row_widths("complex", 5) == (10, 10)
         assert row_widths("rotate", 5) == (10, 5)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_zero_dimension_is_a_value_error(self, kind):
+        """K = 0 gives zero-width tables that would still pass a width check."""
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            EmbeddingStore(kind, 0, np.zeros((3, 0)), np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            initialize(3, 2, kind, 0)
+
+    def test_unknown_kind_names_the_kinds(self):
+        with pytest.raises(ValueError, match=r"model kind 'foo'; expected one of \('transe'"):
+            EmbeddingStore("foo", 2, np.zeros((3, 2)), np.zeros((2, 2)))
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", MODEL_KINDS)

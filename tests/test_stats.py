@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kgsampler.stats import (
     ed_vs_batchsize_sweep,
     expected_degree,
     minibatch_degree_distribution,
+    sweep_points,
     sweep_row,
     write_csv,
 )
@@ -141,6 +143,18 @@ class TestSweep:
             g, [SamplerPolicy(kind="sr", seed=0)], [g.n_train], batches_per_point=30)
         assert rows[0]["expected_degree"] == pytest.approx(g.degrees.mean())
         assert rows[0]["std_error"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_oversized_batch_warns_once_per_point(self, caplog):
+        """Each point still names the size it was asked for, so the CSV rows do not change."""
+        g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
+        big = 10 * g.n_train
+        policies = [SamplerPolicy(kind=k, seed=0) for k in ("sr", "rw")]
+        with caplog.at_level(logging.WARNING, logger="kgsampler.samplers"):
+            points = list(sweep_points(g, policies, [20, big], 30))
+        assert [(pol.kind, pol.batch_size) for pol, _ in points] == [
+            ("sr", 20), ("sr", big), ("rw", 20), ("rw", big)]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"batch_size {big} exceeds train size {g.n_train}; clamping"] * 2
 
     def test_requires_enough_batches(self):
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)

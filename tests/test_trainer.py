@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -457,6 +458,15 @@ class TestVarianceProbe:
             report = gradient_variance_probe(g, store, config, num_batches=40)
             medians[kind] = report.median_variance(min_degree=5)
         assert medians["rwisg"] < medians["sr"]
+
+    def test_oversized_batch_warns_once_per_probe(self, caplog, small_random_graph):
+        g = small_random_graph
+        store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
+        config = small_config(g, sampler_policy=SamplerPolicy(batch_size=10 * g.n_train))
+        with caplog.at_level(logging.WARNING, logger="kgsampler.samplers"):
+            gradient_variance_probe(g, store, config, num_batches=4)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"batch_size {10 * g.n_train} exceeds train size {g.n_train}; clamping"]
 
     def test_report_csv(self, tmp_path, small_random_graph):
         g = small_random_graph
