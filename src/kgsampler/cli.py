@@ -220,6 +220,8 @@ def cmd_train(args) -> int:
         row_widths(kind, dimension)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.out and os.path.exists(os.path.join(args.out, "manifest.json")):
+        raise ConfigError(f"--out {args.out} holds a previous run (manifest.json); name a new one")
     dataset_dir, g = open_dataset(config["dataset"]["name"], config["dataset"]["root"], "train")
     if g.n_entities < 2:    # the loss corrupts a triple by swapping in another entity
         raise DataError(f"{dataset_dir}: {g.n_entities} entity, but corruption needs at least 2")

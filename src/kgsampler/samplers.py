@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import (KnowledgeGraph, induced_ids, pack_triples, sorted_unique, uniform_subsets,
-                    unpack_triples)
+from .graph import KnowledgeGraph, induced_ids, pack_triples, sorted_unique, uniform_subsets
 
 log = logging.getLogger(__name__)
 
@@ -70,10 +69,11 @@ class SamplerPolicy:
 class Minibatch:
     """A sampled set of positive training triples."""
 
-    # (m, 3) int64, no duplicates: in draw order (sr), collection order (rw, rwr), train-id
+    # (m, 3) int64 rows g.train[ids]: in draw order (sr), collection order (rw, rwr), train-id
     # order (rwisg, and rwisg_n without extras) or (s, r, o) order (rwisg_n with extras)
     positives: np.ndarray
     restarts: int = 0              # fresh-restart count of the underlying walk
+    ids: np.ndarray | None = None  # (m,) int64 distinct train ids; None if built from rows
 
     def __len__(self):
         return len(self.positives)
@@ -189,24 +189,24 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
         raise ValueError(f"start_entity {start_entity} is not an entity id in [0, {g.n_entities})")
     rng = np.random.default_rng(policy.seed) if rng is None else rng
     policy = fit_batch_size(g, policy)
-    b = policy.batch_size
+    b, restarts = policy.batch_size, 0
     if policy.kind == "sr":
-        return Minibatch(positives=g.train.take(rng.choice(g.n_train, b, replace=False), axis=0))
-    p = policy.restart_probability if policy.kind == "rwr" else 0.0
-    walk, visited, restarts = _random_walk(g, b, rng, p, policy.restart_target, start_entity)
-    if policy.kind in ("rw", "rwr"):
-        return Minibatch(positives=g.train.take(walk, axis=0), restarts=restarts)
-    counts, runs = g.incident(visited)    # read once, for the induced rule and the extras
-    ids = induced_ids(g, visited, counts, runs)
+        ids = rng.choice(g.n_train, b, replace=False)
+    else:
+        p = policy.restart_probability if policy.kind == "rwr" else 0.0
+        ids, visited, restarts = _random_walk(g, b, rng, p, policy.restart_target, start_entity)
+    if policy.kind in ("rwisg", "rwisg_n"):
+        counts, runs = g.incident(visited)    # read once, for the induced rule and the extras
+        ids = induced_ids(g, visited, counts, runs)
     if policy.kind == "rwisg_n":
         extra = _extra_ids(g, visited, counts, runs, policy.extra_neighbor_fraction,
                            policy.extra_neighbor_cap, rng)
-        if len(extra):    # merged as keys read from the flat train array
-            at, flat = 3 * np.concatenate([ids, extra]), g.train.reshape(-1)
-            keys = pack_triples(*(flat.take(at + c) for c in range(3)), g.n_entities, g.n_relations)
-            positives = unpack_triples(sorted_unique(keys), g.n_entities, g.n_relations)
-            return Minibatch(positives=positives, restarts=restarts)
-    return Minibatch(positives=g.train.take(ids, axis=0), restarts=restarts)
+        if len(extra):    # the union, in (s, r, o) order: sorted by packed keys
+            ids = np.concatenate([ids, extra])
+            keys = pack_triples(*g.train.take(ids, axis=0).T, g.n_entities, g.n_relations)
+            order = np.argsort(keys)    # equal keys are one train id, so any sort will do
+            ids = ids[order][np.diff(keys[order], prepend=-1) != 0]
+    return Minibatch(positives=g.train.take(ids, axis=0), restarts=restarts, ids=ids)
 
 
 def fit_batch_size(g: KnowledgeGraph, policy: SamplerPolicy) -> SamplerPolicy:
@@ -231,15 +231,14 @@ def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng=None):
     """
     rng = np.random.default_rng(policy.seed) if rng is None else rng
     policy = fit_batch_size(g, policy)    # once per epoch, so one warning per epoch
-    n_batches = batches_per_epoch(g, policy)
     if policy.kind == "sr":
         b = policy.batch_size
         perm = rng.permutation(g.n_train)
-        for i in range(n_batches):
-            ids = perm[i * b:(i + 1) * b]
-            yield Minibatch(positives=g.train[ids])
+        for lo in range(0, g.n_train, b):
+            ids = perm[lo:lo + b]
+            yield Minibatch(positives=g.train.take(ids, axis=0), ids=ids)
     else:
-        for _ in range(n_batches):
+        for _ in range(batches_per_epoch(g, policy)):
             yield sample_minibatch(g, policy, rng=rng)
 
 

@@ -225,8 +225,12 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
             record["valid"], record["valid_s"] = metrics.as_record(), time.perf_counter() - t0
             log.info("epoch %d valid (%.2f s): %s", epoch, record["valid_s"],
                      metrics.as_json_line())
-        # read after the validation pass, to cover it; KiB on Linux, bytes on macOS
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # read after validation, to cover it; Linux's VmHWM (kB) resets at execve, ru_maxrss not
+        if sys.platform == "linux":
+            with open("/proc/self/status", encoding="ascii") as fh:
+                peak = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+        else:    # KiB, or bytes on macOS
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         record["peak_rss_mb"] = peak / (2 ** 20 if sys.platform == "darwin" else 1024)
         if epoch_callback is not None:
             epoch_callback(epoch, store, record)

@@ -421,6 +421,20 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("data error: ")
         assert os.path.getsize(run_dir) == 0
 
+    def test_out_holding_a_previous_run_is_a_usage_error(self, tmp_path, toy_dataset, capsys):
+        """A second run into a run directory writes nothing; an existing empty one trains."""
+        os.mkdir(tmp_path / "run")
+        assert run_training(tmp_path, toy_dataset)[0] == 0
+        run_dir = tmp_path / "run"
+        before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+        capsys.readouterr()
+        code, _ = run_training(tmp_path, toy_dataset, ["--seed", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: --out {run_dir} holds a previous run (manifest.json); "
+            "name a new one\n")
+        assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+
     def test_flags_apply_after_set_and_write_the_config_set_writes(self, tmp_path, toy_dataset):
         def run(name, *args):
             run_dir = str(tmp_path / name)

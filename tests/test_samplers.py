@@ -340,6 +340,53 @@ class TestExtraNeighbors:
         assert m.positives.tolist() == [list(t) for t in sorted(induced | as_set(drawn))]
 
 
+class TestBatchIds:
+    """A sampled batch is its train ids: positives == g.train[ids], in the kind's order."""
+
+    @staticmethod
+    def check_ids(g, m):
+        assert m.ids.dtype == np.int64 and len(np.unique(m.ids)) == len(m.ids)
+        assert np.array_equal(g.train[m.ids], m.positives)
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_every_batch_is_the_rows_of_its_ids(self, small_random_graph, kind):
+        g = small_random_graph
+        policy = SamplerPolicy(kind=kind, batch_size=12, restart_probability=0.3, seed=4)
+        self.check_ids(g, sample_minibatch(g, policy))
+        batches = list(epoch_iterator(g, policy))
+        assert len(batches) == batches_per_epoch(g, policy)
+        for m in batches:
+            self.check_ids(g, m)
+
+    def test_sr_epoch_ids_partition_the_train_ids(self, small_random_graph):
+        g = small_random_graph
+        ids = np.concatenate([m.ids for m in epoch_iterator(g, SamplerPolicy(batch_size=13))])
+        assert np.array_equal(np.sort(ids), np.arange(g.n_train))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rwisg_n_merge_is_the_union_sorted_by_triple(self, data):
+        """Induced and drawn ids, self-loops among them, merged into one (s, r, o) order."""
+        n = data.draw(st.integers(1, 8))
+        rows = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, 1),
+                                           st.integers(0, n - 1)), min_size=1, max_size=30))
+        g = from_id_triples(data.draw(st.permutations(sorted(rows))), n_entities=n,
+                            n_relations=2)
+        b, seed = data.draw(st.integers(1, g.n_train)), data.draw(st.integers(0, 2 ** 32))
+        fraction, cap = data.draw(st.floats(0.05, 1.0)), data.draw(st.integers(1, 4))
+        m = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=b, seed=seed,
+                                              extra_neighbor_fraction=fraction,
+                                              extra_neighbor_cap=cap))
+        rng = np.random.default_rng(seed)
+        _, visited, _ = samplers._random_walk(g, b, rng)
+        drawn = samplers._extra_ids(g, visited, *g.incident(visited), fraction, cap, rng)
+        inside = set(visited.tolist())
+        union = {i for i, (s, _, o) in enumerate(g.train.tolist()) if {s, o} <= inside}
+        union |= set(drawn.tolist())
+        assert m.ids.tolist() == sorted(union, key=lambda i: g.train[i].tolist())
+        self.check_ids(g, m)
+
+
 class TestEpochIterator:
     def test_batch_count(self):
         g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)

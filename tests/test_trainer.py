@@ -1,18 +1,25 @@
 import hashlib
+import json
 import logging
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kgsampler
 from kgsampler import trainer
-from kgsampler.graph import from_id_triples
-from kgsampler.losses import LossConfig, RowGrads, SparseGrads, minibatch_loss_and_grads
+from kgsampler.graph import from_id_triples, neighbor_entries
+from kgsampler.losses import (LossConfig, RowGrads, SparseGrads, corrupt_batch,
+                              minibatch_loss_and_grads)
 from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy, epoch_iterator, sample_minibatch
 from kgsampler.scorers import EmbeddingStore, initialize
 from kgsampler.stats import expected_degree_of_batch
-from kgsampler.synth import planted_toy_graph, random_graph
+from kgsampler.synth import planted_toy_graph, random_graph, write_dataset
 from kgsampler.trainer import (
     NumericalError,
     SparseAdam,
@@ -370,6 +377,20 @@ class TestTrain:
         assert records[1]["valid"]["count"] == 2 * len(g.valid)
         assert records[1]["valid_s"] >= 0 and all(r["peak_rss_mb"] > 0 for r in records)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read on Linux only")
+    def test_peak_rss_is_the_run_s_own_not_its_launcher_s(self, tmp_path):
+        """Linux carries ru_maxrss across execve: a run launched by a process that peaked
+        ~300 MB higher reports its own peak, below the launcher's."""
+        write_dataset(planted_toy_graph(), str(tmp_path / "toy"))
+        block = np.ones(300 * 2 ** 20 // 8)    # every page written, so resident
+        del block
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kgsampler.__file__))}
+        subprocess.run([sys.executable, "-m", "kgsampler", "train", "--dataset",
+                        str(tmp_path / "toy"), "--epochs", "1", "--out", str(tmp_path / "run")],
+                       env=env, check=True, capture_output=True)
+        record = json.loads((tmp_path / "run" / "train_log.jsonl").read_text())
+        assert record["peak_rss_mb"] < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
     @pytest.mark.parametrize("kind", ["sr", "rwisg"])
     def test_validation_leaves_training_bitwise_unchanged(self, small_random_graph, kind):
         """Validation draws no random numbers and writes no row: a run that validates every
@@ -407,6 +428,112 @@ class TestTrain:
         trainer.make_optimizer(store, config).step(store, grads)
         assert np.array_equal(store.entities, expected[0])
         assert np.array_equal(store.relations, expected[1])
+
+
+class TestGoldenTrainingStream:
+    """Every batch, neighbor entry and negative that training draws, pinned per sampler, loss
+    and graph. The digests cover integer draws and exact 1/(1 + k) weights, so they hold
+    across hosts; the losses go through trig and are pinned to rel 1e-9. A change that moves
+    the stream must say so and re-record the digests."""
+
+    GRAPHS = {"toy": planted_toy_graph,
+              "random": lambda: random_graph(60, 4, 400, seed=3, holdout_fraction=0.1)}
+    RUNS = {
+        ("random", "sr", False): (
+            "45e07dfb3d520f1654b30cdf55ce35e64fd1873f5aa74ad8376754f8f1f270b2",
+            (3.9092562675838223, 3.77356531093498, 3.6451498787046908)),
+        ("random", "sr", True): (
+            "3453c5c48d618bf10379bae2a6cce52c51d51dc09d849d723ad79279dfcb4bbf",
+            (3.900255553532287, 3.755414810726871, 3.5407627719455985)),
+        ("random", "rw", False): (
+            "af943b92a15947f34a5d605f9960ab1942adeae11f4c3367cf0c2f53e1b302af",
+            (3.941764943424127, 3.7940802805144265, 3.6459311696605083)),
+        ("random", "rw", True): (
+            "bfbb115434c3b9a86dd1bf8a6ccf92a7ec644316440bd5d66b07ee1ecee75dbc",
+            (3.8868887989992036, 3.7176778343984034, 3.5862273986472872)),
+        ("random", "rwr", False): (
+            "2ebab171dfc8da457abd4f93b70e36186f7986ec0f28a778245e7bddfaaa40ef",
+            (3.883893438114248, 3.772018442153398, 3.619298240210361)),
+        ("random", "rwr", True): (
+            "46dc81103b1c32a9a75ffb371eacab809614365ac4c860471df108146737445b",
+            (3.841429778488058, 3.7385532467576126, 3.556213715973302)),
+        ("random", "rwisg", False): (
+            "87e836792b6eb90b9b6e3d3db687ae7e4ad3ae203d235c67c03c25b44b188f93",
+            (3.933108141343977, 3.7758571610035507, 3.6375566231815895)),
+        ("random", "rwisg", True): (
+            "182fec644916937be1bba54e7d1ad8e93bcdebd788481fda518710fca07ce3c6",
+            (3.892475632351548, 3.699749559722302, 3.536175284323288)),
+        ("random", "rwisg_n", False): (
+            "c794348b0eeb793e6e624e4eaee3280c106cf78d736b4867184982c5f7132bc9",
+            (3.8418151906517943, 3.684336550668227, 3.4930651680563733)),
+        ("random", "rwisg_n", True): (
+            "e8a9c7146ed3c20fae00bc0fbb43a5f1553b8a40f60756b8f6a59c49ba4ab701",
+            (3.850600971563889, 3.666540171497341, 3.461645259326422)),
+        ("toy", "sr", False): (
+            "ec602c87d212df875c5415bc46ef146be68ede6e41f4970ff70b32820c760317",
+            (3.906498056037902, 3.801048695550666, 3.6993491508245753)),
+        ("toy", "sr", True): (
+            "e6c230394f16fc95fc4f08cdb5a070b3ba812317fa24a27ca59700ba5a7f5a67",
+            (3.8783287332591163, 3.7263597770259995, 3.5801839457037303)),
+        ("toy", "rw", False): (
+            "7894aaa6fa4c343ec8519d2da10dbe4806779b31b2395dc2824b9a8f5ecc6768",
+            (3.8473029815727195, 3.8525711982072854, 3.834003981743867)),
+        ("toy", "rw", True): (
+            "de4c04228b731ee250ccaaec3a323e7a93bf1027ec23c856ece97bee73077bb2",
+            (3.8947437752647867, 3.8221999577636656, 3.762480639654563)),
+        ("toy", "rwr", False): (
+            "b08a0a9a0ebb1d1f1da42cf612cd94065e2bd05aa7ef99bfaa0c342bb942b4aa",
+            (3.874768741829299, 3.9128434298235573, 3.7842469734205384)),
+        ("toy", "rwr", True): (
+            "be50f4e54a4ee45992466e82e0808e3e434df1f1628d160a3623e83f6ea6028b",
+            (3.895867105409703, 3.8767316609184377, 3.7302849185301192)),
+        ("toy", "rwisg", False): (
+            "448e3f3245df609fff0833dfd7f8e86211bd88e50599ff4d37087ca4e470b684",
+            (3.853907693348835, 3.845868328393875, 3.814986361633442)),
+        ("toy", "rwisg", True): (
+            "cb02865950d9b47e262c73575e3ce967c80526555d1269e66d4a127b12b3655f",
+            (3.863434439717506, 3.824261898256842, 3.7326450475404234)),
+        ("toy", "rwisg_n", False): (
+            "0f75c1fdc6e43c498fae95b90e069741c9c5a5727a0af1b4c4271ad62b1e916d",
+            (3.916086150643468, 3.8332147263090413, 3.761253110636188)),
+        ("toy", "rwisg_n", True): (
+            "5344a12ed138fa24aa8c4ab5a29bff0dee9a87830d0b17e87f6a2fe617c45092",
+            (3.901825146939184, 3.8172677530975596, 3.707721776101006)),
+    }
+
+    def stream(self, monkeypatch, graph, kind, neighbors):
+        """Train 3 epochs and return the sha256 of every batch's positives, neighbor entries,
+        negative triples and valid mask, in draw order, with the epochs' mean losses."""
+        digest = hashlib.sha256()
+
+        def corrupt(g, entries, n, filtered, rng):
+            negs = corrupt_batch(g, entries, n, filtered, rng)
+            digest.update(entries.tobytes() + negs.triples.tobytes() + negs.valid.tobytes())
+            return negs
+
+        def neighbors_of(g, positives, cap, rng):
+            entries, weights = neighbor_entries(g, positives, cap, rng)
+            digest.update(positives.tobytes() + entries.tobytes() + weights.tobytes())
+            return entries, weights
+
+        monkeypatch.setattr("kgsampler.losses.corrupt_batch", corrupt)
+        monkeypatch.setattr("kgsampler.losses.neighbor_entries", neighbors_of)
+        g = self.GRAPHS[graph]()
+        store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=2)
+        config = small_config(
+            g, epochs=3, eval_every=10,
+            sampler_policy=SamplerPolicy(kind=kind, batch_size=32, seed=0),
+            loss_config=LossConfig(margin=1.0, negatives_per_positive=4, filtered_negatives=True,
+                                   neighbors_loss_enabled=neighbors, neighbor_cap=2))
+        _, records = train(g, store, config)
+        return digest.hexdigest(), tuple(r["mean_loss"] for r in records)
+
+    @pytest.mark.parametrize("graph, kind, neighbors", sorted(RUNS))
+    def test_stream_and_losses_equal_the_recorded_run(self, monkeypatch, graph, kind, neighbors):
+        digest, mean_losses = self.stream(monkeypatch, graph, kind, neighbors)
+        want_digest, want_losses = self.RUNS[graph, kind, neighbors]
+        assert digest == want_digest
+        assert mean_losses == pytest.approx(want_losses, rel=1e-9, abs=0)
 
 
 class TestVarianceProbe:
