@@ -40,7 +40,8 @@ from .stats import (
     sweep_row,
     write_csv,
 )
-from .synth import dense_sampler_graph, planted_toy_graph, variance_probe_graph, write_dataset
+from .synth import (dense_sampler_graph, planted_graph, planted_toy_graph, variance_probe_graph,
+                    write_dataset)
 from .trainer import NumericalError, TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -50,8 +51,7 @@ DATA_ROOT_ENV = "KGSAMPLER_DATA_ROOT"
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
 # [sampler], [loss] and [train] hold the fields of these classes that have a
-# plain default, under the field's name unless _KEY_NAMES renames it. The
-# sampler's seed is not a key: training draws its batches from SeedSequence(train.seed).
+# plain default, under the field's name unless _KEY_NAMES renames it.
 _SECTIONS = {"sampler": SamplerPolicy, "loss": LossConfig, "train": TrainConfig}
 _KEY_NAMES = {"negatives_per_positive": "negatives", "neighbors_loss_enabled": "neighbors_loss"}
 
@@ -59,8 +59,7 @@ _KEY_NAMES = {"negatives_per_positive": "negatives", "neighbors_loss_enabled": "
 def _fields(cls):
     """(config key, field name, default) of each field of ``cls`` the config sets."""
     return [(_KEY_NAMES.get(f.name, f.name), f.name, f.default)
-            for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING and (cls, f.name) != (SamplerPolicy, "seed")]
+            for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
 
 
 DEFAULTS = {
@@ -78,7 +77,7 @@ TRAIN_FLAGS = {"--dataset": "dataset.name", "--data-root": "dataset.root",
 _FLAG_CHOICES = {"model.kind": MODEL_KINDS, "sampler.kind": SAMPLER_KINDS}
 
 TOY_GRAPHS = {"planted": planted_toy_graph, "dense": dense_sampler_graph,
-              "variance": variance_probe_graph}
+              "variance": variance_probe_graph, "clusters": planted_graph}
 
 
 class ConfigError(Exception):
@@ -295,6 +294,13 @@ def _flag_error(flag: str):
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
+def _seed_flag(seed: int) -> int:
+    """The ``--seed`` of ``stats``, ``viz`` and ``make-toy``, which must not be negative."""
+    if seed < 0:
+        raise ConfigError("--seed: seed must be >= 0")
+    return seed
+
+
 def cmd_stats(args) -> int:
     _, g = open_dataset(args.dataset, args.data_root, None if args.summary else "train")
 
@@ -311,15 +317,14 @@ def cmd_stats(args) -> int:
         return 0
 
     # every argument is checked before the first line of output
-    with _flag_error("--seed"):
-        base = SamplerPolicy(seed=args.seed)
+    seed = _seed_flag(args.seed)
     with _flag_error("--samplers"):
-        policies = [dataclasses.replace(base, kind=k) for k in args.samplers.split(",")]
+        policies = [SamplerPolicy(kind=k) for k in args.samplers.split(",")]
     with _flag_error("--batch-sizes"):   # SamplerPolicy checks each size
         batch_sizes = [SamplerPolicy(batch_size=int(b)).batch_size
                        for b in args.batch_sizes.split(",")]
     with _flag_error("--num-batches"):
-        points = sweep_points(g, policies, batch_sizes, args.num_batches, args.seed)
+        points = sweep_points(g, policies, batch_sizes, args.num_batches, seed)
     os.makedirs(args.out, exist_ok=True)
 
     sweep_rows, dist_rows = [], []
@@ -364,12 +369,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    with _flag_error("--seed"):
-        policy = SamplerPolicy(kind=args.sampler, seed=args.seed)
+    rng = np.random.default_rng(_seed_flag(args.seed))
     with _flag_error("--batch-size"):
-        policy = dataclasses.replace(policy, batch_size=args.batch_size)
+        policy = SamplerPolicy(kind=args.sampler, batch_size=args.batch_size)
     _, g = open_dataset(args.dataset, args.data_root, "train")
-    m = sample_minibatch(g, policy)
+    m = sample_minibatch(g, policy, rng)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(to_dot(m, g))
     print(f"wrote {args.output} ({len(m)} triples, {len(m.vertex_set)} entities)")
@@ -377,9 +381,7 @@ def cmd_viz(args) -> int:
 
 
 def cmd_make_toy(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("--seed: seed must be >= 0")
-    g = TOY_GRAPHS[args.kind](seed=args.seed)
+    g = TOY_GRAPHS[args.kind](seed=_seed_flag(args.seed))
     write_dataset(g, args.out)
     print(f"wrote {args.kind} graph to {args.out} "
           f"({g.n_entities} entities, {len(g.train)} train triples)")

@@ -255,7 +255,6 @@ def softmargin_batch_loss_and_grads(
     ent_ids, ent_slot = _row_slots(store.n_entities, fixed, cand)
     rel_ids, rel_slot = _row_slots(store.n_relations, rel)
     ent_acc, rel_acc = np.zeros((len(ent_ids), ew)), np.zeros((len(rel_ids), rw))
-    q_buf, e_buf = np.empty((2, min(per, m) * (n + 1), ew))
     for lo in range(0, m, per):
         hi = min(lo + per, m)
         # the block's positives, then their negatives: the stable sort keeps
@@ -268,9 +267,7 @@ def softmargin_batch_loss_and_grads(
         firsts = spo[rows[starts]]
         sides = np.where(head[rows[starts]], 0, 2)
         q, rows_backward = query_rows(store, firsts, sides)
-        # the ids are checked: "clip" only skips the copy np.take buffers ``out`` through
-        qb = np.take(q, np.cumsum(first) - 1, axis=0, out=q_buf[:len(rows)], mode="clip")
-        eb = np.take(store.entities, cand[rows], axis=0, out=e_buf[:len(rows)], mode="clip")
+        qb, eb = q[np.cumsum(first) - 1], store.entities[cand[rows]]
         scores[rows], scores_backward = query_scores(store, qb, eb, out=qb)
 
         if frozen_weights is None:

@@ -11,7 +11,7 @@ Five policies are provided:
                  triples of the visited vertices
 
 Walks traverse edges ignoring direction; sampled triples keep their stored
-direction. All samplers are deterministic given a seed.
+direction. A sampler draws from the ``numpy.random.Generator`` it is handed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class SamplerPolicy:
     restart_target: str = "start_node"     # rwr only
     extra_neighbor_fraction: float = 0.5   # rwisg_n only
     extra_neighbor_cap: int = 32           # rwisg_n, per-vertex draw limit
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -61,8 +60,6 @@ class SamplerPolicy:
             raise ValueError("extra_neighbor_fraction must be in [0, 1]")
         if self.extra_neighbor_cap < 0:
             raise ValueError("extra_neighbor_cap must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -170,7 +167,7 @@ def _extra_ids(g: KnowledgeGraph, visited: np.ndarray, counts: np.ndarray, ids: 
     return ids[uniform_subsets(counts, k, rng)]
 
 
-def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
+def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng: np.random.Generator,
                      start_entity=None) -> Minibatch:
     """Draw one minibatch with the sampler named by ``policy.kind``.
 
@@ -187,7 +184,6 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng=None,
         raise ValueError("cannot sample from an empty train split")
     if start_entity is not None and not 0 <= start_entity < g.n_entities:
         raise ValueError(f"start_entity {start_entity} is not an entity id in [0, {g.n_entities})")
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
     policy = fit_batch_size(g, policy)
     b, restarts = policy.batch_size, 0
     if policy.kind == "sr":
@@ -221,15 +217,14 @@ def batches_per_epoch(g: KnowledgeGraph, policy: SamplerPolicy) -> int:
     return -(-g.n_train // policy.batch_size)
 
 
-def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng=None):
+def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng: np.random.Generator):
     """Yield ceil(n_train / batch_size) minibatches.
 
     Under ``sr`` the epoch partitions one random permutation of the train
     split, so the union of the epoch's batches is exactly the train set.
     Walk-based policies yield independent samples and fix only the batch
-    count. Deterministic given the policy seed (or the supplied rng).
+    count. Every batch is drawn from ``rng``.
     """
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
     policy = fit_batch_size(g, policy)    # once per epoch, so one warning per epoch
     if policy.kind == "sr":
         b = policy.batch_size
@@ -239,7 +234,7 @@ def epoch_iterator(g: KnowledgeGraph, policy: SamplerPolicy, rng=None):
             yield Minibatch(positives=g.train.take(ids, axis=0), ids=ids)
     else:
         for _ in range(batches_per_epoch(g, policy)):
-            yield sample_minibatch(g, policy, rng=rng)
+            yield sample_minibatch(g, policy, rng)
 
 
 def to_dot(m: Minibatch, g: KnowledgeGraph = None) -> str:

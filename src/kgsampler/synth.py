@@ -59,6 +59,47 @@ def random_graph(n_entities: int, n_relations: int, n_triples: int,
     return _holdout_graph(rows, n_entities, n_relations, holdout_fraction)
 
 
+def planted_graph(n_entities: int = 2000, clusters: int = 20, relations: int = 8,
+                  n_triples: int = 18000, inverse_p: float = 0.7, popularity_alpha: float = 1.2,
+                  holdout_fraction: float = 0.10, seed: int = 0) -> KnowledgeGraph:
+    """Clustered graph with heavy-tailed popularity and planted inverse relations.
+
+    Entity e sits in cluster e * clusters // n_entities, with popularity
+    1 + Pareto(``popularity_alpha``). Relation r maps cluster c to cluster
+    perm_r[c], a random permutation per relation. Each of ``n_triples`` draws
+    takes a subject by popularity, a uniform relation r < ``relations`` and
+    an object by popularity within the subject's target cluster; a draw with
+    subject == object is dropped. Each kept triple's inverse (o, r +
+    ``relations``, s) is added with probability ``inverse_p``. Duplicates
+    merge, and the shuffled rows are split as by :func:`_holdout_graph`.
+    """
+    if not 1 <= clusters <= n_entities:
+        raise ValueError("need 1 <= clusters <= n_entities")
+    rng = np.random.default_rng(seed)
+    cluster = np.arange(n_entities) * clusters // n_entities
+    bounds = np.searchsorted(cluster, np.arange(clusters + 1))    # cluster c: bounds[c:c + 2]
+    cum = np.concatenate([[0.0], np.cumsum(rng.pareto(popularity_alpha, n_entities) + 1.0)])
+    perm = rng.permuted(np.tile(np.arange(clusters), (relations, 1)), axis=1)
+
+    def pick(lo, hi):    # one entity id in [lo, hi) per pair, drawn by popularity
+        u = cum[lo] + rng.random(len(lo)) * (cum[hi] - cum[lo])
+        return np.clip(np.searchsorted(cum, u, side="right") - 1, lo, hi - 1)
+
+    s = pick(np.zeros(n_triples, dtype=np.int64), np.full(n_triples, n_entities))
+    r = rng.integers(0, relations, n_triples)
+    t = perm[r, cluster[s]]
+    o = pick(bounds[t], bounds[t + 1])
+    keep = s != o
+    s, r, o = s[keep], r[keep], o[keep]
+    inv = rng.random(len(s)) < inverse_p
+    n_rel = 2 * relations
+    keys = sorted_unique(np.concatenate([pack_triples(s, r, o, n_entities, n_rel),
+                                         pack_triples(o[inv], r[inv] + relations, s[inv],
+                                                      n_entities, n_rel)]))
+    rows = unpack_triples(keys[rng.permutation(len(keys))], n_entities, n_rel)
+    return _holdout_graph(rows, n_entities, n_rel, holdout_fraction)
+
+
 def dense_sampler_graph(seed: int = 0) -> KnowledgeGraph:
     """5k-triple graph over 500 entities (mean degree 20) for sampler studies."""
     return random_graph(n_entities=500, n_relations=5, n_triples=5000, seed=seed)

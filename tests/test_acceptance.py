@@ -98,8 +98,9 @@ def test_criterion_02_sr_sparsity(fb15k237):
         skip(2, "FB15k-237 not present; the uniform-sampling sparsity check "
                 "needs the real benchmark")
     g = fb15k237
-    policy = SamplerPolicy(kind="sr", batch_size=1024, seed=0)
-    hists = [minibatch_degree_distribution(m) for m in epoch_iterator(g, policy)]
+    policy = SamplerPolicy(kind="sr", batch_size=1024)
+    hists = [minibatch_degree_distribution(m)
+             for m in epoch_iterator(g, policy, np.random.default_rng(0))]
     avg = averaged_distribution(hists)
     p1 = avg.probabilities[1]
     assert p1 > 0.80
@@ -111,7 +112,7 @@ def test_criterion_03_rw_expected_degree(fb15k237):
         skip(3, "FB15k-237 not present; the walk expected-degree check needs "
                 "the real benchmark")
     g = fb15k237
-    policy = SamplerPolicy(kind="rw", batch_size=512, seed=0)
+    policy = SamplerPolicy(kind="rw", batch_size=512)
     rng = np.random.default_rng(0)
     eds = [expected_degree_of_batch(sample_minibatch(g, policy, rng=rng))
            for _ in range(100)]
@@ -125,7 +126,7 @@ def _ordering_for_graph(g, batch_sizes, n_batches=100):
     out = {}
     for b in batch_sizes:
         for kind in ("sr", "rw", "rwisg_n", "rwisg"):
-            policy = SamplerPolicy(kind=kind, batch_size=b, seed=0)
+            policy = SamplerPolicy(kind=kind, batch_size=b)
             rng = np.random.default_rng([b, ("sr", "rw", "rwisg_n", "rwisg").index(kind)])
             eds = np.array([
                 expected_degree_of_batch(sample_minibatch(g, policy, rng=rng))
@@ -320,7 +321,8 @@ def test_criterion_07_neighbor_loss_degeneracy():
     v_config = LossConfig(neighbors_loss_enabled=False, **base)
     worst = 0.0
     for seed in range(100):
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=24, seed=seed))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=24),
+                             np.random.default_rng(seed))
         nl, _ = neighbors_loss_and_grads(g, store, m, nl_config,
                                          np.random.default_rng(seed))
         vl, _ = vanilla_loss_and_grads(g, store, m, v_config,
@@ -338,7 +340,7 @@ def test_criterion_08_variance_reduction():
     medians = {}
     for kind in ("sr", "rwisg"):
         config = TrainConfig(
-            sampler_policy=SamplerPolicy(kind=kind, batch_size=256, seed=0),
+            sampler_policy=SamplerPolicy(kind=kind, batch_size=256),
             loss_config=LossConfig(margin=1.0, negatives_per_positive=16,
                                    adversarial_temperature=0.0),
             seed=3,
@@ -362,7 +364,7 @@ def test_criterion_09_desk_scale_learning():
     config = TrainConfig(
         epochs=300,
         learning_rate=3e-3,
-        sampler_policy=SamplerPolicy(kind="rwisg", batch_size=128, seed=1),
+        sampler_policy=SamplerPolicy(kind="rwisg", batch_size=128),
         loss_config=LossConfig(margin=6.0, negatives_per_positive=64,
                                adversarial_temperature=1.0),
         seed=2,

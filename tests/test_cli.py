@@ -11,7 +11,7 @@ from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.cli import id_space_digest
 from kgsampler.graph import SPLIT_FILES, load_dataset
-from kgsampler.samplers import SamplerPolicy
+from kgsampler.samplers import SamplerPolicy, sample_minibatch, to_dot
 from kgsampler.scorers import MODEL_KINDS, initialize, load_checkpoint, save_checkpoint
 from kgsampler.stats import (
     averaged_distribution,
@@ -174,14 +174,6 @@ class TestMakeToy:
         main(["make-toy", "--kind", "dense", "--out", str(a), "--seed", "4"])
         main(["make-toy", "--kind", "dense", "--out", str(b), "--seed", "4"])
         assert (a / "train.txt").read_text() == (b / "train.txt").read_text()
-
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "toy"
-        assert main(["make-toy", "--out", str(out), "--seed", "-1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --seed: seed must be >= 0")
-        assert "Traceback" not in err
-        assert not out.exists()
 
     def test_out_naming_a_file_is_a_data_error(self, tmp_path, capsys):
         out = tmp_path / "toy"
@@ -625,7 +617,8 @@ class TestStatsCommand:
     @pytest.mark.parametrize("kind, lines", [
         ("planted", ["entities:   200", "relations:  3"]),
         ("variance", ["train:      6000"]),    # the key-based random graph generator's
-    ], ids=["planted", "variance"])
+        ("clusters", ["entities:   1990", "relations:  16"]),    # 10 in no triple are not written
+    ], ids=["planted", "variance", "clusters"])
     def test_summary(self, tmp_path, capsys, kind, lines):
         dataset = str(tmp_path / kind)
         assert main(["make-toy", "--kind", kind, "--out", dataset, "--seed", "1"]) == 0
@@ -667,8 +660,7 @@ class TestStatsCommand:
 
     @pytest.mark.parametrize("flag, value", [("--num-batches", "3"),
                                              ("--batch-sizes", "64,0"),
-                                             ("--samplers", "sr,bogus"),
-                                             ("--seed", "-1")])
+                                             ("--samplers", "sr,bogus")])
     def test_usage_error_names_the_flag_before_any_output(self, tmp_path, toy_dataset,
                                                           capsys, flag, value):
         out = str(tmp_path / "stats")
@@ -709,7 +701,7 @@ class TestStatsCommand:
                      "--batch-sizes", "16,64", "--num-batches", str(n), "--seed", str(seed),
                      "--out", out]) == 0
         g = load_dataset(toy_dataset)
-        policies = [SamplerPolicy(kind=k, seed=seed) for k in kinds]
+        policies = [SamplerPolicy(kind=k) for k in kinds]
         rows = ed_vs_batchsize_sweep(g, policies, sizes, n, seed=seed)
         dists = [row for pol, hists in sweep_points(g, policies, sizes, n, seed=seed)
                  for row in distribution_rows(pol, pol.batch_size, averaged_distribution(hists))]
@@ -751,6 +743,20 @@ class TestEmptyTrainSplit:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "Traceback" not in err
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", [
+    ["stats", "--dataset", "{toy}", "--batch-sizes", "16", "--num-batches", "30", "--out", "{out}"],
+    ["viz", "--dataset", "{toy}", "--sampler", "rw", "--output", "{out}"],
+    ["make-toy", "--out", "{out}"],
+], ids=["stats", "viz", "make-toy"])
+def test_negative_seed_is_a_usage_error(tmp_path, toy_dataset, capsys, command):
+    """stats, viz and make-toy share one --seed check, made before any output."""
+    out = tmp_path / "out"
+    assert main([*(arg.format(toy=toy_dataset, out=out) for arg in command), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "config error: --seed: seed must be >= 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("split, command", [
@@ -798,15 +804,15 @@ class TestVizCommand:
         assert "Traceback" not in err
         assert not os.path.exists(out)
 
-    def test_negative_seed_is_a_usage_error(self, tmp_path, toy_dataset, capsys):
-        out = str(tmp_path / "batch.dot")
-        code = main(["viz", "--dataset", toy_dataset, "--sampler", "rw",
-                     "--seed", "-1", "--output", out])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "config error: --seed: seed must be >= 0" in err
-        assert "Traceback" not in err
-        assert not os.path.exists(out)
+    @pytest.mark.parametrize("kind", ["sr", "rwisg"])
+    def test_dot_equals_the_library_batch(self, tmp_path, toy_dataset, kind):
+        """``--seed N`` draws the batch from ``default_rng(N)``."""
+        out = tmp_path / "batch.dot"
+        assert main(["viz", "--dataset", toy_dataset, "--sampler", kind, "--batch-size", "24",
+                     "--seed", "3", "--output", str(out)]) == 0
+        g = load_dataset(toy_dataset)
+        m = sample_minibatch(g, SamplerPolicy(kind, batch_size=24), np.random.default_rng(3))
+        assert out.read_bytes() == to_dot(m, g).encode("utf-8")
 
     def test_unwritable_output(self, tmp_path, toy_dataset):
         out = os.path.join(str(tmp_path), "missing-dir", "x.dot")

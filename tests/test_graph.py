@@ -21,6 +21,7 @@ from kgsampler.graph import (
 )
 from kgsampler.synth import (
     dense_sampler_graph,
+    planted_graph,
     planted_toy_graph,
     random_graph,
     variance_probe_graph,
@@ -543,6 +544,8 @@ def split_digest(g):
 # every synthetic dataset, and the benchmark's reference numbers with them: it must say
 # so and re-record them.
 SYNTH_DIGESTS = {
+    "clusters": (planted_graph,
+                 "d2852b3f36bd030aed4f260f8f4d51898f6a71b980fb0530873a1e7d0eeb4b88"),
     "planted": (lambda: planted_toy_graph(seed=0),
                 "62eec4d96bed2781328c336b3a09ab64c1b280693654f1a14e144ff9513b9d89"),
     "dense": (dense_sampler_graph,

@@ -202,7 +202,7 @@ class TestSoftmarginLoss:
         store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=0)
         rng = np.random.default_rng(5)
         config = LossConfig(margin=2.0, negatives_per_positive=8)
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=16, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=16), np.random.default_rng(1))
         loss, _ = vanilla_loss_and_grads(g, store, m, config, rng)
         assert loss >= 0
 
@@ -772,7 +772,8 @@ class TestNeighborsLoss:
         nl_config = LossConfig(neighbors_loss_enabled=True, neighbor_cap=0, **base)
         v_config = LossConfig(neighbors_loss_enabled=False, **base)
         for seed in range(10):
-            m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20, seed=seed))
+            m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20),
+                                 np.random.default_rng(seed))
             nl, _ = neighbors_loss_and_grads(g, store, m, nl_config,
                                              np.random.default_rng(seed))
             vl, _ = vanilla_loss_and_grads(g, store, m, v_config,
@@ -841,7 +842,7 @@ class TestNeighborsLoss:
     def test_dispatch(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "transe", 4, seed=38)
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=8, seed=2))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=8), np.random.default_rng(2))
         cfg_on = LossConfig(neighbors_loss_enabled=True, negatives_per_positive=2,
                             filtered_negatives=False)
         cfg_off = LossConfig(neighbors_loss_enabled=False, negatives_per_positive=2,

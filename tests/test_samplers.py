@@ -30,46 +30,47 @@ def as_set(positives):
 class TestSimplyRandom:
     def test_full_batch_is_train_split(self, small_random_graph):
         g = small_random_graph
-        policy = SamplerPolicy(kind="sr", batch_size=g.n_train, seed=1)
-        m = sample_minibatch(g, policy)
+        policy = SamplerPolicy(kind="sr", batch_size=g.n_train)
+        m = sample_minibatch(g, policy, np.random.default_rng(1))
         assert as_set(m.positives) == as_set(g.train)
 
     def test_small_batch_distinct_and_contained(self, small_random_graph):
         g = small_random_graph
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=3, seed=2))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=3), np.random.default_rng(2))
         assert len(m) == 3
         assert len(as_set(m.positives)) == 3
         assert as_set(m.positives) <= as_set(g.train)
 
     def test_clamp_with_warning(self, chain3, caplog):
         with caplog.at_level("WARNING"):
-            m = sample_minibatch(chain3, SamplerPolicy(kind="sr", batch_size=50, seed=0))
+            m = sample_minibatch(chain3, SamplerPolicy(kind="sr", batch_size=50),
+                                 np.random.default_rng(0))
         assert len(m) == chain3.n_train
         assert any("clamp" in r.message for r in caplog.records)
 
     def test_empty_graph_rejected(self):
         g = from_id_triples([], n_entities=1, n_relations=1)
         with pytest.raises(ValueError):
-            sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=1))
+            sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=1), np.random.default_rng(0))
 
 
 class TestRandomWalk:
     def test_path_graph_chain_order(self, path5):
-        policy = SamplerPolicy(kind="rw", batch_size=4, seed=0)
-        m = sample_minibatch(path5, policy, start_entity=0)
+        policy = SamplerPolicy(kind="rw", batch_size=4)
+        m = sample_minibatch(path5, policy, np.random.default_rng(0), start_entity=0)
         assert m.positives.tolist() == [[0, 0, 1], [1, 0, 2], [2, 0, 3], [3, 0, 4]]
         assert m.restarts == 0
 
     def test_single_step(self, star6):
-        m = sample_minibatch(star6, SamplerPolicy(kind="rw", batch_size=1, seed=3),
-                             start_entity=0)
+        m = sample_minibatch(star6, SamplerPolicy(kind="rw", batch_size=1),
+                             np.random.default_rng(3), start_entity=0)
         assert len(m) == 1
         s, _, o = m.positives[0]
         assert 0 in (s, o)
 
     def test_connected_without_stall(self):
         g = random_graph(n_entities=40, n_relations=2, n_triples=300, seed=5)
-        m = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=30, seed=9))
+        m = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=30), np.random.default_rng(9))
         assert m.restarts == 0
         # walk triples form one weakly connected component
         verts = m.vertex_set
@@ -89,7 +90,7 @@ class TestRandomWalk:
 
     def test_containment(self, small_random_graph):
         g = small_random_graph
-        m = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=20, seed=11))
+        m = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=20), np.random.default_rng(11))
         assert as_set(m.positives) <= as_set(g.train)
         assert len(as_set(m.positives)) == len(m)
 
@@ -107,8 +108,8 @@ class TestWalkStep:
         counts = dict.fromkeys(pairs, 0)
         for seed in range(3000):
             policy = SamplerPolicy(kind="rwr", batch_size=5, restart_probability=1.0,
-                                   restart_target="start_node", seed=seed)
-            m = sample_minibatch(star6, policy, start_entity=0)
+                                   restart_target="start_node")
+            m = sample_minibatch(star6, policy, np.random.default_rng(seed), start_entity=0)
             assert m.restarts == 0
             assert len(as_set(m.positives)) == 5
             counts[int(m.positives[3, 2]), int(m.positives[4, 2])] += 1
@@ -117,9 +118,10 @@ class TestWalkStep:
     def test_fallback_walk_equals_itself_and_stays_valid(self, small_random_graph, monkeypatch):
         monkeypatch.setattr(samplers, "_WALK_TRIES", 0)
         g = small_random_graph
-        policy = SamplerPolicy(kind="rw", batch_size=60, seed=12)
-        m = sample_minibatch(g, policy)
-        assert np.array_equal(m.positives, sample_minibatch(g, policy).positives)
+        policy = SamplerPolicy(kind="rw", batch_size=60)
+        m = sample_minibatch(g, policy, np.random.default_rng(12))
+        again = sample_minibatch(g, policy, np.random.default_rng(12))
+        assert np.array_equal(m.positives, again.positives)
         assert len(as_set(m.positives)) == 60
         assert as_set(m.positives) <= as_set(g.train)
 
@@ -127,9 +129,9 @@ class TestWalkStep:
     def test_deterministic_beyond_one_uniform_chunk(self, kind, monkeypatch):
         g = random_graph(n_entities=200, n_relations=3, n_triples=3000, seed=8)
         b = samplers._UNIFORM_CHUNK + 500
-        policy = SamplerPolicy(kind=kind, batch_size=b, seed=4)
-        first = [m.positives for m in itertools.islice(epoch_iterator(g, policy), 2)]
-        again = [m.positives for m in itertools.islice(epoch_iterator(g, policy), 2)]
+        policy = SamplerPolicy(kind=kind, batch_size=b)
+        epochs = [epoch_iterator(g, policy, np.random.default_rng(4)) for _ in range(2)]
+        first, again = ([m.positives for m in itertools.islice(e, 2)] for e in epochs)
         assert all(np.array_equal(x, y) for x, y in zip(first, again))
         assert len(first[0]) >= b
         # uniforms are consumed one by one, so a walk's triples do not depend
@@ -183,8 +185,8 @@ class TestGoldenStream:
         for kind, target in itertools.product(samplers.SAMPLER_KINDS, samplers.RESTART_TARGETS):
             for b, start, seed in grid:
                 policy = SamplerPolicy(kind=kind, batch_size=b, restart_probability=0.3,
-                                       restart_target=target, seed=seed)
-                m = sample_minibatch(g, policy, start_entity=start)
+                                       restart_target=target)
+                m = sample_minibatch(g, policy, np.random.default_rng(seed), start_entity=start)
                 batches.update(m.positives.tobytes() + b"%d;" % m.restarts)
         for p, target in itertools.product((0.0, 0.3), samplers.RESTART_TARGETS):
             for b, start, seed in grid:
@@ -197,9 +199,9 @@ class TestGoldenStream:
 class TestRandomWalkRestart:
     def test_zero_probability_equals_plain_walk(self, small_random_graph):
         g = small_random_graph
-        rw = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=15, seed=21))
-        rwr = sample_minibatch(g, SamplerPolicy(kind="rwr", batch_size=15,
-                                                    restart_probability=0.0, seed=21))
+        rw = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=15), np.random.default_rng(21))
+        rwr = sample_minibatch(g, SamplerPolicy(kind="rwr", batch_size=15, restart_probability=0.0),
+                               np.random.default_rng(21))
         assert np.array_equal(rw.positives, rwr.positives)
 
     def test_always_restart_stays_around_start(self):
@@ -208,40 +210,44 @@ class TestRandomWalkRestart:
                   [(6, 0, i) for i in range(7, 12)]
         g = from_id_triples(triples, n_entities=12, n_relations=2)
         policy = SamplerPolicy(kind="rwr", batch_size=5, restart_probability=1.0,
-                               restart_target="start_node", seed=4)
-        m = sample_minibatch(g, policy, start_entity=0)
+                               restart_target="start_node")
+        m = sample_minibatch(g, policy, np.random.default_rng(4), start_entity=0)
         if m.restarts == 0:
             assert all(0 in (s, o) for s, _, o in m.positives)
 
     def test_star_all_spokes(self, star6):
         policy = SamplerPolicy(kind="rwr", batch_size=4, restart_probability=1.0,
-                               restart_target="start_node", seed=8)
-        m = sample_minibatch(star6, policy, start_entity=0)
+                               restart_target="start_node")
+        m = sample_minibatch(star6, policy, np.random.default_rng(8), start_entity=0)
         assert len(m) == 4
         assert all(s == 0 for s, _, o in m.positives)
 
     def test_uniform_previous_target(self, small_random_graph):
         policy = SamplerPolicy(kind="rwr", batch_size=10, restart_probability=0.3,
-                               restart_target="uniform_previous", seed=17)
-        m = sample_minibatch(small_random_graph, policy)
+                               restart_target="uniform_previous")
+        m = sample_minibatch(small_random_graph, policy, np.random.default_rng(17))
         assert len(m) == 10
 
 
 class TestInducedSubgraphSamplers:
     def test_tree_equals_walk(self, path5):
         seed = 13
-        rw = sample_minibatch(path5, SamplerPolicy(kind="rw", batch_size=3, seed=seed))
-        isg = sample_minibatch(path5, SamplerPolicy(kind="rwisg", batch_size=3, seed=seed))
+        rw = sample_minibatch(path5, SamplerPolicy(kind="rw", batch_size=3),
+                              np.random.default_rng(seed))
+        isg = sample_minibatch(path5, SamplerPolicy(kind="rwisg", batch_size=3),
+                               np.random.default_rng(seed))
         assert as_set(rw.positives) == as_set(isg.positives)
 
     def test_triangle_closure(self, triangle):
         # any 2-edge walk visits all three vertices, closing the triangle
-        m = sample_minibatch(triangle, SamplerPolicy(kind="rwisg", batch_size=2, seed=0))
+        m = sample_minibatch(triangle, SamplerPolicy(kind="rwisg", batch_size=2),
+                             np.random.default_rng(0))
         assert as_set(m.positives) == {(0, 0, 1), (1, 0, 2), (2, 0, 0)}
 
     def test_closed_under_induction(self, small_random_graph):
         g = small_random_graph
-        m = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=25, seed=31))
+        m = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=25),
+                             np.random.default_rng(31))
         again = induced_rows(g, m.vertex_set)
         assert as_set(m.positives) == as_set(again)
 
@@ -266,29 +272,35 @@ class TestInducedSubgraphSamplers:
         calls, incident = [], KnowledgeGraph.incident
         monkeypatch.setattr(KnowledgeGraph, "incident",
                             lambda g, verts: calls.append(len(verts)) or incident(g, verts))
-        batches = list(epoch_iterator(small_random_graph, SamplerPolicy(kind=kind, batch_size=20)))
+        batches = list(epoch_iterator(small_random_graph, SamplerPolicy(kind=kind, batch_size=20),
+                                      np.random.default_rng(0)))
         assert len(calls) == len(batches) == 5
 
     def test_rwisg_n_zero_fraction_equals_rwisg(self, small_random_graph):
         g = small_random_graph
-        isg = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=5))
+        isg = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=20),
+                               np.random.default_rng(5))
         n0 = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=20,
-                                                     extra_neighbor_fraction=0.0, seed=5))
+                                              extra_neighbor_fraction=0.0),
+                              np.random.default_rng(5))
         assert np.array_equal(isg.positives, n0.positives)
 
     def test_rwisg_n_full_fraction_star(self, star6):
         policy = SamplerPolicy(kind="rwisg_n", batch_size=1,
-                               extra_neighbor_fraction=1.0, seed=2)
-        m = sample_minibatch(star6, policy, start_entity=0)
+                               extra_neighbor_fraction=1.0)
+        m = sample_minibatch(star6, policy, np.random.default_rng(2), start_entity=0)
         # the hub is visited, so all six spokes are drawn
         assert as_set(m.positives) == {(0, 0, i) for i in range(1, 7)}
 
     def test_sandwich_with_shared_walk(self, small_random_graph):
         g = small_random_graph
         seed = 77
-        rw = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=20, seed=seed))
-        isg = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=20, seed=seed))
-        isg_n = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=20, seed=seed))
+        rw = sample_minibatch(g, SamplerPolicy(kind="rw", batch_size=20),
+                              np.random.default_rng(seed))
+        isg = sample_minibatch(g, SamplerPolicy(kind="rwisg", batch_size=20),
+                               np.random.default_rng(seed))
+        isg_n = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=20),
+                                 np.random.default_rng(seed))
         assert as_set(rw.positives) <= as_set(isg.positives)
         assert as_set(isg.positives) <= as_set(isg_n.positives)
 
@@ -330,8 +342,8 @@ class TestExtraNeighbors:
         g = from_id_triples(g.train[np.random.default_rng(seed).permutation(g.n_train)],
                             n_entities=30, n_relations=3)
         policy = SamplerPolicy(kind="rwisg_n", batch_size=15, extra_neighbor_fraction=0.3,
-                               extra_neighbor_cap=3, seed=seed)
-        m = sample_minibatch(g, policy)
+                               extra_neighbor_cap=3)
+        m = sample_minibatch(g, policy, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         _, visited, _ = samplers._random_walk(g, 15, rng)
         drawn = g.train[samplers._extra_ids(g, visited, *g.incident(visited), 0.3, 3, rng)]
@@ -351,16 +363,17 @@ class TestBatchIds:
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_every_batch_is_the_rows_of_its_ids(self, small_random_graph, kind):
         g = small_random_graph
-        policy = SamplerPolicy(kind=kind, batch_size=12, restart_probability=0.3, seed=4)
-        self.check_ids(g, sample_minibatch(g, policy))
-        batches = list(epoch_iterator(g, policy))
+        policy = SamplerPolicy(kind=kind, batch_size=12, restart_probability=0.3)
+        self.check_ids(g, sample_minibatch(g, policy, np.random.default_rng(4)))
+        batches = list(epoch_iterator(g, policy, np.random.default_rng(4)))
         assert len(batches) == batches_per_epoch(g, policy)
         for m in batches:
             self.check_ids(g, m)
 
     def test_sr_epoch_ids_partition_the_train_ids(self, small_random_graph):
         g = small_random_graph
-        ids = np.concatenate([m.ids for m in epoch_iterator(g, SamplerPolicy(batch_size=13))])
+        ids = np.concatenate([m.ids for m in epoch_iterator(g, SamplerPolicy(batch_size=13),
+                                                            np.random.default_rng(0))])
         assert np.array_equal(np.sort(ids), np.arange(g.n_train))
 
     @settings(max_examples=60, deadline=None)
@@ -374,9 +387,9 @@ class TestBatchIds:
                             n_relations=2)
         b, seed = data.draw(st.integers(1, g.n_train)), data.draw(st.integers(0, 2 ** 32))
         fraction, cap = data.draw(st.floats(0.05, 1.0)), data.draw(st.integers(1, 4))
-        m = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=b, seed=seed,
+        m = sample_minibatch(g, SamplerPolicy(kind="rwisg_n", batch_size=b,
                                               extra_neighbor_fraction=fraction,
-                                              extra_neighbor_cap=cap))
+                                              extra_neighbor_cap=cap), np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         _, visited, _ = samplers._random_walk(g, b, rng)
         drawn = samplers._extra_ids(g, visited, *g.incident(visited), fraction, cap, rng)
@@ -390,9 +403,9 @@ class TestBatchIds:
 class TestEpochIterator:
     def test_batch_count(self):
         g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)
-        policy = SamplerPolicy(kind="sr", batch_size=10, seed=0)
+        policy = SamplerPolicy(kind="sr", batch_size=10)
         assert batches_per_epoch(g, policy) == 10
-        assert len(list(epoch_iterator(g, policy))) == 10
+        assert len(list(epoch_iterator(g, policy, np.random.default_rng(0)))) == 10
 
     @pytest.mark.parametrize("size", ["below", "equal", "above"])
     def test_batch_count_is_the_ceiling(self, size):
@@ -405,27 +418,27 @@ class TestEpochIterator:
         for kind in ("sr", "rw"):
             policy = SamplerPolicy(kind=kind, batch_size=5)
             assert batches_per_epoch(g, policy) == 0
-            assert list(epoch_iterator(g, policy)) == []
+            assert list(epoch_iterator(g, policy, np.random.default_rng(0))) == []
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_oversized_batch_warns_once_per_epoch(self, caplog, kind):
         g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)
-        policy = SamplerPolicy(kind=kind, batch_size=10 * g.n_train, seed=2)
+        policy = SamplerPolicy(kind=kind, batch_size=10 * g.n_train)
         with caplog.at_level(logging.WARNING, logger="kgsampler.samplers"):
-            assert len(list(epoch_iterator(g, policy))) == 1
+            assert len(list(epoch_iterator(g, policy, np.random.default_rng(2)))) == 1
         assert [r.getMessage() for r in caplog.records] == [
             f"batch_size {10 * g.n_train} exceeds train size {g.n_train}; clamping"]
 
     def test_batch_count_rounds_up(self):
         g = random_graph(n_entities=40, n_relations=2, n_triples=100, seed=1)
         for kind in ("sr", "rw"):
-            policy = SamplerPolicy(kind=kind, batch_size=30, seed=0)
-            assert len(list(epoch_iterator(g, policy))) == 4
+            policy = SamplerPolicy(kind=kind, batch_size=30)
+            assert len(list(epoch_iterator(g, policy, np.random.default_rng(0)))) == 4
 
     def test_sr_epoch_partitions_train(self, small_random_graph):
         g = small_random_graph
-        policy = SamplerPolicy(kind="sr", batch_size=13, seed=6)
-        batches = list(epoch_iterator(g, policy))
+        policy = SamplerPolicy(kind="sr", batch_size=13)
+        batches = list(epoch_iterator(g, policy, np.random.default_rng(6)))
         union = set()
         total = 0
         for m in batches:
@@ -437,9 +450,9 @@ class TestEpochIterator:
     @pytest.mark.parametrize("kind", ["sr", "rw", "rwr", "rwisg", "rwisg_n"])
     def test_deterministic_given_seed(self, small_random_graph, kind):
         g = small_random_graph
-        policy = SamplerPolicy(kind=kind, batch_size=12, seed=42)
-        run1 = [m.positives for m in epoch_iterator(g, policy)]
-        run2 = [m.positives for m in epoch_iterator(g, policy)]
+        policy = SamplerPolicy(kind=kind, batch_size=12)
+        run1 = [m.positives for m in epoch_iterator(g, policy, np.random.default_rng(42))]
+        run2 = [m.positives for m in epoch_iterator(g, policy, np.random.default_rng(42))]
         assert len(run1) == len(run2)
         for a, b in zip(run1, run2):
             assert np.array_equal(a, b)
@@ -447,8 +460,8 @@ class TestEpochIterator:
     @pytest.mark.parametrize("kind", ["sr", "rw", "rwr", "rwisg", "rwisg_n"])
     def test_containment_all_policies(self, small_random_graph, kind):
         g = small_random_graph
-        policy = SamplerPolicy(kind=kind, batch_size=12, seed=3)
-        m = sample_minibatch(g, policy)
+        policy = SamplerPolicy(kind=kind, batch_size=12)
+        m = sample_minibatch(g, policy, np.random.default_rng(3))
         assert as_set(m.positives) <= as_set(g.train)
 
 
@@ -469,17 +482,14 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="extra_neighbor_cap"):
             SamplerPolicy(extra_neighbor_cap=-1)
 
-    def test_negative_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            SamplerPolicy(seed=-1)
-
     @pytest.mark.parametrize("kind", ["sr", "rw", "rwisg_n"])
     @pytest.mark.parametrize("start", [-1, -3, 30])
     def test_start_entity_outside_the_entities(self, small_random_graph, kind, start):
-        policy = SamplerPolicy(kind=kind, batch_size=5, seed=0)
+        policy = SamplerPolicy(kind=kind, batch_size=5)
         with pytest.raises(ValueError, match="start_entity"):
-            sample_minibatch(small_random_graph, policy, start_entity=start)
-        m = sample_minibatch(small_random_graph, policy,
+            sample_minibatch(small_random_graph, policy,
+                             np.random.default_rng(0), start_entity=start)
+        m = sample_minibatch(small_random_graph, policy, np.random.default_rng(0),
                              start_entity=small_random_graph.n_entities - 1)
         assert len(m) >= 5
 
@@ -487,12 +497,13 @@ class TestPolicyValidation:
 class TestDotExport:
     def test_edge_count_matches_batch(self, small_random_graph):
         g = small_random_graph
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=7, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=7), np.random.default_rng(1))
         dot = to_dot(m, g)
         assert dot.startswith("digraph")
         assert dot.count("->") == 7
 
     def test_ids_without_graph(self, chain3):
-        m = sample_minibatch(chain3, SamplerPolicy(kind="sr", batch_size=3, seed=1))
+        m = sample_minibatch(chain3, SamplerPolicy(kind="sr", batch_size=3),
+                             np.random.default_rng(1))
         dot = to_dot(m)
         assert '"e0"' in dot

@@ -50,7 +50,8 @@ class TestMinibatchDistribution:
     def test_matches_naive_count(self):
         g = random_graph(n_entities=50, n_relations=3, n_triples=400, seed=2)
         for seed in range(5):
-            m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=60, seed=seed))
+            m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=60),
+                                 np.random.default_rng(seed))
             h = minibatch_degree_distribution(m)
             naive = {}
             for v in set(m.positives[:, 0]) | set(m.positives[:, 2]):
@@ -96,7 +97,8 @@ class TestAveragedDistribution:
         g = random_graph(n_entities=60, n_relations=2, n_triples=500, seed=4)
         hists = [
             minibatch_degree_distribution(
-                sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=50, seed=s)))
+                sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=50),
+                                 np.random.default_rng(s)))
             for s in range(20)
         ]
         lhs = expected_degree(averaged_distribution(hists))
@@ -140,7 +142,7 @@ class TestSweep:
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
         assert np.all(g.degrees > 0)
         rows = ed_vs_batchsize_sweep(
-            g, [SamplerPolicy(kind="sr", seed=0)], [g.n_train], batches_per_point=30)
+            g, [SamplerPolicy(kind="sr")], [g.n_train], batches_per_point=30)
         assert rows[0]["expected_degree"] == pytest.approx(g.degrees.mean())
         assert rows[0]["std_error"] == pytest.approx(0.0, abs=1e-12)
 
@@ -148,7 +150,7 @@ class TestSweep:
         """Each point still names the size it was asked for, so the CSV rows do not change."""
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
         big = 10 * g.n_train
-        policies = [SamplerPolicy(kind=k, seed=0) for k in ("sr", "rw")]
+        policies = [SamplerPolicy(kind=k) for k in ("sr", "rw")]
         with caplog.at_level(logging.WARNING, logger="kgsampler.samplers"):
             points = list(sweep_points(g, policies, [20, big], 30))
         assert [(pol.kind, pol.batch_size) for pol, _ in points] == [
@@ -165,13 +167,15 @@ class TestSweep:
         # perfbench's traced sweep compares its own rows with the library's using `!=`,
         # so a key that only one side writes fails every traced sweep unit
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
-        policy = SamplerPolicy(kind="rw", batch_size=20, seed=0)
-        hists = [minibatch_degree_distribution(sample_minibatch(g, policy)) for _ in range(3)]
+        policy = SamplerPolicy(kind="rw", batch_size=20)
+        hists = [minibatch_degree_distribution(sample_minibatch(g, policy,
+                                                                np.random.default_rng(0)))
+                 for _ in range(3)]
         assert set(sweep_row(policy, hists)) == set(SWEEP_FIELDS)
 
     def test_csv_schemas(self, tmp_path):
         g = random_graph(n_entities=30, n_relations=2, n_triples=200, seed=9)
-        policy = SamplerPolicy(kind="sr", seed=0)
+        policy = SamplerPolicy(kind="sr")
         rows = ed_vs_batchsize_sweep(g, [policy], [20], batches_per_point=30)
         sweep_path = tmp_path / "sweep.csv"
         write_csv(rows, str(sweep_path), SWEEP_FIELDS)
@@ -183,7 +187,7 @@ class TestSweep:
 
         from kgsampler.stats import distribution_rows
         h = minibatch_degree_distribution(
-            sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20, seed=0)))
+            sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=20), np.random.default_rng(0)))
         dist_path = tmp_path / "dist.csv"
         write_csv(distribution_rows(policy, 20, h), str(dist_path), DISTRIBUTION_FIELDS)
         with open(dist_path) as fh:

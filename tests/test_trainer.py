@@ -13,13 +13,14 @@ import pytest
 
 import kgsampler
 from kgsampler import trainer
+from kgsampler.evaluation import evaluate_split
 from kgsampler.graph import from_id_triples, neighbor_entries
 from kgsampler.losses import (LossConfig, RowGrads, SparseGrads, corrupt_batch,
                               minibatch_loss_and_grads)
 from kgsampler.samplers import SAMPLER_KINDS, SamplerPolicy, epoch_iterator, sample_minibatch
 from kgsampler.scorers import EmbeddingStore, initialize
 from kgsampler.stats import expected_degree_of_batch
-from kgsampler.synth import planted_toy_graph, random_graph, write_dataset
+from kgsampler.synth import planted_graph, planted_toy_graph, random_graph, write_dataset
 from kgsampler.trainer import (
     NumericalError,
     SparseAdam,
@@ -42,7 +43,7 @@ def small_config(g, **kw):
     defaults = dict(
         epochs=2,
         learning_rate=1e-2,
-        sampler_policy=SamplerPolicy(kind="sr", batch_size=16, seed=0),
+        sampler_policy=SamplerPolicy(kind="sr", batch_size=16),
         loss_config=LossConfig(margin=1.0, negatives_per_positive=4,
                                adversarial_temperature=0.0, filtered_negatives=False),
         seed=5,
@@ -233,7 +234,7 @@ class TestTrain:
         store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
         config = small_config(
             g, epochs=1,
-            sampler_policy=SamplerPolicy(kind="sr", batch_size=g.n_train, seed=0))
+            sampler_policy=SamplerPolicy(kind="sr", batch_size=g.n_train))
         _, records = train(g, store, config)
         assert records[0]["batches"] == 1
 
@@ -254,7 +255,7 @@ class TestTrain:
         """Two runs give equal bits under every sampler, with the plain loss and the neighbor
         loss at cap 2; no digest is pinned, as float bits may differ between CPUs."""
         g = small_random_graph
-        config = small_config(g, sampler_policy=SamplerPolicy(kind=kind, batch_size=16, seed=0))
+        config = small_config(g, sampler_policy=SamplerPolicy(kind=kind, batch_size=16))
         config = replace(config, loss_config=replace(
             config.loss_config, neighbors_loss_enabled=neighbors, neighbor_cap=2))
         stores = []
@@ -268,7 +269,7 @@ class TestTrain:
     def test_updates_touch_only_gradient_rows(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "transe", 4, seed=3)
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=8, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=8), np.random.default_rng(1))
         config = small_config(g)
         rng = np.random.default_rng(0)
         _, grads = minibatch_loss_and_grads(g, store, m, config.loss_config, rng)
@@ -288,7 +289,7 @@ class TestTrain:
         assert len(records) == 3
         assert all({"epoch", "mean_loss", "wall_time_s", "batches"} <= set(r) for r in records)
         # sr batch lengths do not depend on the permutation
-        sizes = [len(m) for m in epoch_iterator(g, config.sampler_policy)]
+        sizes = [len(m) for m in epoch_iterator(g, config.sampler_policy, np.random.default_rng(0))]
         for r in records:
             assert r["batches"] == len(sizes)
             assert r["positives"] == sum(sizes) == g.n_train
@@ -327,7 +328,7 @@ class TestTrain:
         config = TrainConfig(
             epochs=20,
             learning_rate=1e-2,
-            sampler_policy=SamplerPolicy(kind="sr", batch_size=128, seed=1),
+            sampler_policy=SamplerPolicy(kind="sr", batch_size=128),
             loss_config=LossConfig(margin=1.0, negatives_per_positive=32,
                                    adversarial_temperature=0.0),
             seed=6,
@@ -400,7 +401,7 @@ class TestTrain:
         for eval_every in (1, 4):
             store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=2)
             config = small_config(g, epochs=3, eval_every=eval_every,
-                                  sampler_policy=SamplerPolicy(kind=kind, batch_size=16, seed=0))
+                                  sampler_policy=SamplerPolicy(kind=kind, batch_size=16))
             _, records = train(g, store, config)
             runs.append((store, records))
         (validated, with_valid), (plain, without_valid) = runs
@@ -418,7 +419,7 @@ class TestTrain:
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
         config = small_config(g, optimizer="sgd")
-        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=4, seed=1))
+        m = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=4), np.random.default_rng(1))
         _, grads = minibatch_loss_and_grads(g, store, m, config.loss_config,
                                             np.random.default_rng(0))
         assert 3 < len(grads.entities) < g.n_entities
@@ -522,7 +523,7 @@ class TestGoldenTrainingStream:
         store = initialize(g.n_entities, g.n_relations, "rotate", 4, seed=2)
         config = small_config(
             g, epochs=3, eval_every=10,
-            sampler_policy=SamplerPolicy(kind=kind, batch_size=32, seed=0),
+            sampler_policy=SamplerPolicy(kind=kind, batch_size=32),
             loss_config=LossConfig(margin=1.0, negatives_per_positive=4, filtered_negatives=True,
                                    neighbors_loss_enabled=neighbors, neighbor_cap=2))
         _, records = train(g, store, config)
@@ -546,7 +547,8 @@ class TestVarianceProbe:
     def test_stub_sampler_zero_variance(self, small_random_graph):
         g = small_random_graph
         store = initialize(g.n_entities, g.n_relations, "distmult", 4, seed=1)
-        fixed = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=10, seed=9))
+        fixed = sample_minibatch(g, SamplerPolicy(kind="sr", batch_size=10),
+                                 np.random.default_rng(9))
         report = gradient_variance_probe(
             g, store, small_config(g), num_batches=5, sample_batch=lambda: fixed)
         assert len(report.entity_ids) > 0
@@ -567,7 +569,7 @@ class TestVarianceProbe:
         for kind in ("sr", "rw", "rwisg"):
             config = small_config(
                 g,
-                sampler_policy=SamplerPolicy(kind=kind, batch_size=48, seed=0),
+                sampler_policy=SamplerPolicy(kind=kind, batch_size=48),
                 loss_config=LossConfig(margin=1.0, negatives_per_positive=8,
                                        adversarial_temperature=0.0,
                                        filtered_negatives=False))
@@ -581,7 +583,7 @@ class TestVarianceProbe:
         medians = {}
         for kind in ("sr", "rwisg"):
             config = small_config(
-                g, sampler_policy=SamplerPolicy(kind=kind, batch_size=48, seed=0))
+                g, sampler_policy=SamplerPolicy(kind=kind, batch_size=48))
             report = gradient_variance_probe(g, store, config, num_batches=40)
             medians[kind] = report.median_variance(min_degree=5)
         assert medians["rwisg"] < medians["sr"]
@@ -610,3 +612,47 @@ class TestVarianceProbe:
         assert [int(x) for x in cols[1]] == report.graph_degrees.tolist()
         assert [int(x) for x in cols[2]] == report.batches_seen.tolist()
         assert [float(x) for x in cols[3]] == report.grad_variances.tolist()
+
+
+def test_planted_graph_is_learnable():
+    """A model-free oracle ranks the planted graph's held-out answers well, and sr RotatE at
+    RotatE's own margin (``margin=-6``) beats a uniformly random ranking within seconds.
+
+    The oracle answers a tail query (s, r, ?) by scoring first the entities that close a train
+    triple of r's inverse relation, then those in the query's target cluster (the commonest
+    object cluster of r from s's cluster in train), each group ordered by train degree. It
+    answers the test triples' tail queries and those of their inverses, filtered, with ties
+    counted against the answer.
+    """
+    clusters, relations = 10, 4
+    g = planted_graph(500, clusters, relations, 4000, seed=0)
+    n, n_rel = g.n_entities, g.n_relations
+    known_rows = np.concatenate([g.train, g.valid, g.test])
+    known = set(map(tuple, known_rows.tolist()))
+    cluster = np.arange(n) * clusters // n
+    counts = np.zeros((n_rel, clusters, clusters), dtype=np.int64)
+    np.add.at(counts, (g.train[:, 1], cluster[g.train[:, 0]], cluster[g.train[:, 2]]), 1)
+    target = counts.argmax(axis=2)
+    popularity = g.degrees / (g.degrees.max() + 1.0)
+    reciprocal = []
+    queries = [*g.test.tolist(), *[(o, (r + relations) % n_rel, s) for s, r, o in g.test.tolist()]]
+    for s, r, o in queries:
+        score = popularity + (cluster == target[r, cluster[s]])
+        score[g.train[(g.train[:, 1] == (r + relations) % n_rel) & (g.train[:, 2] == s), 0]] += 2
+        rivals = [e for e in range(n) if e != o and (s, r, e) not in known]
+        reciprocal.append(1 / (1 + np.count_nonzero(score[rivals] >= score[o])))
+    oracle = np.mean(reciprocal)
+
+    # a uniformly random order of an answer and its N - 1 unfiltered rivals has E[1/rank] = H_N / N
+    harmonic = np.cumsum(1 / np.arange(1, n + 1))
+    sizes = [n + 1 - np.count_nonzero((known_rows[:, 1] == r) & (known_rows[:, side] == x))
+             for s, r, o in g.test.tolist() for side, x in ((2, o), (0, s))]
+    baseline = np.mean([harmonic[size - 1] / size for size in sizes])
+
+    store = initialize(n, n_rel, "rotate", 32, seed=1)
+    train(g, store, TrainConfig(epochs=6, learning_rate=1e-2,
+                                sampler_policy=SamplerPolicy(kind="sr", batch_size=512),
+                                loss_config=LossConfig(margin=-6.0, negatives_per_positive=32)))
+    trained = evaluate_split(g, store, "test", "filtered").mrr
+    assert oracle > 0.5               # 0.560 measured
+    assert trained > 2 * baseline     # 0.050 against 0.0137 measured
