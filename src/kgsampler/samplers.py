@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import KnowledgeGraph, induced_ids, pack_triples, sorted_unique, uniform_subsets
+from .graph import KnowledgeGraph, induced_ids, sorted_unique, uniform_subsets
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +66,8 @@ class SamplerPolicy:
 class Minibatch:
     """A sampled set of positive training triples."""
 
-    # (m, 3) int64 rows g.train[ids]: in draw order (sr), collection order (rw, rwr), train-id
-    # order (rwisg, and rwisg_n without extras) or (s, r, o) order (rwisg_n with extras)
+    # (m, 3) int64 rows g.train[ids]: in draw order (sr), collection order (rw, rwr) or
+    # train-id order (rwisg, rwisg_n)
     positives: np.ndarray
     restarts: int = 0              # fresh-restart count of the underlying walk
     ids: np.ndarray | None = None  # (m,) int64 distinct train ids; None if built from rows
@@ -177,7 +177,7 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng: np.random.Ge
     collection order, ``rwisg`` the train subgraph induced by the visited
     vertices, and ``rwisg_n`` adds to that, for each visited vertex v,
     ceil(fraction * degree(v)) incident triples drawn without replacement up
-    to the per-vertex cap. Positives with extras come sorted by (s, r, o).
+    to the per-vertex cap. Both induced kinds return their ids in increasing order.
     A ``start_entity`` outside [0, n_entities) is a ValueError for every kind.
     """
     if g.n_train == 0:
@@ -197,11 +197,7 @@ def sample_minibatch(g: KnowledgeGraph, policy: SamplerPolicy, rng: np.random.Ge
     if policy.kind == "rwisg_n":
         extra = _extra_ids(g, visited, counts, runs, policy.extra_neighbor_fraction,
                            policy.extra_neighbor_cap, rng)
-        if len(extra):    # the union, in (s, r, o) order: sorted by packed keys
-            ids = np.concatenate([ids, extra])
-            keys = pack_triples(*g.train.take(ids, axis=0).T, g.n_entities, g.n_relations)
-            order = np.argsort(keys)    # equal keys are one train id, so any sort will do
-            ids = ids[order][np.diff(keys[order], prepend=-1) != 0]
+        ids = sorted_unique(np.concatenate([ids, extra]))
     return Minibatch(positives=g.train.take(ids, axis=0), restarts=restarts, ids=ids)
 
 

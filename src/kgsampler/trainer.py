@@ -169,12 +169,12 @@ def train(g: KnowledgeGraph, store: EmbeddingStore, config: TrainConfig,
     with the offending batch attached to the raised :class:`NumericalError`.
     """
     optimizer = make_optimizer(store, config)
-    ss = np.random.SeedSequence(config.seed)
     records = []
     for epoch in range(1, config.epochs + 1):
-        sample_seed, corrupt_seed = ss.spawn(2)
-        sample_rng = np.random.default_rng(sample_seed)
-        corrupt_rng = np.random.default_rng(corrupt_seed)
+        sample_rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(2 * epoch - 2,)))
+        corrupt_rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(2 * epoch - 1,)))
         t0 = time.perf_counter()
         total_loss = 0.0
         batch_sizes = []

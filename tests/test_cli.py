@@ -804,7 +804,7 @@ class TestVizCommand:
         assert "Traceback" not in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("kind", ["sr", "rwisg"])
+    @pytest.mark.parametrize("kind", ["sr", "rwisg", "rwisg_n"])
     def test_dot_equals_the_library_batch(self, tmp_path, toy_dataset, kind):
         """``--seed N`` draws the batch from ``default_rng(N)``."""
         out = tmp_path / "batch.dot"

@@ -169,11 +169,11 @@ class TestGoldenStream:
     GRAPHS = {"random": lambda: random_graph(2000, 20, 30000, seed=0), "loops": loops_graph,
               "sparse": sparse_graph}
     DIGESTS = {
-        "loops": ("65442bec093e6f980f5572747967e0f27d470e0242fda36ce33b659426f30a5b",
+        "loops": ("806a6b837d27d7f8c1743cb5f59b76dd2d5d9d54025e94149f62e898323dbb5e",
                   "3e8d2573725a82e77f1e8a28a662ce58bc4b1ca423bb30795ab7994fffa9512a"),
-        "random": ("7a76ef7b913dc279bca45a551dc3226ef044f9b702f7d0c79f6afa248f45ef0c",
+        "random": ("474c41c22d1b6df68c122efccc123bfae467ab7c9a7229eeba11da02203d269e",
                    "6ae5cb3463dd64f771186c7a1734c054ec381e9d223aa25e0b6e276baca08b1f"),
-        "sparse": ("0a443fecb92a72c7b287ed99ab40fdb59dd28ee05195e9ec95f5b898b53bb1b1",
+        "sparse": ("67b168169388f54faa396e2ee56760b1377c9fdbcdc5560d9ba5de24c769ac39",
                    "053613fe0f23d88eed422bbc3b55b50c5f3e9d95e7f57fb26398f8c3961f80fa"),
     }
 
@@ -349,7 +349,8 @@ class TestExtraNeighbors:
         drawn = g.train[samplers._extra_ids(g, visited, *g.incident(visited), 0.3, 3, rng)]
         inside = set(visited.tolist())
         induced = {t for t in as_set(g.train) if t[0] in inside and t[2] in inside}
-        assert m.positives.tolist() == [list(t) for t in sorted(induced | as_set(drawn))]
+        union = induced | as_set(drawn)
+        assert m.positives.tolist() == [t for t in g.train.tolist() if tuple(t) in union]
 
 
 class TestBatchIds:
@@ -362,13 +363,15 @@ class TestBatchIds:
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_every_batch_is_the_rows_of_its_ids(self, small_random_graph, kind):
-        g = small_random_graph
+        # rows reversed out of (s, r, o) order, so train-id order is not triple order
+        g = from_id_triples(small_random_graph.train[::-1], n_entities=30, n_relations=3)
         policy = SamplerPolicy(kind=kind, batch_size=12, restart_probability=0.3)
-        self.check_ids(g, sample_minibatch(g, policy, np.random.default_rng(4)))
         batches = list(epoch_iterator(g, policy, np.random.default_rng(4)))
         assert len(batches) == batches_per_epoch(g, policy)
-        for m in batches:
+        for m in [sample_minibatch(g, policy, np.random.default_rng(4))] + batches:
             self.check_ids(g, m)
+            if kind in ("rwisg", "rwisg_n"):    # induced batches come in train-id order
+                assert np.all(np.diff(m.ids) > 0)
 
     def test_sr_epoch_ids_partition_the_train_ids(self, small_random_graph):
         g = small_random_graph
@@ -378,8 +381,8 @@ class TestBatchIds:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_rwisg_n_merge_is_the_union_sorted_by_triple(self, data):
-        """Induced and drawn ids, self-loops among them, merged into one (s, r, o) order."""
+    def test_rwisg_n_merge_is_the_union_in_train_id_order(self, data):
+        """Induced and drawn ids, self-loops among them, merged into one increasing order."""
         n = data.draw(st.integers(1, 8))
         rows = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, 1),
                                            st.integers(0, n - 1)), min_size=1, max_size=30))
@@ -396,7 +399,7 @@ class TestBatchIds:
         inside = set(visited.tolist())
         union = {i for i, (s, _, o) in enumerate(g.train.tolist()) if {s, o} <= inside}
         union |= set(drawn.tolist())
-        assert m.ids.tolist() == sorted(union, key=lambda i: g.train[i].tolist())
+        assert m.ids.tolist() == sorted(union)
         self.check_ids(g, m)
 
 

@@ -302,7 +302,7 @@ class TestTrain:
             n = config.loss_config.negatives_per_positive
             assert (r["scored_rows"], r["exhausted_negatives"]) == (g.n_train * (1 + n), 0)
         # the first epoch's batches, drawn as train draws them
-        sample_seed, _ = np.random.SeedSequence(config.seed).spawn(2)
+        sample_seed = np.random.SeedSequence(config.seed, spawn_key=(0,))
         batches = epoch_iterator(g, config.sampler_policy, rng=np.random.default_rng(sample_seed))
         eds = [expected_degree_of_batch(m) for m in batches]
         assert records[0]["expected_degree"] == pytest.approx(np.mean(eds), rel=1e-12)
@@ -465,11 +465,11 @@ class TestGoldenTrainingStream:
             "182fec644916937be1bba54e7d1ad8e93bcdebd788481fda518710fca07ce3c6",
             (3.892475632351548, 3.699749559722302, 3.536175284323288)),
         ("random", "rwisg_n", False): (
-            "c794348b0eeb793e6e624e4eaee3280c106cf78d736b4867184982c5f7132bc9",
-            (3.8418151906517943, 3.684336550668227, 3.4930651680563733)),
+            "a495bf5c039ef3b713e04371cd76d1603df3c2515ddf1249997d842edade1655",
+            (3.8418152725001504, 3.6842650975103473, 3.4930213413148468)),
         ("random", "rwisg_n", True): (
-            "e8a9c7146ed3c20fae00bc0fbb43a5f1553b8a40f60756b8f6a59c49ba4ab701",
-            (3.850600971563889, 3.666540171497341, 3.461645259326422)),
+            "1229914340416e88c438c46248226ab49d1c38e64da3c0b69f3cc0a82b7541f6",
+            (3.8533732092944564, 3.653277729535026, 3.4694436720489157)),
         ("toy", "sr", False): (
             "ec602c87d212df875c5415bc46ef146be68ede6e41f4970ff70b32820c760317",
             (3.906498056037902, 3.801048695550666, 3.6993491508245753)),
@@ -495,11 +495,11 @@ class TestGoldenTrainingStream:
             "cb02865950d9b47e262c73575e3ce967c80526555d1269e66d4a127b12b3655f",
             (3.863434439717506, 3.824261898256842, 3.7326450475404234)),
         ("toy", "rwisg_n", False): (
-            "0f75c1fdc6e43c498fae95b90e069741c9c5a5727a0af1b4c4271ad62b1e916d",
-            (3.916086150643468, 3.8332147263090413, 3.761253110636188)),
+            "bd0efa398ba0c503c3b19f40bc965f301a18e2ad27854fb0835c51e572d38343",
+            (3.916549499816695, 3.8339730894287145, 3.762777730006337)),
         ("toy", "rwisg_n", True): (
-            "5344a12ed138fa24aa8c4ab5a29bff0dee9a87830d0b17e87f6a2fe617c45092",
-            (3.901825146939184, 3.8172677530975596, 3.707721776101006)),
+            "30a9da6854d2dab3f6684db701fbfa7dbfe4f0c8d5db1bb41d4bacd4ecbef956",
+            (3.9340806635999788, 3.809032010814979, 3.719759870805464)),
     }
 
     def stream(self, monkeypatch, graph, kind, neighbors):
