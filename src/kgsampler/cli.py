@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .evaluation import evaluate_split
+from .evaluation import metrics_from_ranks, rank_split
 from .graph import SPLIT_FILES, DataError, KnowledgeGraph, load_dataset, write_dictionaries
 from .losses import LossConfig
 from .samplers import SAMPLER_KINDS, SamplerPolicy, sample_minibatch, to_dot
@@ -363,8 +363,12 @@ def cmd_eval(args) -> int:
             f"{args.checkpoint}: checkpoint id space {store.id_space.hex()} does not match "
             f"dataset {args.dataset} ({digest.hex()}): ids follow first-seen line order, and "
             f"the run's entities.tsv and relations.tsv list the checkpoint's")
-    metrics = evaluate_split(g, store, args.split, args.protocol)
-    print(metrics.as_json_line())
+    ranks = rank_split(g, store, args.split, args.protocol)
+    if args.ranks:
+        with atomic_open(args.ranks) as fh:
+            np.savetxt(fh, np.column_stack([g.split(args.split), ranks]), fmt="%d",
+                       delimiter="\t")
+    print(metrics_from_ranks(ranks.reshape(-1), args.protocol).as_json_line())
     return 0
 
 
@@ -424,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=SPLIT_FILES, default="test")
     p.add_argument("--protocol", choices=("raw", "filtered"), default="filtered")
+    p.add_argument("--ranks", default=None, metavar="PATH",
+                   help="also write each triple's ids and head, tail ranks as TSV")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("viz", help="export one minibatch as a DOT graph")

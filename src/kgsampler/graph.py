@@ -14,6 +14,8 @@ largest key is E²·R − 1, so a graph with E²·R > 2⁶³ is rejected with
 
 from __future__ import annotations
 
+import array
+import itertools
 import logging
 import os
 from dataclasses import dataclass
@@ -24,6 +26,10 @@ from numpy.typing import ArrayLike
 log = logging.getLogger(__name__)
 
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
+_CHUNK = 1 << 19    # characters parsed at a time
+_TAB, _NEWLINE = 9, 10
+_KEEP_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")    # k low bytes
+_MIX = np.uint64(0x9E3779B97F4A7C15)    # odd, so multiplying by it is a bijection
 
 
 class DataError(Exception):
@@ -188,35 +194,154 @@ def uniform_subsets(counts: np.ndarray, k: np.ndarray, rng) -> np.ndarray:
     return picked
 
 
-def _parse_split(path: str, entity_ids: dict, relation_ids: dict) -> np.ndarray:
-    """Parse one tab-separated triple file, assigning ids in first-seen order."""
+class _HashCollision(Exception):
+    """Two different names of a dataset hashed alike."""
+
+
+class _Names:
+    """Names numbered in first-seen order, looked up by a 64-bit hash of their bytes and
+    checked byte for byte against the name stored under that hash."""
+
+    def __init__(self, salt: int):
+        self.salt = salt
+        self.hashes = np.empty(0, dtype=np.uint64)    # of the names so far, sorted
+        self.ids = np.empty(0, dtype=np.int64)    # the id of each hash
+        self.text = np.zeros(8, dtype=np.uint8)    # the names in id order, each ended by a tab
+        self.bounds = np.zeros(1, dtype=np.int64)    # each name's start in text, then the end
+
+    def number(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The id of each name ``buf[starts[i]:starts[i] + lengths[i]]``, adding new names
+        in first-seen order. ``buf`` holds 7 bytes or more after each name.
+
+        Raises :class:`_HashCollision` if a name differs from the name stored under its hash.
+        """
+        window = _words_at(buf)
+        long = np.flatnonzero(lengths > 8)
+        long = long[np.argsort(lengths[long])]    # the names of more than one word, by length
+        words = list(_later_words(window, starts[long], lengths[long]))
+        hashes, label = np.unique(
+            _name_hashes(_words(window, starts, lengths), lengths, long, words[1:], self.salt),
+            return_inverse=True)
+        first = np.full(len(hashes), len(label))
+        np.minimum.at(first, label, np.arange(len(label)))    # each hash's first name
+        pos = np.searchsorted(self.hashes, hashes)
+        found = np.zeros(len(hashes), dtype=bool)
+        inside = np.flatnonzero(pos < len(self.hashes))
+        found[inside] = self.hashes[pos[inside]] == hashes[inside]
+        ids = np.empty(len(hashes), dtype=np.int64)
+        ids[found] = self.ids[pos[found]]
+        new = np.flatnonzero(~found)
+        if len(new):
+            ids[new[np.argsort(first[new])]] = len(self.bounds) - 1 + np.arange(len(new))
+            first = np.sort(first[new])
+            sizes = lengths[first] + 1
+            joined = buf[concat_ranges(starts[first], sizes)]
+            joined[np.cumsum(sizes) - 1] = _TAB
+            self.bounds = np.concatenate([self.bounds, self.bounds[-1] + np.cumsum(sizes)])
+            self.text = np.concatenate([self.text[:-8], joined, np.zeros(8, dtype=np.uint8)])
+            self.hashes = np.insert(self.hashes, pos[new], hashes[new])
+            self.ids = np.insert(self.ids, pos[new], ids[new])
+        ids = ids[label]
+        stored = self.bounds[ids]
+        if np.any(self.bounds[ids + 1] - stored - 1 != lengths):
+            raise _HashCollision
+        # of equally long names of one word, only equal ones hash alike: check the others
+        for (_, word), (_, stored_word) in zip(
+                words, _later_words(_words_at(self.text), stored[long], lengths[long])):
+            if np.any(word != stored_word):
+                raise _HashCollision
+        return ids
+
+    def names(self) -> list:
+        """The names in id order."""
+        return self.text[:-8].tobytes().decode("utf-8").split("\t")[:-1]
+
+
+def _words_at(buf: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each offset of ``buf``, as a little-endian word (unaligned)."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _words(window: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The bytes from each offset ``at``, up to 8 of the matching ``lengths``, as words."""
+    return window[at] & _KEEP_BYTES[np.minimum(lengths, 8)]
+
+
+def _later_words(window: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The words of names sorted by length: for each 8 bytes, the index of the first name
+    that reaches them, and the words of the names from there."""
+    ats = np.arange(0, lengths[-1] if len(lengths) else 0, 8)
+    los = np.searchsorted(lengths, ats, side="right")
+    ends = np.searchsorted(lengths, ats + 8, side="right")    # past the names that end there
+    for at, lo, end in zip(ats.tolist(), los.tolist(), ends.tolist()):
+        word = window[starts[lo:] + at]
+        word[:end - lo] &= _KEEP_BYTES[lengths[lo:end] - at]
+        yield lo, word
+
+
+def _name_hashes(first: np.ndarray, lengths: np.ndarray, long: np.ndarray, later: list,
+                 salt: int) -> np.ndarray:
+    """A 64-bit hash of each name from its ``first`` word and the ``later`` words of the
+    names ``long``: equal names hash equal, and of two names of one word and one length,
+    only equal ones do."""
+    h = (lengths.astype(np.uint64) + np.uint64(salt)) * _MIX
+    h = (h ^ first) * _MIX
+    hashed = h[long]
+    for lo, word in later:
+        hashed[lo:] ^= word
+        hashed[lo:] *= _MIX
+    h[long] = hashed
+    return h
+
+
+def _read_split(path: str, entities: _Names, relations: _Names) -> np.ndarray:
+    """Parse one tab-separated triple file into id triples, a chunk of lines at a time."""
     if not os.path.isfile(path):
         raise DataError(f"missing split file: {path}")
-    ids = []
-    try:    # a leading byte-order mark is not part of the first name
+    # the id triples, grown in one buffer so the chunks' rows are never held twice; the
+    # lines parsed; a line not yet ended
+    rows, lines, rest = array.array("q"), 0, ""
+    try:    # text mode drops a leading byte-order mark and ends lines at \r\n and \r
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                cols = line.rstrip("\n").split("\t")
-                if len(cols) != 3:
-                    if cols == [""]:    # a blank line
-                        continue
-                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, "
-                                    f"got {len(cols)}")
-                s_name, r_name, o_name = cols
-                s = entity_ids.get(s_name)
-                if s is None:
-                    s = entity_ids[s_name] = len(entity_ids)
-                r = relation_ids.get(r_name)
-                if r is None:
-                    r = relation_ids[r_name] = len(relation_ids)
-                o = entity_ids.get(o_name)
-                if o is None:
-                    o = entity_ids[o_name] = len(entity_ids)
-                ids += s, r, o
+            for chunk in iter(lambda: fh.read(_CHUNK), ""):
+                text = rest + chunk
+                rows.frombytes(_parse_lines(text, path, lines, entities, relations).tobytes())
+                lines += text.count("\n")
+                rest = text[text.rfind("\n") + 1:]
     except UnicodeDecodeError as exc:    # the decoder reads in chunks: no exact line
         raise DataError(f"{path}: not UTF-8 text ({exc.reason}, "
                         f"byte {exc.object[exc.start:exc.end]!r})") from exc
-    return np.array(ids, dtype=np.int64).reshape(-1, 3)
+    rows.frombytes(_parse_lines(rest + "\n", path, lines, entities, relations).tobytes())
+    return np.frombuffer(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _parse_lines(text: str, path: str, lines: int, entities: _Names,
+                 relations: _Names) -> np.ndarray:
+    """The id triples of the lines that ``text`` ends, which follow ``lines`` others of
+    ``path``; the text after its last line end is left for the next chunk.
+
+    Raises :class:`DataError` unless every non-blank line holds exactly two tabs.
+    """
+    buf = np.frombuffer(text.encode("utf-8") + bytes(8), dtype=np.uint8)    # a word past names
+    low = np.flatnonzero(buf <= _NEWLINE)    # bytes 0-8 are rare
+    seps = low[buf[low] >= _TAB]    # the tabs and newlines
+    at = np.flatnonzero(buf[seps] == _NEWLINE)    # each line's end among the separators
+    tabs = np.diff(at, prepend=-1) - 1
+    ends = seps[at]
+    starts = np.concatenate([[0], ends + 1])[:-1]
+    named = ends > starts    # not a blank line
+    bad = (tabs != 2) & named
+    if bad.any():
+        lineno = int(np.argmax(bad))
+        raise DataError(f"{path}:{lines + lineno + 1}: expected 3 tab-separated columns, "
+                        f"got {tabs[lineno] + 1}")
+    at = at[named]
+    start, tab1, tab2, end = starts[named], seps[at - 2], seps[at - 1], ends[named]
+    relation_ids = relations.number(buf, tab1 + 1, tab2 - tab1 - 1)
+    name_starts = np.column_stack([start, tab2 + 1]).ravel()    # subject, object
+    entity_ids = entities.number(buf, name_starts,
+                                 np.column_stack([tab1, end]).ravel() - name_starts)
+    return np.column_stack([entity_ids[0::2], relation_ids, entity_ids[1::2]])
 
 
 def _build_adjacency(train: np.ndarray, n_entities: int):
@@ -304,14 +429,16 @@ def load_dataset(directory: str) -> KnowledgeGraph:
     only. Raises :class:`DataError` on missing files, malformed lines,
     duplicate triples within a split, or a graph too large for int64 keys.
     """
-    entity_ids: dict = {}
-    relation_ids: dict = {}
-    splits = {
-        name: _parse_split(os.path.join(directory, fname), entity_ids, relation_ids)
-        for name, fname in SPLIT_FILES.items()
-    }
-    return _build_graph(splits, len(entity_ids), len(relation_ids),
-                        names=(list(entity_ids), list(relation_ids)), source=directory)
+    for salt in itertools.count():
+        entities, relations = _Names(salt), _Names(salt)
+        try:
+            splits = {name: _read_split(os.path.join(directory, fname), entities, relations)
+                      for name, fname in SPLIT_FILES.items()}
+            break
+        except _HashCollision:    # so number the names again, under another hash
+            pass
+    names = entities.names(), relations.names()
+    return _build_graph(splits, *map(len, names), names=names, source=directory)
 
 
 def from_id_triples(

@@ -10,6 +10,7 @@ import pytest
 from kgsampler import cli, trainer
 from kgsampler.cli import main, resolve_config, ConfigError
 from kgsampler.cli import id_space_digest
+from kgsampler.evaluation import rank_split
 from kgsampler.graph import SPLIT_FILES, load_dataset
 from kgsampler.samplers import SamplerPolicy, sample_minibatch, to_dot
 from kgsampler.scorers import MODEL_KINDS, initialize, load_checkpoint, save_checkpoint
@@ -475,6 +476,23 @@ class TestEvalCommand:
         assert code == 0
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(record) == {"mrr", "mr", "hits1", "hits3", "hits10", "count", "protocol"}
+
+    def test_ranks_file_holds_rank_split_and_the_printed_mrr(self, tmp_path, toy_dataset,
+                                                             capsys):
+        code, run_dir = run_training(tmp_path, toy_dataset)
+        assert code == 0
+        ckpt = os.path.join(run_dir, "last.ckpt")
+        path = tmp_path / "ranks.tsv"
+        capsys.readouterr()
+        assert main(["eval", "--dataset", toy_dataset, "--checkpoint", ckpt,
+                     "--ranks", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        rows = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2)
+        g = load_dataset(toy_dataset)
+        assert np.array_equal(rows[:, :3], g.test)
+        assert np.array_equal(rows[:, 3:], rank_split(g, load_checkpoint(ckpt), "test"))
+        assert float(np.mean(1.0 / rows[:, 3:].reshape(-1))) == record["mrr"]
+        assert not os.path.exists(f"{path}.tmp")
 
     def test_filtered_at_least_raw(self, tmp_path, toy_dataset, capsys):
         code, run_dir = run_training(tmp_path, toy_dataset)

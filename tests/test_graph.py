@@ -1,14 +1,20 @@
 import hashlib
+import os
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgsampler import graph
 from kgsampler.graph import (
+    SPLIT_FILES,
     DataError,
     _build_graph,
+    _name_hashes,
     concat_ranges,
     from_id_triples,
     load_dataset,
@@ -213,6 +219,154 @@ class TestLoader:
         write_dictionaries(g, str(out))
         lines = (out / "entities.tsv").read_text().splitlines()
         assert lines == ["0\ta", "1\tb"]
+
+    def test_names_equal_in_their_first_8_bytes_get_two_ids(self, tmp_path):
+        g = load_dataset(make_dataset(
+            tmp_path, train=[("/m/0abcdefX", "r", "/m/0abcdefY")],
+            valid=[("/m/0abcdefY", "r", "/m/0abcdefX")]))
+        assert g.entity_names == ["/m/0abcdefX", "/m/0abcdefY"]
+        assert g.train.tolist() == [[0, 0, 1]] and g.valid.tolist() == [[1, 0, 0]]
+
+    def test_line_of_two_tabs_is_a_triple_over_the_empty_name(self, tmp_path):
+        (tmp_path / "train.txt").write_bytes(b"\t\t\n")
+        write_split(tmp_path / "valid.txt", [])
+        write_split(tmp_path / "test.txt", [])
+        g = load_dataset(str(tmp_path))
+        assert g.entity_names == [""] and g.relation_names == [""]
+        assert g.train.tolist() == [[0, 0, 0]]
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        (tmp_path / "train.txt").write_bytes(b"a\tr\tb\rb\tr\tc\n")
+        write_split(tmp_path / "valid.txt", [])
+        write_split(tmp_path / "test.txt", [])
+        g = load_dataset(str(tmp_path))
+        assert g.entity_names == ["a", "b", "c"]
+        assert g.train.tolist() == [[0, 0, 1], [1, 0, 2]]
+        (tmp_path / "train.txt").write_bytes(b"a\tr\tb\nb\tr\rc\tr\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == (f"{tmp_path / 'train.txt'}:2: "
+                                  "expected 3 tab-separated columns, got 2")
+
+
+def per_line_load(directory):
+    """The reference loader: each split read in text mode and parsed line by line, names
+    numbered in first-seen order over train, valid, test by two dicts.
+
+    Returns ``(entity_names, relation_names, splits)``; raises DataError as load_dataset does.
+    """
+    entity_ids, relation_ids, splits = {}, {}, {}
+    for split, fname in SPLIT_FILES.items():
+        path = os.path.join(directory, fname)
+        if not os.path.isfile(path):
+            raise DataError(f"missing split file: {path}")
+        ids = []
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    cols = line.rstrip("\n").split("\t")
+                    if cols == [""]:
+                        continue
+                    if len(cols) != 3:
+                        raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, "
+                                        f"got {len(cols)}")
+                    s, r, o = cols
+                    ids += (entity_ids.setdefault(s, len(entity_ids)),
+                            relation_ids.setdefault(r, len(relation_ids)),
+                            entity_ids.setdefault(o, len(entity_ids)))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason}, "
+                            f"byte {exc.object[exc.start:exc.end]!r})") from exc
+        splits[split] = np.array(ids, dtype=np.int64).reshape(-1, 3)
+    return list(entity_ids), list(relation_ids), splits
+
+
+# Names of 0, 8 and 16-byte shared prefixes and a tail of NUL, multi-byte and the characters
+# str.splitlines splits at but a text file's lines do not.
+NAMES = st.builds(
+    str.__add__, st.sampled_from(["", "/m/0abcd", "/m/0abcdefghijkl"]),
+    st.text(st.one_of(st.sampled_from("a\x00\xe9\u4e2d\U0001f600\x0b\x1c\x85\u2028 "),
+                      st.characters(codec="utf-8", exclude_characters="\t\n\r")),
+            max_size=6))
+
+
+@st.composite
+def dataset_files(draw):
+    """The bytes of train/valid/test files: unique triples over small name pools, blank and
+    malformed lines, LF, CRLF and CR line ends, a byte-order mark, a final line end or not."""
+    entities = draw(st.lists(NAMES, min_size=1, max_size=8))
+    relations = draw(st.lists(NAMES, min_size=1, max_size=3))
+    triple = st.tuples(st.sampled_from(entities), st.sampled_from(relations),
+                       st.sampled_from(entities))
+    files = {}
+    for fname in SPLIT_FILES.values():
+        lines = ["\t".join(t) for t in draw(st.lists(triple, max_size=10, unique=True))]
+        for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+            lines.insert(at, "")
+        if draw(st.integers(0, 9)) == 0:    # a line of 1, 2 or 4 columns
+            columns = draw(st.sampled_from([1, 2, 4]))
+            lines.insert(draw(st.integers(0, len(lines))),
+                         "\t".join(draw(st.lists(NAMES, min_size=columns, max_size=columns))))
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and draw(st.booleans()):
+            text = text[:-len(ends[-1])]
+        files[fname] = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    return files
+
+
+def colliding_hashes(first, lengths, long, later, salt):
+    """Under salt 0, a name of up to 8 bytes hashes to its bytes read as a number, which
+    names that differ only in trailing NUL bytes share, and every longer name hashes to 0.
+    The loader must find these collisions by comparing lengths and bytes, and number the
+    names again under salt 1."""
+    if salt:
+        return _name_hashes(first, lengths, long, later, salt)
+    h = first.copy()
+    h[long] = 0
+    return h
+
+
+def test_hash_collision_numbers_the_names_again(tmp_path):
+    directory = make_dataset(
+        tmp_path, train=[("/m/0abcdefghij", "r", "/m/0abcdefghi"), ("a", "r", "a\x00")],
+        valid=[("/m/0abcdefghi", "r", "/m/0abcdefghij"), ("", "r", "a")])
+    salts = []
+
+    def recorded(first, lengths, long, later, salt):
+        salts.append(salt)
+        return colliding_hashes(first, lengths, long, later, salt)
+    with mock.patch.object(graph, "_name_hashes", recorded):
+        g = load_dataset(directory)
+    assert max(salts) == 1
+    assert g.entity_names == ["/m/0abcdefghij", "/m/0abcdefghi", "a", "a\x00", ""]
+    assert g.train.tolist() == [[0, 0, 1], [2, 0, 3]]
+    assert g.valid.tolist() == [[1, 0, 0], [4, 0, 2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=dataset_files())
+def test_loader_equals_the_per_line_reference(files):
+    with tempfile.TemporaryDirectory() as directory:
+        for fname, data in files.items():
+            with open(os.path.join(directory, fname), "wb") as fh:
+                fh.write(data)
+        try:
+            entity_names, relation_names, splits = per_line_load(directory)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                load_dataset(directory)
+            assert str(err.value) == str(exc)
+            return
+        g = load_dataset(directory)
+        with mock.patch.object(graph, "_name_hashes", colliding_hashes):
+            collided = load_dataset(directory)
+    for loaded in g, collided:
+        assert loaded.entity_names == entity_names and loaded.relation_names == relation_names
+        for split, want in splits.items():
+            got = loaded.split(split)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestDegree:
